@@ -4,7 +4,7 @@ p_i is the degree 2i-1 odd polynomial with coefficient of x^{2j-1} equal to
 
     (-1)^j 2^{2j-2} C(i+j-2, 2j-2) (2i-1)/(2j-1)
 
-(always an integer; the division is asserted). The sign convention keeps no
+(always an integer; the division is checked). The sign convention keeps no
 embedded (-1)^i inside p_i; identities apply it at use sites:
 
     sin((2i-1)t) = -p_i(sin t)         cos((2i-1)t) = (-1)^i p_i(cos t)
@@ -25,6 +25,7 @@ from .exact import (
     EvalContext,
     IntPolynomial,
     binom_int,
+    exact_div,
     fold_odd_cos_index,
     mod_pos,
     poly_x,
@@ -46,9 +47,7 @@ def p_poly(i: int) -> OddChebyshev:
     for j in range(1, i + 1):
         num = ((-1) ** j * 2 ** (2 * j - 2) * binom_int(i + j - 2, 2 * j - 2)
                * (2 * i - 1))
-        q, rem = divmod(num, 2 * j - 1)
-        assert rem == 0, f"non-integer coefficient at i={i}, j={j}"
-        coeffs[2 * j - 1] = q
+        coeffs[2 * j - 1] = exact_div(num, 2 * j - 1, "p_poly coefficient")
     return OddChebyshev(i, IntPolynomial(coeffs))
 
 
@@ -143,42 +142,68 @@ def inverse_index(i: int, n: int) -> int:
     return mod_pos(i * pow(2 * i - 1, 2 ** (n - 1) - 1, mod), mod)
 
 
-# exact composition modulo the level minimal polynomial, over rationals
-
-
-def _frac_mulmod(a: list[Fraction], b: list[Fraction],
-                 f: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for ia, ca in enumerate(a):
-        if ca:
-            for ib, cb in enumerate(b):
-                out[ia + ib] += ca * cb
-    lead = f[-1]
-    df = len(f) - 1
-    while len(out) - 1 >= df and out:
-        q = out[-1] / lead
-        shift = len(out) - 1 - df
-        for k, c in enumerate(f):
-            out[shift + k] -= q * c
-        while out and out[-1] == 0:
-            out.pop()
-    return out
+# exact composition modulo the level minimal polynomial, over dyadic rationals
 
 
 def compose_mod(p: IntPolynomial, q: IntPolynomial,
                 f: IntPolynomial) -> tuple[Fraction, ...]:
-    """p(q(x)) reduced modulo f, exact rational coefficients (Horner)."""
-    fc = [Fraction(c) for c in f.coeffs]
-    qc = [Fraction(c) for c in q.coeffs]
-    acc: list[Fraction] = []
+    """p(q(x)) reduced modulo f, exact rational coefficients (Horner).
+
+    f's leading coefficient must be +-2^k (f_n's is +2^{2^{n-1}-1}); any
+    other raises ValueError. Every intermediate value is then dyadic, so the
+    accumulator is kept as integer numerators over one denominator 2^e.
+    Before a product is reduced its numerators are shifted left by k bits
+    per reduction step, which makes each quotient (top >> k) exact; after
+    each Horner step the common trailing zero bits are stripped, so e stays
+    minimal. Only the result is converted to Fraction, with no trailing
+    zero coefficients.
+    """
+    fc = f.coeffs
+    lead = fc[-1] if fc else 0
+    lead_bits = abs(lead).bit_length() - 1
+    if not fc or abs(lead) != 1 << lead_bits:
+        raise ValueError("compose_mod requires a modulus with leading "
+                         "coefficient +-2^k")
+    if lead < 0:
+        fc = tuple(-c for c in fc)  # same remainders, leading term +2^k
+    df = len(fc) - 1
+    qc = q.coeffs
+    acc: list[int] = []  # numerators over 2^e, no trailing zeros
+    e = 0
     for c in reversed(p.coeffs):
-        acc = _frac_mulmod(acc, qc, fc) if acc else []
+        if acc:
+            out = [0] * (len(acc) + len(qc) - 1)
+            for ia, ca in enumerate(acc):
+                for ib, cb in enumerate(qc):
+                    out[ia + ib] += ca * cb
+            steps = len(out) - df
+            if steps > 0:
+                shift = lead_bits * steps
+                out = [v << shift for v in out]
+                e += shift
+                while len(out) > df:
+                    top = out.pop()
+                    if top:
+                        quo = top >> lead_bits
+                        base = len(out) - df
+                        for k in range(df):
+                            out[base + k] -= quo * fc[k]
+            acc = out
         if c:
             if acc:
-                acc[0] += c
+                acc[0] += c << e
             else:
-                acc = [Fraction(c)]
-    return tuple(acc)
+                acc = [c << e]
+        while acc and acc[-1] == 0:
+            acc.pop()
+        bits = 0
+        for v in acc:
+            bits |= v
+        strip = min(e, (bits & -bits).bit_length() - 1) if bits else e
+        if strip:
+            acc = [v >> strip for v in acc]
+            e -= strip
+    return tuple(Fraction(v, 1 << e) for v in acc)
 
 
 def verify_inverse_composition(i: int, n: int) -> bool:

@@ -23,6 +23,7 @@ from .exact import (
     ScaledMatrix,
     binom_int,
     even_cos_basis,
+    exact_div,
     fold_even_cos_index,
     make_matrix,
 )
@@ -54,8 +55,7 @@ def even_first_row(r: int, n: int) -> tuple[int, ...]:
         for k in range(kmax + 1)
     )
     # the constant entry is half the bracket; the bracket is always even
-    assert bracket % 2 == 0, f"odd constant bracket at r={r}, n={n}"
-    row = [bracket // 2]
+    row = [exact_div(bracket, 2, "even_first_row constant")]
     for j in range(1, dim):
         row.append(sum(
             (-1) ** k * (binom_int(r, half - (k * 2 ** (n - 1) + j))
@@ -83,7 +83,8 @@ def even_matrix(r: int, n: int) -> ScaledMatrix:
         row[0] = fr[0]
         for j in range(1, dim):
             k, sign = fold_even_cos_index(j * (2 * i - 1), n)
-            assert k != 0, "fold reached the constant column"
+            if k == 0:
+                raise ArithmeticError("fold reached the constant column")
             row[k] += sign * fr[j]
         rows.append(row)
     return make_matrix(rows, r - 1, even_cos_basis(n))

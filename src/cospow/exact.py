@@ -38,6 +38,19 @@ def mod_pos(a: int, b: int) -> int:
     return a % b
 
 
+def exact_div(num: int, den: int, what: str) -> int:
+    """num / den for a division the mathematics says is exact.
+
+    A nonzero remainder means a bug, and raises ArithmeticError naming
+    `what` (a fixed string, so the success path formats nothing); unlike an
+    assert, the guard survives python -O.
+    """
+    q, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"non-exact division by {den} in {what}")
+    return q
+
+
 def binom_int(r: int, k: int) -> int:
     """C(r, k) for r >= 0, with C(r, k) = 0 outside 0 <= k <= r.
 

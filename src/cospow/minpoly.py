@@ -21,23 +21,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import EvalContext, IntPolynomial, binom_int
+from .exact import EvalContext, IntPolynomial, binom_int, exact_div
 
 
 def closed_minpoly(n: int) -> IntPolynomial:
-    """Closed-form f_n, constant term +1, degree 2^{n-1}. Requires n >= 2."""
+    """Closed-form f_n, constant term +1, degree 2^{n-1}. Requires n >= 2.
+
+    The binomial b_m = C(h+m, h-m), h = 2^{n-2}, is stepped from b_{m-1}
+    by the ratio (h+m)(h-m+1) / ((2m)(2m-1)) instead of being recomputed
+    for every coefficient. Both that step and the division by h+m are
+    known integralities, checked by exact_div.
+    """
     if n < 2:
         raise ValueError("closed_minpoly requires n >= 2")
     half = 2 ** (n - 2)
     coeffs = [0] * (2 ** (n - 1) + 1)
     coeffs[0] = 1
+    b = 1
     for m in range(1, half + 1):
-        num = (-1) ** m * 2 ** (n + 2 * m - 2) * binom_int(half + m, half - m)
-        den = half + m
-        q, rem = divmod(num, den)
-        # the division is a known integrality; a remainder means a bug
-        assert rem == 0, f"non-exact coefficient division at n={n}, m={m}"
-        coeffs[2 * m] = q
+        b = exact_div(b * (half + m) * (half - m + 1), 2 * m * (2 * m - 1),
+                      "closed_minpoly binomial step")
+        q = exact_div(b << (n + 2 * m - 2), half + m,
+                      "closed_minpoly coefficient")
+        coeffs[2 * m] = -q if m % 2 else q
     return IntPolynomial(coeffs)
 
 
@@ -52,9 +58,8 @@ def nested_minpoly(n: int) -> IntPolynomial:
     q = IntPolynomial([-2, 0, 4])  # (2x)^2 - 2
     for _ in range(n - 2):
         q = q * q - IntPolynomial([2])
-    final = [c // 2 for c in q.coeffs]
-    assert all(c % 2 == 0 for c in q.coeffs), "nested form not divisible by 2"
-    return IntPolynomial(final)
+    return IntPolynomial([exact_div(c, 2, "nested_minpoly halving")
+                          for c in q.coeffs])
 
 
 @dataclass(frozen=True)

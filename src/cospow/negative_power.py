@@ -23,6 +23,7 @@ from fractions import Fraction
 from .exact import (
     EvalContext,
     ScaledMatrix,
+    exact_div,
     floor_div,
     make_matrix,
     mod_pos,
@@ -57,8 +58,7 @@ def matrix_neg1(n: int) -> ScaledMatrix:
 def row1_neg3(n: int, j: int) -> int:
     """First-row entry j of the 1/sin^3 matrix: (2^{n-1} j - j^2 + j - 2^{n-2})/2."""
     num = 2 ** (n - 1) * j - j * j + j - 2 ** (n - 2)
-    assert num % 2 == 0
-    return num // 2
+    return exact_div(num, 2, "row1_neg3")
 
 
 def _row1_neg5_numerator(n: int, j: int) -> int:
@@ -74,16 +74,12 @@ def row1_neg5(n: int, j: int) -> int:
     Integral for n >= 4. At n = 3 the quartic over 24 gives 3/2 and 7/2,
     so that one level is carried over 2^4 instead; see matrix_neg5.
     """
-    num = _row1_neg5_numerator(n, j)
-    assert num % 24 == 0
-    return num // 24
+    return exact_div(_row1_neg5_numerator(n, j), 24, "row1_neg5")
 
 
 def _row1_neg5_doubled(n: int, j: int) -> int:
     # doubled entry for the n = 3 matrix over 2^4
-    num = _row1_neg5_numerator(n, j)
-    assert num % 12 == 0
-    return num // 12
+    return exact_div(_row1_neg5_numerator(n, j), 12, "doubled row1_neg5")
 
 
 def _scatter_reciprocal(n: int, first_row, log2_denom: int) -> ScaledMatrix:
@@ -133,8 +129,7 @@ def matrix_neg3_entry(i: int, j: int, n: int) -> int:
     p = x % 2 ** (n - 1)
     q = x >> (n - 1)
     num = (2 ** (n - 1) + 1) * p - p * p - 2 ** (n - 2)
-    assert num % 2 == 0
-    return (-1) ** q * (num // 2)
+    return (-1) ** q * exact_div(num, 2, "matrix_neg3_entry")
 
 
 def matrix_neg3_gather(n: int) -> ScaledMatrix:

@@ -11,8 +11,9 @@ must agree entrywise, which is the core self-check of the package:
   * scatter: walk row 1 through the permutation/sign law (perm_sign) and
     deposit each entry at its image position;
   * gather: compute each entry in place from a modular inverse power,
-    evaluating the row-1 formula on the extended index range where it is
-    antisymmetric, so no manual folding is needed.
+    looking it up in the row-1 formula evaluated once per call on the
+    extended index range 1..2^{n-1}, where it is antisymmetric, so no
+    manual folding is needed. Gather never uses perm_sign.
 
 The unsigned permutation law makes {1..2^{n-2}} a cyclic abelian group
 (group elements are plain ints here). The matrices are normal and any two
@@ -118,21 +119,27 @@ def matrix_gather(r: int, n: int) -> ScaledMatrix:
     product X = (i+j-1)(2i-1)^{2^{n-2}-1} is reduced modulo 2^n so the
     parity of floor(X/2^{n-1}) survives as bit n-1 of the residue. The
     huge power is never materialized.
+
+    The entry is then +-first_row_entry(r, n, X mod 2^{n-1}). The extended
+    row of all 2^{n-1} such values is built once per call, so each entry
+    is a lookup; the row is a local, nothing is cached across calls.
     """
     _check_odd_r(r)
     if n < 2:
         raise ValueError("matrix_gather requires n >= 2")
     dim = 2 ** (n - 2)
-    exp = 2 ** (n - 2) - 1
+    half = 2 ** (n - 1)
+    modulus = 2**n
+    # ext[p] for extended column 1 <= p <= 2^{n-1}; ext[0] is unused
+    ext = [0] + [first_row_entry(r, n, p) for p in range(1, half + 1)]
     rows = []
     for i in range(1, dim + 1):
-        inv = pow(2 * i - 1, exp, 2**n)
+        inv = pow(2 * i - 1, dim - 1, modulus)
         row = []
         for j in range(1, dim + 1):
-            x = mod_pos((i + j - 1) * inv, 2**n)
-            p = x % 2 ** (n - 1)
-            q_parity = x >> (n - 1)
-            row.append((-1) ** q_parity * first_row_entry(r, n, p))
+            x = (i + j - 1) * inv % modulus
+            v = ext[x % half]
+            row.append(-v if x >= half else v)
         rows.append(row)
     return make_matrix(rows, r - 1, odd_cos_basis(n))
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .exact import EvalContext, IntPolynomial
+from .exact import EvalContext, IntPolynomial, exact_div
 from .minpoly import closed_minpoly
 from .series import sum_until_negligible
 
@@ -115,9 +115,7 @@ def monic_two_cos_poly(n: int) -> IntPolynomial:
     f = closed_minpoly(n)
     out = []
     for k, c in enumerate(f.coeffs):
-        num = 2 * c
-        assert num % 2**k == 0, "2cos substitution must stay integral"
-        out.append(num // 2**k)
+        out.append(exact_div(2 * c, 2**k, "monic_two_cos_poly"))
     if out[-1] < 0:
         out = [-c for c in out]
     return IntPolynomial(out)
@@ -140,7 +138,9 @@ class AvgPowers:
         g = monic_two_cos_poly(level)
         # even part: g has only even-degree terms, roots come in +- pairs
         h = g.coeffs[::2]
-        assert len(h) == self.dim + 1 and h[-1] == 1
+        if len(h) != self.dim + 1 or h[-1] != 1:
+            raise ArithmeticError("even part of the 2cos polynomial is not "
+                                  "monic of degree 2^(level-2)")
         # elementary symmetric functions of the squared roots
         self._es = [(-1) ** k * h[self.dim - k]
                     for k in range(1, self.dim + 1)]
@@ -165,9 +165,7 @@ class AvgPowers:
         if p == 0:
             return 1
         self._extend_to(p)
-        q, rem = divmod(self._ps[p], self.dim)
-        assert rem == 0, "power sum must be divisible by the root count"
-        return q
+        return exact_div(self._ps[p], self.dim, "AvgPowers power sum")
 
 
 def zeta_sine_sum(s, n: int, ctx: EvalContext) -> ZetaApproxResult:

@@ -20,7 +20,7 @@ from cospow.chebyshev import (
     verify_recursion,
     weighted_coefficient_sum_identity,
 )
-from cospow.exact import EvalContext, IntPolynomial
+from cospow.exact import EvalContext, IntPolynomial, poly_mod_reduce
 from cospow.minpoly import closed_minpoly
 
 
@@ -121,6 +121,27 @@ def test_compose_mod_basic():
     p5 = p_poly(5).poly
     rem = compose_mod(p5, p5, f)
     assert len(rem) <= f.degree
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 5), st.integers(1, 12), st.integers(1, 12))
+def test_compose_mod_matches_fraction_route(n, i, j):
+    """The dyadic Horner route against reducing the full composition."""
+    f = closed_minpoly(n)
+    p, q = signed_p_poly(i), signed_p_poly(j)
+    expected = poly_mod_reduce(p.compose(q), f)
+    assert compose_mod(p, q, f) == expected
+    assert compose_mod(p, q, -f) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-1000, 1000).filter(lambda c: abs(c) & (abs(c) - 1)),
+       st.lists(st.integers(-50, 50), max_size=6))
+def test_compose_mod_rejects_non_dyadic_lead(lead, low):
+    f = IntPolynomial(low + [lead])
+    x = identity_poly()
+    with pytest.raises(ValueError):
+        compose_mod(x, x, f)
 
 
 @settings(max_examples=40, deadline=None)

@@ -183,6 +183,15 @@ class TestSums:
         assert doc["csc_weights"] == ["8", "20", "28", "32"]
         assert doc["ok"] is True
 
+    @pytest.mark.parametrize("s, n", [(8, 10), (7, 11), (8, 11),
+                                      (6, 12), (7, 12), (8, 12)])
+    def test_large_sums_at_128_bits(self, capsys, s, n):
+        """The gap is judged relative to the sum, which reaches ~1e25."""
+        code, doc, _ = run_json(capsys, "sums", "--s", str(s), "--n", str(n),
+                                "--precision", "128")
+        assert code == 0
+        assert doc["ok"] is True
+
     def test_out_of_range(self, capsys):
         code, _, err = run(capsys, "sums", "--s", "9", "--n", "5")
         assert code == 2

@@ -1,6 +1,9 @@
 """Arithmetic kernel: folding rules, polynomials, evaluation contexts."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,6 +20,7 @@ from cospow.exact import (
     binom_int,
     binom_real,
     even_cos_basis,
+    exact_div,
     floor_div,
     fold_even_cos_index,
     fold_odd_cos_index,
@@ -54,6 +58,29 @@ class TestFloorMod:
     def test_division_identity(self, a, b):
         assert floor_div(a, b) * b + mod_pos(a, b) == a
         assert 0 <= mod_pos(a, b) < b
+
+    def test_exact_div(self):
+        assert exact_div(-24, 6, "test") == -4
+        with pytest.raises(ArithmeticError, match="odd half"):
+            exact_div(7, 2, "odd half")
+
+    def test_exact_div_survives_optimize(self):
+        """python -O strips asserts; the integrality guard must stay."""
+        code = ("from cospow.exact import exact_div\n"
+                "if __debug__:\n"
+                "    raise SystemExit(2)\n"
+                "try:\n"
+                "    exact_div(7, 2, 'odd half')\n"
+                "except ArithmeticError:\n"
+                "    raise SystemExit(0)\n"
+                "raise SystemExit(1)\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestBinomial:

@@ -85,8 +85,12 @@ def test_scatter_equals_gather_sweep():
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 17).map(lambda k: 2 * k + 1), st.integers(2, 7))
-def test_scatter_equals_gather_property(r, n):
+@given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+    st.integers(0, 2 ** (n + 1) - 1).map(lambda k: 2 * k + 1), st.just(n))))
+def test_scatter_equals_gather_property(rn):
+    # odd r up to 2^{n+2}: large r reaches the wrap-around terms (k >= 1)
+    # of first_row_entry in gather's extended row
+    r, n = rn
     assert matrix_scatter(r, n) == matrix_gather(r, n)
 
 
