@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -137,7 +138,8 @@ def _render_tex(payload: dict) -> str:
 
 def _emit(payload: dict, args) -> None:
     if args.format == "json":
-        text = json.dumps(_jsonable(payload), indent=2) + "\n"
+        text = json.dumps(_jsonable(payload), indent=2,
+                          allow_nan=False) + "\n"
     elif args.format == "csv":
         text = _render_csv(payload)
     else:
@@ -164,9 +166,22 @@ def _matrix_payload(m: ScaledMatrix, r: int) -> dict:
     }
 
 
+# largest level `matrix` and `verify` serve: the dense matrix has 4^{n-2}
+# entries, a million at n = 12
+MAX_MATRIX_N = 12
+# zeta: the sine sums take 2^{n-2} terms, and each binomial-series term
+# a Newton step over 2^{n-3} integers. The reference value of an even s
+# needs the Bernoulli numbers up to B_s, quadratic in s (s = 1000 takes
+# ~10 s), so s is capped as well
+MAX_ZETA_N = 12
+MAX_ZETA_S = 100
+
+
 def _build_matrix(r: int, n: int, basis: str) -> ScaledMatrix:
     """Dispatch on r's parity and sign; basis 'sin' means the odd-sine
     presentation where one exists."""
+    if n > MAX_MATRIX_N:
+        raise ArgumentProblem(f"matrices are served for n <= {MAX_MATRIX_N}")
     if r >= 1 and r % 2 == 1:
         if n < 2:
             raise ArgumentProblem("odd powers require n >= 2")
@@ -242,10 +257,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_zeta(args) -> int:
-    if not args.s > 1:
-        raise ArgumentProblem("zeta requires s > 1")
-    if args.n < 3:
-        raise ArgumentProblem("zeta requires n >= 3")
+    if not (math.isfinite(args.s) and args.s > 1):
+        raise ArgumentProblem("zeta requires finite s > 1")
+    if args.s > MAX_ZETA_S:
+        raise ArgumentProblem(f"zeta supports s <= {MAX_ZETA_S}")
+    if not 3 <= args.n <= MAX_ZETA_N:
+        raise ArgumentProblem(f"zeta supports n in [3, {MAX_ZETA_N}]")
+    if args.max_terms < 1:
+        raise ArgumentProblem("zeta requires --max-terms >= 1")
     ctx = _context(args)
     s = int(args.s) if float(args.s).is_integer() else args.s
     if args.method == METHOD_SINE_SUM:
@@ -348,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("matrix", help="exact change-of-basis matrix for "
                                        "cos^r (or 1/sin^|r|)")
-    p.add_argument("--n", type=int, required=True, help="level n")
+    p.add_argument("--n", type=int, required=True,
+                   help=f"level n <= {MAX_MATRIX_N}")
     p.add_argument("--r", type=int, required=True,
                    help="power: odd >= 1, even >= 2, or -1/-3/-5")
     p.add_argument("--basis", choices=("cos", "sin"), default="cos")
@@ -357,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="numeric residual of a matrix at "
                                        "high precision")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True,
+                   help=f"level n <= {MAX_MATRIX_N}")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--basis", choices=("cos", "sin"), default="cos")
     p.add_argument("--inject-error", action="store_true",
@@ -366,12 +387,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_verify)
 
     p = subs.add_parser("zeta", help="zeta(s) approximation at level n")
-    p.add_argument("--s", type=float, required=True, help="exponent s > 1")
-    p.add_argument("--n", type=int, required=True, help="level n >= 3")
+    p.add_argument("--s", type=float, required=True,
+                   help=f"exponent 1 < s <= {MAX_ZETA_S}")
+    p.add_argument("--n", type=int, required=True,
+                   help=f"level n in [3, {MAX_ZETA_N}]")
     p.add_argument("--method", choices=(METHOD_SINE_SUM, METHOD_BINOMIAL,
                                         METHOD_WEIGHTED3, METHOD_WEIGHTED5),
                    default=METHOD_SINE_SUM)
-    p.add_argument("--max-terms", type=int, default=10000)
+    p.add_argument("--max-terms", type=int, default=10000,
+                   help="series term budget, >= 1 (default 10000)")
     _add_common(p, precision=True)
     p.set_defaults(handler=cmd_zeta)
 

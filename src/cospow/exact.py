@@ -206,6 +206,11 @@ class Basis:
             return ctx.one
         return ctx.cos(ctx.pi * k / 2 ** (self.n - 1))
 
+    def values(self, ctx: "EvalContext") -> list:
+        """Numeric values of all dim basis elements, in column order: one
+        table per call, so a caller evaluates each element once."""
+        return [self.element(k, ctx) for k in range(self.dim)]
+
 
 def odd_cos_basis(n: int) -> Basis:
     return Basis("odd_cos", n)
@@ -277,10 +282,11 @@ class BasisVector:
             raise ValueError("coefficient count must equal basis dimension")
 
     def value(self, ctx: "EvalContext"):
+        vals = self.basis.values(ctx)
         tot = ctx.zero
         for k, c in enumerate(self.coeffs):
             if c:
-                tot += ctx.to_real(c) * self.basis.element(k, ctx)
+                tot += ctx.to_real(c) * vals[k]
         return tot
 
 

@@ -24,13 +24,12 @@ from .exact import (
     EvalContext,
     ScaledMatrix,
     exact_div,
-    floor_div,
     make_matrix,
     mod_pos,
     odd_cos_basis,
     odd_sin_basis,
 )
-from .odd_power import perm_sign
+from .odd_power import scatter_target
 
 
 def matrix_neg1(n: int) -> ScaledMatrix:
@@ -83,17 +82,18 @@ def _row1_neg5_doubled(n: int, j: int) -> int:
 
 
 def _scatter_reciprocal(n: int, first_row, log2_denom: int) -> ScaledMatrix:
-    # same destination (position, parity flag) bookkeeping as the positive
-    # odd powers, but the sign that works here is the parity of
-    # (p-1)//2^{n-1}, not the flag itself
+    # same destination as the positive odd powers (scatter_target), but the
+    # sign that works here is the parity of (p-1)//2^{n-1} = s//2, not
+    # perm_sign's flag
     dim = 2 ** (n - 2)
-    rows = [[0] * dim for _ in range(dim)]
+    fr = [first_row(n, j) for j in range(1, dim + 1)]
+    rows = []
     for i in range(1, dim + 1):
-        for j in range(1, dim + 1):
-            p = 2 * i * j - i - j + 1
-            m = perm_sign(i, j, n).m
-            sign = (-1) ** floor_div(p - 1, 2 ** (n - 1))
-            rows[i - 1][m - 1] = sign * first_row(n, j)
+        row = [0] * dim
+        for j, v in enumerate(fr, start=1):
+            m, s = scatter_target(i, j, dim)
+            row[m - 1] = -v if s & 2 else v
+        rows.append(row)
     return make_matrix(rows, log2_denom, odd_sin_basis(n))
 
 

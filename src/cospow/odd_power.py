@@ -8,8 +8,10 @@ Row 1 comes from an alternating binomial sum; every later row is a signed
 permutation of row 1. Two independent constructions are implemented and
 must agree entrywise, which is the core self-check of the package:
 
-  * scatter: walk row 1 through the permutation/sign law (perm_sign) and
-    deposit each entry at its image position;
+  * scatter: walk row 1 through the permutation/sign law and deposit each
+    entry at its image position. The loop applies the law through
+    scatter_target, a plain-int helper with O(1) work per entry;
+    perm_sign states the same law per entry and is its reference;
   * gather: compute each entry in place from a modular inverse power,
     looking it up in the row-1 formula evaluated once per call on the
     extended index range 1..2^{n-1}, where it is antisymmetric, so no
@@ -97,6 +99,19 @@ def perm_sign(i: int, j: int, n: int) -> PermSign:
     return PermSign(m, q & 1)
 
 
+def scatter_target(i: int, j: int, dim: int) -> tuple[int, int]:
+    """perm_sign's position law in plain ints, for the scatter loops.
+
+    Splits p - 1 = s dim + t (0 <= t < dim) for p = 2ij - i - j + 1 and
+    returns (m, s): row i sends row-1 column j to column m, which is t+1
+    for even s and dim-t for odd s. Each caller reads its sign off s: the
+    positive odd powers flip when s = 1, 2 mod 4 (perm_sign's parity flag
+    is that of (s+1)//2), the reciprocal powers when s = 2, 3 mod 4.
+    """
+    s, t = divmod(2 * i * j - i - j, dim)
+    return (dim - t if s & 1 else t + 1), s
+
+
 def matrix_scatter(r: int, n: int) -> ScaledMatrix:
     """Build M by scattering row 1 through the permutation/sign law."""
     _check_odd_r(r)
@@ -104,11 +119,13 @@ def matrix_scatter(r: int, n: int) -> ScaledMatrix:
         raise ValueError("matrix_scatter requires n >= 2")
     dim = 2 ** (n - 2)
     fr = first_row(r, n)
-    rows = [[0] * dim for _ in range(dim)]
+    rows = []
     for i in range(1, dim + 1):
-        for j in range(1, dim + 1):
-            ps = perm_sign(i, j, n)
-            rows[i - 1][ps.m - 1] = ps.sign * fr[j - 1]
+        row = [0] * dim
+        for j, v in enumerate(fr, start=1):
+            m, s = scatter_target(i, j, dim)
+            row[m - 1] = -v if (s + 1) & 2 else v
+        rows.append(row)
     return make_matrix(rows, r - 1, odd_cos_basis(n))
 
 
@@ -167,12 +184,17 @@ def element_order(a: int, n: int) -> int:
     return order
 
 
-def find_generator(n: int) -> int | None:
-    dim = 2 ** (n - 2)
-    for g in range(1, dim + 1):
-        if element_order(g, n) == dim:
-            return g
-    return None
+def find_generator(n: int) -> int:
+    """The least generator of the group at level n >= 2.
+
+    Index 2 stands for the odd number 3, which has order 2^{n-2} modulo 2^n
+    and never reaches -1, so it generates (Z/2^n)*/{+-1} for every n >= 3;
+    it is the least generator, since index 1 is the identity. At n = 2 the
+    group is trivial and its one element 1 generates it.
+    """
+    if n < 2:
+        raise ValueError("find_generator requires n >= 2")
+    return 1 if n == 2 else 2
 
 
 def cayley_table(n: int) -> tuple[tuple[int, ...], ...]:
@@ -199,7 +221,7 @@ def verify_group_axioms(n: int) -> dict[str, bool]:
         == table[a - 1][table[b - 1][c - 1] - 1]
         for a in elems for b in elems for c in elems
     )
-    cyclic = find_generator(n) is not None
+    cyclic = element_order(find_generator(n), n) == dim
     return {
         "closure": closure,
         "identity": identity,
@@ -215,18 +237,24 @@ def verify_numeric(m: ScaledMatrix, r: int, ctx: EvalContext):
     Row i asserts g^r((2i-1)pi/2^n) = scale * sum_k entries[i][k] * basis_k
     where g is cos for cosine bases and sin for the sine basis; r may be
     negative. Works for every matrix this package constructs.
+
+    The basis is evaluated once per call. For the odd bases g((2i-1)pi/2^n)
+    is basis element i-1, so the left side reads the same table; only the
+    even basis needs a second one, of odd-angle cosines.
     """
-    n = m.basis.n
     scale = ctx.power(ctx.two, -m.log2_denom)
-    fn = ctx.sin if m.basis.kind == "odd_sin" else ctx.cos
+    vals = m.basis.values(ctx)
+    if m.basis.kind == "even_cos":
+        g_vals = odd_cos_basis(m.basis.n).values(ctx)
+    else:
+        g_vals = vals
     worst = ctx.zero
-    for i in range(1, m.dim + 1):
-        theta = ctx.pi * (2 * i - 1) / 2**n
-        lhs = ctx.power(fn(theta), r)
+    for row, g in zip(m.entries, g_vals):
+        lhs = ctx.power(g, r)
         rhs = ctx.zero
-        for k, entry in enumerate(m.row(i - 1)):
+        for entry, v in zip(row, vals):
             if entry:
-                rhs += entry * m.basis.element(k, ctx)
+                rhs += entry * v
         worst = max(worst, ctx.fabs(lhs - scale * rhs))
     return worst
 

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cospow.negative_power import (
     CscPowerSum,
@@ -18,7 +19,7 @@ from cospow.negative_power import (
     row1_neg3,
     row1_neg5,
 )
-from cospow.odd_power import verify_numeric
+from cospow.odd_power import perm_sign, scatter_target, verify_numeric
 
 NEG1_N4 = (
     (1, -1, 1, -1),
@@ -96,6 +97,27 @@ def test_neg5_half_integral_level():
 def test_neg3_gather_equals_scatter():
     for n in range(3, 7):
         assert matrix_neg3(n) == matrix_neg3_gather(n)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(3, 9))
+def test_neg3_scatter_equals_gather_property(n):
+    assert matrix_neg3(n) == matrix_neg3_gather(n)
+
+
+def test_scatter_target_reciprocal_sign():
+    """The reciprocal scatter reads its sign off scatter_target's fold
+    count: negative exactly when (p-1)//2^{n-1} is odd, p = 2ij-i-j+1, at
+    the position perm_sign gives; every (i, j) at n = 2..9."""
+    for n in range(2, 10):
+        dim = 2 ** (n - 2)
+        for i in range(1, dim + 1):
+            for j in range(1, dim + 1):
+                m, s = scatter_target(i, j, dim)
+                p = 2 * i * j - i - j + 1
+                assert m == perm_sign(i, j, n).m, (i, j, n)
+                assert bool(s & 2) == bool((p - 1) // 2 ** (n - 1) % 2), \
+                    (i, j, n)
 
 
 def test_neg3_entry_spot_values():

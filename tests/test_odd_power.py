@@ -5,7 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cospow.exact import EvalContext
+from cospow.even_power import even_matrix
+from cospow.exact import EvalContext, ScaledMatrix
+from cospow.negative_power import (
+    cosine_basis_variant,
+    matrix_neg1,
+    matrix_neg3,
+    matrix_neg5,
+)
 from cospow.odd_power import (
     all_angles_power_sum,
     cayley_table,
@@ -22,6 +29,7 @@ from cospow.odd_power import (
     matrix_scatter,
     perm_sign,
     power_sum,
+    scatter_target,
     sine_basis_variant,
     verify_group_axioms,
     verify_numeric,
@@ -117,6 +125,64 @@ def test_numeric_residuals(ctx):
             assert verify_numeric(m, r, ctx) < ctx.power(ctx.two, -128)
 
 
+def verify_numeric_per_entry(m, r, ctx):
+    """The oracle read straight off its definition, one fresh basis
+    evaluation per nonzero entry. verify_numeric's per-call table must
+    reproduce its residual bit for bit."""
+    n = m.basis.n
+    scale = ctx.power(ctx.two, -m.log2_denom)
+    fn = ctx.sin if m.basis.kind == "odd_sin" else ctx.cos
+    worst = ctx.zero
+    for i in range(1, m.dim + 1):
+        theta = ctx.pi * (2 * i - 1) / 2**n
+        lhs = ctx.power(fn(theta), r)
+        rhs = ctx.zero
+        for k, entry in enumerate(m.row(i - 1)):
+            if entry:
+                rhs += entry * m.basis.element(k, ctx)
+        worst = max(worst, ctx.fabs(lhs - scale * rhs))
+    return worst
+
+
+def _oracle_cases(n):
+    yield matrix_scatter(15, n), 15
+    yield sine_basis_variant(matrix_scatter(31, n)), 31
+    if n >= 3:
+        yield even_matrix(16, n), 16
+        yield matrix_neg1(n), -1
+        for r, m in ((-3, matrix_neg3(n)), (-5, matrix_neg5(n))):
+            yield m, r
+            yield cosine_basis_variant(m), r
+
+
+@pytest.mark.parametrize("prec", [128, 256, 384])
+def test_verify_numeric_matches_per_entry_reference(prec):
+    ctx = EvalContext(prec)
+    for n in range(3, 8):
+        for m, r in _oracle_cases(n):
+            want = verify_numeric_per_entry(m, r, ctx)
+            assert verify_numeric(m, r, ctx) == want, (n, r, m.basis.kind)
+    # a residual far from zero is reproduced too
+    m = matrix_scatter(7, 5)
+    rows = [list(row) for row in m.entries]
+    rows[2][1] += 1
+    bad = ScaledMatrix(tuple(map(tuple, rows)), m.log2_denom, m.basis)
+    assert verify_numeric(bad, 7, ctx) == verify_numeric_per_entry(bad, 7, ctx)
+
+
+def test_scatter_target_equals_perm_sign():
+    """The scatter helper against the per-entry law, position and sign,
+    for every (i, j) at n = 2..9."""
+    for n in range(2, 10):
+        dim = 2 ** (n - 2)
+        for i in range(1, dim + 1):
+            for j in range(1, dim + 1):
+                ps = perm_sign(i, j, n)
+                m, s = scatter_target(i, j, dim)
+                assert m == ps.m, (i, j, n)
+                assert (-1 if (s + 1) & 2 else 1) == ps.sign, (i, j, n)
+
+
 def test_sine_variant(ctx):
     m = matrix_scatter(7, 4)
     s = sine_basis_variant(m)
@@ -148,6 +214,17 @@ class TestGroup:
                 inv = group_inverse(a, n)
                 assert group_op(a, inv, n) == 1
                 assert dim % element_order(a, n) == 0
+
+    def test_generator_matches_search(self):
+        """find_generator's closed answer against the O(dim^2) search for
+        the least element of full order."""
+        for n in range(2, 11):
+            dim = 2 ** (n - 2)
+            least = next(g for g in range(1, dim + 1)
+                         if element_order(g, n) == dim)
+            assert find_generator(n) == least, n
+        with pytest.raises(ValueError):
+            find_generator(1)
 
     def test_generator_exists(self):
         for n in range(3, 9):
