@@ -169,6 +169,11 @@ def _matrix_payload(m: ScaledMatrix, r: int) -> dict:
 # largest level `matrix` and `verify` serve: the dense matrix has 4^{n-2}
 # entries, a million at n = 12
 MAX_MATRIX_N = 12
+# largest |r| they serve: an odd r costs about r/2^n rounds of r-bit
+# binomials per first-row entry, and entries carry up to r bits. At 4096
+# `verify --n 12` takes ~13 s and every entry prints within Python's
+# 4300-digit limit on int-to-str conversion (r = 16385 breaks it)
+MAX_MATRIX_R = 4096
 # zeta: the sine sums take 2^{n-2} terms, and each binomial-series term
 # a Newton step over 2^{n-3} integers. The reference value of an even s
 # needs the Bernoulli numbers up to B_s, quadratic in s (s = 1000 takes
@@ -182,6 +187,9 @@ def _build_matrix(r: int, n: int, basis: str) -> ScaledMatrix:
     presentation where one exists."""
     if n > MAX_MATRIX_N:
         raise ArgumentProblem(f"matrices are served for n <= {MAX_MATRIX_N}")
+    if abs(r) > MAX_MATRIX_R:
+        raise ArgumentProblem(
+            f"matrices are served for |r| <= {MAX_MATRIX_R}")
     if r >= 1 and r % 2 == 1:
         if n < 2:
             raise ArgumentProblem("odd powers require n >= 2")
@@ -326,13 +334,14 @@ def cmd_sums(args) -> int:
 def cmd_group(args) -> int:
     if not 3 <= args.n <= 10:
         raise ArgumentProblem("group supports n in [3, 10]")
-    verdicts = verify_group_axioms(args.n)
+    table = cayley_table(args.n)
+    verdicts = verify_group_axioms(args.n, table)
     payload = {
         "n": args.n,
         "order": 2 ** (args.n - 2),
         "generator": find_generator(args.n),
         "verdicts": verdicts,
-        "cayley": [list(row) for row in cayley_table(args.n)],
+        "cayley": [list(row) for row in table],
     }
     _emit(payload, args)
     return 0 if all(verdicts.values()) else 1
@@ -370,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True,
                    help=f"level n <= {MAX_MATRIX_N}")
     p.add_argument("--r", type=int, required=True,
-                   help="power: odd >= 1, even >= 2, or -1/-3/-5")
+                   help="power: odd >= 1, even >= 2, or -1/-3/-5; "
+                        f"|r| <= {MAX_MATRIX_R}")
     p.add_argument("--basis", choices=("cos", "sin"), default="cos")
     _add_common(p)
     p.set_defaults(handler=cmd_matrix)
@@ -379,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
                                        "high precision")
     p.add_argument("--n", type=int, required=True,
                    help=f"level n <= {MAX_MATRIX_N}")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=int, required=True,
+                   help=f"power, as for matrix; |r| <= {MAX_MATRIX_R}")
     p.add_argument("--basis", choices=("cos", "sin"), default="cos")
     p.add_argument("--inject-error", action="store_true",
                    help="corrupt one entry first (negative-control hook)")

@@ -205,12 +205,16 @@ def cayley_table(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def verify_group_axioms(n: int) -> dict[str, bool]:
+def verify_group_axioms(n: int, table=None) -> dict[str, bool]:
     """Closure, identity, commutativity, associativity, cyclicity of the
-    unsigned permutation law, checked exhaustively at level n."""
+    unsigned permutation law, checked exhaustively at level n.
+
+    table is cayley_table(n) when the caller has already built it.
+    """
     dim = 2 ** (n - 2)
     elems = range(1, dim + 1)
-    table = cayley_table(n)
+    if table is None:
+        table = cayley_table(n)
     closure = all(1 <= v <= dim for row in table for v in row)
     identity = all(table[0][b - 1] == b and table[b - 1][0] == b
                    for b in elems)

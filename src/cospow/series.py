@@ -7,10 +7,13 @@ Rearranged, the series computes sec^r and csc^r through a ratio with
 cos(rt) or sin(rt) in the divisor. A separate route expands 1/sin^r in
 powers of cos(2t) and works on all of (0, pi/2).
 
-Infinite series stop on a shared rule: once 50 consecutive terms are each
-below tolerance/4 relative to the running partial sum, the tail is
-declared negligible. The *_result variants report the terms consumed; the
-plain functions return just the value.
+Infinite series here stop on a shared rule: once 50 consecutive terms are
+each below tolerance/4 relative to the running partial sum, the tail is
+declared negligible. That run rule bounds nothing: on a slow geometric
+tail it stops early (ROADMAP item 4 keeps it open for these routes). The
+zeta series no longer use it; they stop on a certified tail bound
+(zeta._level_series). The *_result variants report the terms consumed;
+the plain functions return just the value.
 """
 
 from __future__ import annotations

@@ -10,6 +10,11 @@ carries exact identities: the binomial series at fixed n equals the
 weighted cosecant sum at the same n, and a factorial-weighted variant
 converges to a closed Bernoulli-number expression.
 
+The three series routes share one kernel, _level_series: it streams the
+power averages, sums in integers scaled by a power of two, and stops on a
+certified geometric tail bound, so a converged series is within
+tolerance (relative) of its limit.
+
 References for error reporting: even zeta values exactly via Bernoulli
 numbers; zeta(3) and zeta(5) frozen to 30 significant digits.
 """
@@ -17,14 +22,16 @@ numbers; zeta(3) and zeta(5) frozen to 30 significant digits.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import NamedTuple
 
 from .exact import EvalContext, IntPolynomial, exact_div
 from .minpoly import closed_minpoly
-from .series import sum_until_negligible
+from .series import SeriesResult
 
 # 30 significant digits each
 ZETA3 = "1.20205690315959428539973816151"
@@ -45,7 +52,9 @@ class ZetaApproxResult:
 
     terms_used is 0 for the closed finite sums; reference_error is
     populated when a stored reference exists for s. tail_ratio documents
-    the geometric decay of the binomial series, cos^2(pi/2^{n-1}).
+    the geometric decay of the binomial series, cos^2(pi/2^{n-1}). status
+    "ok" on a series means the certified stop held: the value is within
+    tolerance, relative, of the series' limit.
     """
 
     value: object
@@ -121,13 +130,63 @@ def monic_two_cos_poly(n: int) -> IntPolynomial:
     return IntPolynomial(out)
 
 
+def _newton_coefficients(level: int) -> list[int]:
+    """Signed coefficients (-1)^{k+1} e_k, k = 1..2^{level-2}, of the Newton
+    step for the power sums of x_i = 4cos^2 t_i over the level angles.
+
+    The e_k are the elementary symmetric functions of the x_i, read off
+    the even part of monic_two_cos_poly(level).
+    """
+    dim = 2 ** (level - 2)
+    g = monic_two_cos_poly(level)
+    # even part: g has only even-degree terms, roots come in +- pairs
+    h = g.coeffs[::2]
+    if len(h) != dim + 1 or h[-1] != 1:
+        raise ArithmeticError("even part of the 2cos polynomial is not "
+                              "monic of degree 2^(level-2)")
+    return [-h[dim - k] for k in range(1, dim + 1)]
+
+
+def _newton_step(cs: list[int], recent, m: int) -> int:
+    """A(m), m >= 1, by Newton's identities on the averages.
+
+    recent holds A(m-1), A(m-2), ... most recent first, at least
+    min(m, dim) of them, with A(0) = 1. Newton's identity for the power
+    sums P(m) = dim A(m) ends in m e_m instead of e_m P(0) while
+    m <= dim; after dividing by dim that swap leaves the correction
+    (m - dim) cs_m / dim, an integer because A(m) is. Beyond dim the step
+    is the plain linear recurrence.
+    """
+    acc = sum(map(mul, cs, recent))
+    dim = len(cs)
+    if m <= dim:
+        acc += exact_div((m - dim) * cs[m - 1], dim, "Newton step")
+    return acc
+
+
+def _average_stream(level: int):
+    """A(0), A(1), ... of AvgPowers(level), keeping only the last dim
+    averages: the window the Newton step reads."""
+    cs = _newton_coefficients(level)
+    window = deque([1], maxlen=len(cs))
+    yield 1
+    m = 1
+    while True:
+        avg = _newton_step(cs, window, m)
+        window.appendleft(avg)
+        yield avg
+        m += 1
+
+
 class AvgPowers:
     """Integer averages A(p) = (1/2^{level-2}) sum_i (2cos t_i)^{2p}.
 
     t_i runs over the canonical level angles. Computed by Newton's
     identities on the even part of monic_two_cos_poly(level): binomial
     sums would need C(2p, p) at p in the thousands, while each Newton
-    step is a short integer convolution. A(0) = 1.
+    step is a short integer convolution. A(0) = 1. Keeps every average
+    it has computed; the series routes stream them instead
+    (_average_stream).
     """
 
     def __init__(self, level: int):
@@ -135,37 +194,115 @@ class AvgPowers:
             raise ValueError("AvgPowers requires level >= 2")
         self.level = level
         self.dim = 2 ** (level - 2)
-        g = monic_two_cos_poly(level)
-        # even part: g has only even-degree terms, roots come in +- pairs
-        h = g.coeffs[::2]
-        if len(h) != self.dim + 1 or h[-1] != 1:
-            raise ArithmeticError("even part of the 2cos polynomial is not "
-                                  "monic of degree 2^(level-2)")
-        # elementary symmetric functions of the squared roots
-        self._es = [(-1) ** k * h[self.dim - k]
-                    for k in range(1, self.dim + 1)]
-        self._ps = [self.dim]
+        self._cs = _newton_coefficients(level)
+        self._avgs = [1]
 
     def _extend_to(self, p: int):
-        es, ps, d = self._es, self._ps, self.dim
-        while len(ps) <= p:
-            m = len(ps)
-            if m <= d:
-                acc = sum((-1) ** (k + 1) * es[k - 1] * ps[m - k]
-                          for k in range(1, m))
-                acc += (-1) ** (m + 1) * m * es[m - 1]
-            else:
-                acc = sum((-1) ** (k + 1) * es[k - 1] * ps[m - k]
-                          for k in range(1, d + 1))
-            ps.append(acc)
+        cs, avgs, d = self._cs, self._avgs, self.dim
+        while len(avgs) <= p:
+            avgs.append(_newton_step(cs, avgs[:-d - 1:-1], len(avgs)))
 
     def avg(self, p: int) -> int:
         if p < 0:
             raise ValueError("power index must be >= 0")
-        if p == 0:
-            return 1
         self._extend_to(p)
-        return exact_div(self._ps[p], self.dim, "AvgPowers power sum")
+        return self._avgs[p]
+
+
+# pi rounded down (pi = 3.14159265358979323...); the tail ratio bound below
+# needs a lower bound on the angle
+_PI_BELOW = Fraction(3141592653589793, 10**15)
+_RATIO_BITS = 64
+
+
+def _as_fraction(x, ctx: EvalContext) -> Fraction:
+    """x exactly: ints, floats and mpfs are all dyadic rationals."""
+    if isinstance(x, (int, float, Fraction)):
+        return Fraction(x)
+    man, exp = ctx.to_real(x).man_exp
+    return man * Fraction(2) ** exp
+
+
+def _tail_ratio_above(n: int) -> int:
+    """An integer R with cos^2(pi/2^{n-1}) <= R / 2^64, n >= 3.
+
+    For 0 <= x <= 1 the sine series alternates with shrinking terms, so
+    cut after a negative term (x^11/11!) it is below sin x. sin grows on
+    [0, pi/2], so that sum at pi_below/2^{n-1} is below sin(pi/2^{n-1}),
+    and cos^2 = 1 - sin^2 follows, rounded up.
+    """
+    x = _PI_BELOW / 2 ** (n - 1)
+    sin_below = sum((-1) ** k * x ** (2 * k + 1) / math.factorial(2 * k + 1)
+                    for k in range(6))
+    r = 1 - sin_below**2
+    return -(-(r.numerator << _RATIO_BITS) // r.denominator)
+
+
+def _level_series(a: Fraction, n: int, max_terms: int,
+                  ctx: EvalContext) -> SeriesResult:
+    """The level series sum_{p>=0} c_p 4^{-p} A_{n-1}(p), c_p = (a)_{2p}/(2p)!.
+
+    Every series route of this module is this sum times a prefactor; a
+    is s/2 for the binomial and level-identity routes and j for the
+    Bernoulli route, whose rising factorial (2p+j-1)!/(2p)! is
+    (j-1)! c_p. The sum is kept in integers scaled by 2^W, W =
+    precision_bits + a guard of 2 bits per bit of max_terms (the
+    coefficient's relative rounding grows at most like p^{3/2}), and
+    converted to mpf once.
+
+    The stop is certified. A(p+1) <= 4 cos^2(pi/2^{n-1}) A(p), since
+    4cos^2 t_i is largest at the first level-(n-1) angle, and the
+    coefficient ratio rho_p = c_{p+1}/c_p = (a+2p)(a+2p+1)/((2p+1)(2p+2))
+    decreases for a >= 1 and stays below 1 for a < 1. So with
+    q = r max(1, rho_p), r = cos^2(pi/2^{n-1}) rounded up, the terms
+    after term p sum to at most term_p q/(1-q). The loop stops once that
+    bound plus the accumulated fixed-point rounding is at most tolerance
+    times the partial sum, which is a lower bound on the whole sum. A
+    further 2^{8-precision_bits} of the partial sum is reserved for the
+    few mpf roundings a caller applies to the value. Otherwise it runs
+    exactly max_terms terms and reports converged False. a > 0, n >= 3.
+    """
+    if max_terms < 1:
+        raise ValueError("max_terms must be >= 1")
+    u, v = a.numerator, a.denominator
+    vv = v * v
+    prec = ctx.precision_bits
+    bits = prec + 2 * max_terms.bit_length() + 8
+    tol_num, tol_den = _as_fraction(ctx.tolerance, ctx).as_integer_ratio()
+    r_num = _tail_ratio_above(n)
+    # coef is c_p 2^W rounded down, at most coef_err below it
+    coef, coef_err = 1 << bits, 0
+    total = rounding = used = 0
+    converged = False
+    for p, avg in enumerate(_average_stream(n - 1)):
+        # only the top bits of avg matter: cut its low bits, losing less
+        # than one unit of the term
+        cut = max(2 * p - coef.bit_length(), 0)
+        top = avg >> cut
+        shift = 2 * p - cut
+        term = (coef * top) >> shift
+        term_err = ((coef_err * (top + 1)) >> shift) + 3
+        total += term
+        rounding += term_err
+        used = p + 1
+        x = u + 2 * p * v
+        num = x * (x + v)
+        den = vv * (2 * p + 1) * (2 * p + 2)
+        # q = r_num big / (2^64 den); one_minus_q is 1 - q scaled by 2^64 den
+        big = num if num > den else den
+        one_minus_q = (den << _RATIO_BITS) - r_num * big
+        if one_minus_q > 0 and tol_den * (
+                (term + term_err) * r_num * big
+                + (rounding + (total >> (prec - 8))) * one_minus_q) \
+                <= tol_num * total * one_minus_q:
+            converged = True
+            break
+        if used >= max_terms:
+            break
+        coef = coef * num // den
+        coef_err = coef_err * num // den + 2
+    value = ctx.to_real(total) * ctx.power(ctx.two, -bits)
+    return SeriesResult(value, used, converged)
 
 
 def zeta_sine_sum(s, n: int, ctx: EvalContext) -> ZetaApproxResult:
@@ -197,32 +334,22 @@ def zeta_binomial_series(s, n: int, max_terms: int,
 
     where A_{n-1}(p) is the exact integer power average one level down.
     All terms are positive; the tail decays geometrically with ratio
-    cos^2(pi/2^{n-1}), which approaches 1 for large n, hence the
-    run-based stop rule. Requires real s > 1, n >= 3, max_terms >= 1.
+    cos^2(pi/2^{n-1}), which approaches 1 for large n, so the number of
+    terms grows like 2^{2n}. Status "ok" means the certified tail bound
+    of _level_series held within max_terms; otherwise "terms-exhausted"
+    after exactly max_terms terms. Requires real s > 1, n >= 3,
+    max_terms >= 1.
     """
     if not s > 1:
         raise ValueError("zeta_binomial_series requires s > 1")
     if n < 3:
         raise ValueError("zeta_binomial_series requires n >= 3")
-    averages = AvgPowers(n - 1)
+    res = _level_series(_as_fraction(s, ctx) / 2, n, max_terms, ctx)
     s2 = ctx.to_real(s) / 2
-
-    def terms():
-        coef = ctx.one
-        pow2 = ctx.two
-        p = 0
-        while True:
-            yield pow2 * coef * ctx.to_real(averages.avg(p))
-            coef = coef * (s2 + 2 * p) * (s2 + 2 * p + 1) \
-                / ((2 * p + 1) * (2 * p + 2))
-            pow2 /= 4
-            p += 1
-
-    res = sum_until_negligible(terms(), ctx, max_terms=max_terms)
     p2s = ctx.power(ctx.two, s)
     pref = ctx.power(ctx.two, 3 * s2 - n * ctx.to_real(s) + n - 3) \
         * ctx.power(ctx.pi, s) / (p2s - 1)
-    value = pref * res.value
+    value = pref * (2 * res.value)
     ratio = math.cos(math.pi / 2 ** (n - 1)) ** 2
     return ZetaApproxResult(
         value, n, res.terms_used, METHOD_BINOMIAL,
@@ -287,7 +414,9 @@ def finite_level_identity(s_odd: int, n: int, max_terms: int,
     For s = 3: 2^{n-5/2} sum_p 2^{1-2p} (3/2)_{2p}/(2p)! A_{n-1}(p)
     equals the quadratic-weighted cosecant sum at the same n; for s = 5
     the prefactor is 3*2^{n-3/2} with (5/2)_{2p} and the quartic weights.
-    The gap is pure series truncation. Requires n >= 3.
+    The gap is pure series truncation; converged means the certified
+    stop of _level_series held, so gap <= tolerance |rhs| up to rounding
+    in rhs. Requires n >= 3.
     """
     if s_odd == 3:
         pref = ctx.power(ctx.two, n - ctx.to_real(Fraction(5, 2)))
@@ -299,22 +428,8 @@ def finite_level_identity(s_odd: int, n: int, max_terms: int,
         raise ValueError("finite_level_identity requires s in {3, 5}")
     if n < 3:
         raise ValueError("finite_level_identity requires n >= 3")
-    averages = AvgPowers(n - 1)
-    s2 = ctx.to_real(s_odd) / 2
-
-    def terms():
-        coef = ctx.one
-        pow2 = ctx.two
-        p = 0
-        while True:
-            yield pow2 * coef * ctx.to_real(averages.avg(p))
-            coef = coef * (s2 + 2 * p) * (s2 + 2 * p + 1) \
-                / ((2 * p + 1) * (2 * p + 2))
-            pow2 /= 4
-            p += 1
-
-    res = sum_until_negligible(terms(), ctx, max_terms=max_terms)
-    lhs = pref * res.value
+    res = _level_series(Fraction(s_odd, 2), n, max_terms, ctx)
+    lhs = pref * (2 * res.value)
     rhs = _weighted_csc_sum(weight, n, ctx)
     return LevelIdentity(lhs, rhs, ctx.fabs(lhs - rhs),
                          res.terms_used, res.converged)
@@ -346,27 +461,19 @@ def bernoulli_limit_check(j: int, n: int, max_terms: int,
 
     At j = 1 the series equals the closed value 1/2 exactly at every
     level (the inner sum telescopes to a csc^2 sum), so the gap there is
-    pure truncation noise. Requires j >= 1, n >= 3.
+    pure truncation, below tolerance/2 when converged. The rising
+    factorial is (j-1)! (j)_{2p}/(2p)!, so this is _level_series at
+    a = j. Requires j >= 1, n >= 3.
     """
     if j < 1:
         raise ValueError("bernoulli_limit_check requires j >= 1")
     if n < 3:
         raise ValueError("bernoulli_limit_check requires n >= 3")
-    averages = AvgPowers(n - 1)
-
-    def terms():
-        p = 0
-        while True:
-            rising = 1
-            for t in range(1, j):
-                rising *= 2 * p + t
-            yield ctx.to_real(rising * averages.avg(p)) \
-                * ctx.power(ctx.two, -(2 * p - 1 + n * (2 * j - 1)))
-            p += 1
-
-    res = sum_until_negligible(terms(), ctx, max_terms=max_terms)
+    res = _level_series(Fraction(j), n, max_terms, ctx)
+    value = math.factorial(j - 1) \
+        * ctx.power(ctx.two, 1 - n * (2 * j - 1)) * res.value
     closed = ctx.to_real(bernoulli_closed_value(j))
-    return BernoulliCheck(res.value, closed, ctx.fabs(res.value - closed),
+    return BernoulliCheck(value, closed, ctx.fabs(value - closed),
                           res.terms_used, res.converged)
 
 

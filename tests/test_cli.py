@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -240,7 +241,8 @@ class TestGroup:
     def test_failure_path(self, capsys, monkeypatch):
         broken = {"closure": True, "identity": True, "commutative": False,
                   "associative": True, "cyclic": True}
-        monkeypatch.setattr(cli, "verify_group_axioms", lambda n: broken)
+        monkeypatch.setattr(cli, "verify_group_axioms",
+                            lambda n, table: broken)
         code, doc, _ = run_json(capsys, "group", "--n", "4")
         assert code == 1
         assert doc["verdicts"]["commutative"] is False
@@ -252,6 +254,22 @@ class TestCaps:
         assert code == 2
         assert out == ""
         assert "error:" in err
+
+    @pytest.mark.parametrize("command", ["matrix", "verify"])
+    @pytest.mark.parametrize("r", ["100000001", "-4097", "4097"])
+    def test_power_cap(self, capsys, command, r):
+        # odd r = 100000001 ran past 20 s before the cap
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--n", "4", "--r", r)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
+    def test_power_cap_admits_its_bound(self, capsys):
+        code, doc, _ = run_json(capsys, "matrix", "--n", "3", "--r", "4095")
+        assert code == 0
+        assert doc["r"] == "4095"
 
     def test_zeta_level_cap(self, capsys):
         code, out, err = run(capsys, "zeta", "--s", "3", "--n", "400")

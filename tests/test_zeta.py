@@ -1,10 +1,14 @@
 """Zeta approximations: references, power averages, series, level identities."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cospow.even_power import integer_power_average
+from cospow.exact import EvalContext
+from cospow.series import sum_until_negligible
 from cospow.zeta import (
     METHOD_BINOMIAL,
     METHOD_SINE_SUM,
@@ -23,6 +27,8 @@ from cospow.zeta import (
     odd_power_vanishing_residual,
     reference_even_zeta,
     reference_zeta,
+    _average_stream,
+    _tail_ratio_above,
     zeta3_weighted,
     zeta5_weighted,
     zeta_binomial_series,
@@ -94,6 +100,15 @@ class TestAvgPowers:
         with pytest.raises(ValueError):
             AvgPowers(4).avg(-1)
 
+    def test_stream_matches_stored_averages(self):
+        """The series routes' window of the last dim averages against
+        AvgPowers, which keeps them all: same Newton step, other storage."""
+        for level in range(2, 7):
+            a = AvgPowers(level)
+            stream = _average_stream(level)
+            for p in range(3001):
+                assert next(stream) == a.avg(p), (level, p)
+
 
 class TestSineSum:
     def test_s2_exact_every_level(self, ctx):
@@ -157,6 +172,106 @@ class TestBinomialSeries:
             zeta_binomial_series(0.5, 4, 100, ctx)
         with pytest.raises(ValueError):
             zeta_binomial_series(2, 2, 100, ctx)
+
+
+PRECISIONS = (128, 256)
+LEVELS = (3, 4, 5, 6)
+
+
+def reference_binomial_series(s, n: int, max_terms: int, ctx):
+    """zeta_binomial_series read straight off its definition: one mpf term
+    per power average, summed under the 50-term run rule of
+    series.sum_until_negligible (the route before the fixed-point kernel).
+    Run at twice the precision, its tolerance is the square of the
+    kernel's, so it serves as the reference value."""
+    averages = AvgPowers(n - 1)
+    s2 = ctx.to_real(s) / 2
+
+    def terms():
+        coef = ctx.one
+        pow2 = ctx.two
+        p = 0
+        while True:
+            yield pow2 * coef * ctx.to_real(averages.avg(p))
+            coef = coef * (s2 + 2 * p) * (s2 + 2 * p + 1) \
+                / ((2 * p + 1) * (2 * p + 2))
+            pow2 /= 4
+            p += 1
+
+    res = sum_until_negligible(terms(), ctx, max_terms=max_terms)
+    p2s = ctx.power(ctx.two, s)
+    pref = ctx.power(ctx.two, 3 * s2 - n * ctx.to_real(s) + n - 3) \
+        * ctx.power(ctx.pi, s) / (p2s - 1)
+    return pref * res.value, res.converged
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(st.integers(2, 8),
+                 st.floats(1, 8, exclude_min=True)),
+       st.integers(3, 5), st.sampled_from(PRECISIONS))
+def test_kernel_matches_reference_route(s, n, prec):
+    ctx = EvalContext(prec)
+    hi = EvalContext(2 * prec)
+    res = zeta_binomial_series(s, n, 10000, ctx)
+    ref, ref_converged = reference_binomial_series(s, n, 20000, hi)
+    assert res.status == STATUS_OK and ref_converged
+    assert hi.fabs(hi.to_real(res.value) - ref) \
+        <= hi.to_real(ctx.tolerance) * ref
+
+
+class TestCertifiedStop:
+    """status ok (converged) must mean the error is below tolerance. The
+    run rule the routes used before reported ok at n = 6 with 16 times
+    the tolerance; these fail there."""
+
+    @pytest.mark.parametrize("prec", PRECISIONS)
+    @pytest.mark.parametrize("n", LEVELS)
+    def test_binomial_s2(self, n, prec):
+        # the level sum is exactly pi^2/6: the error is pure truncation
+        ctx = EvalContext(prec)
+        res = zeta_binomial_series(2, n, 10000, ctx)
+        assert res.status == STATUS_OK
+        target = ctx.pi**2 / 6
+        assert ctx.fabs(res.value - target) <= ctx.tolerance * target
+
+    @pytest.mark.parametrize("prec", PRECISIONS)
+    @pytest.mark.parametrize("n", LEVELS)
+    def test_bernoulli_j1(self, n, prec):
+        ctx = EvalContext(prec)
+        chk = bernoulli_limit_check(1, n, 10000, ctx)
+        assert chk.converged
+        assert chk.gap <= ctx.tolerance / 2
+
+    @pytest.mark.parametrize("prec", PRECISIONS)
+    @pytest.mark.parametrize("n", LEVELS)
+    @pytest.mark.parametrize("s", (3, 5))
+    def test_level_identity(self, s, n, prec):
+        ctx = EvalContext(prec)
+        li = finite_level_identity(s, n, 10000, ctx)
+        assert li.converged
+        assert li.gap <= ctx.tolerance * ctx.fabs(li.rhs)
+
+    def test_needs_more_terms_than_the_cap(self, ctx):
+        # at s = 7, n = 6 the error after 10000 terms is ~11 tolerances
+        res = zeta_binomial_series(7, 6, 10000, ctx)
+        assert res.status == STATUS_EXHAUSTED
+        assert res.terms_used == 10000
+
+    @pytest.mark.parametrize("cap", (1, 2, 37))
+    def test_max_terms_honoured_exactly(self, ctx, cap):
+        res = zeta_binomial_series(3, 5, cap, ctx)
+        assert (res.status, res.terms_used) == (STATUS_EXHAUSTED, cap)
+        with pytest.raises(ValueError):
+            zeta_binomial_series(3, 5, 0, ctx)
+
+    def test_tail_ratio_bound(self):
+        hi = EvalContext(256)
+        for n in range(3, 13):
+            r = hi.cos(hi.pi / 2 ** (n - 1)) ** 2
+            bound = hi.to_real(_tail_ratio_above(n)) / hi.power(hi.two, 64)
+            assert r <= bound < r + hi.to_real(1e-10), n
+            assert math.cos(math.pi / 2 ** (n - 1)) ** 2 \
+                == pytest.approx(float(bound), abs=1e-10)
 
 
 class TestWeighted:
