@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from .even_power import even_matrix
-from .exact import EvalContext, ScaledMatrix, odd_sin_basis
+from .exact import EvalContext, ScaledMatrix
 from .minpoly import closed_minpoly, nested_minpoly
 from .negative_power import (
     S_closed_form,
@@ -145,8 +145,12 @@ def _emit(payload: dict, args) -> None:
     else:
         text = _render_tex(payload)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ArgumentProblem(
+                f"cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -174,6 +178,12 @@ MAX_MATRIX_N = 12
 # `verify --n 12` takes ~13 s and every entry prints within Python's
 # 4300-digit limit on int-to-str conversion (r = 16385 breaks it)
 MAX_MATRIX_R = 4096
+# largest 4^{n-2} |r| `matrix` prints: entries carry up to ~|r| bits (n = 11,
+# r = 63 is 3 MB of JSON, n = 12, r = 4095 1.2 GB); `verify` prints none
+MAX_MATRIX_PRINT = 2**26
+# largest level `minpoly` serves: at n = 15 the closed coefficients pass
+# Python's 4300-digit limit on int-to-str conversion
+MAX_MINPOLY_N = 14
 # zeta: the sine sums take 2^{n-2} terms, and each binomial-series term
 # a Newton step over 2^{n-3} integers. The reference value of an even s
 # needs the Bernoulli numbers up to B_s, quadratic in s (s = 1000 takes
@@ -194,32 +204,32 @@ def _build_matrix(r: int, n: int, basis: str) -> ScaledMatrix:
         if n < 2:
             raise ArgumentProblem("odd powers require n >= 2")
         m = matrix_scatter(r, n)
-        return sine_basis_variant(m) if basis == "sin" else m
-    if r >= 2 and r % 2 == 0:
+    elif r >= 2 and r % 2 == 0:
         if basis == "sin":
             raise ArgumentProblem(
                 "even powers expand over the even cosine basis only")
         if n < 3:
             raise ArgumentProblem("even powers require n >= 3")
         return even_matrix(r, n)
-    if r in (-1, -3, -5):
+    elif r in (-1, -3, -5):
         if n < 3:
             raise ArgumentProblem("reciprocal powers require n >= 3")
-        if r == -1:
-            m = matrix_neg1(n)
-            return m if basis == "cos" else \
-                m.reversed_rows_and_columns(odd_sin_basis(n))
-        m = matrix_neg3(n) if r == -3 else matrix_neg5(n)
-        return cosine_basis_variant(m) if basis == "cos" else m
-    raise ArgumentProblem(
-        f"unsupported power r={r}: need odd r >= 1, even r >= 2, "
-        "or r in {-1, -3, -5}")
+        m = {-1: matrix_neg1, -3: matrix_neg3, -5: matrix_neg5}[r](n)
+    else:
+        raise ArgumentProblem(
+            f"unsupported power r={r}: need odd r >= 1, even r >= 2, "
+            "or r in {-1, -3, -5}")
+    if basis == "sin" and m.basis.kind == "odd_cos":
+        return sine_basis_variant(m)
+    if basis == "cos" and m.basis.kind == "odd_sin":
+        return cosine_basis_variant(m)
+    return m
 
 
 def cmd_minpoly(args) -> int:
     n = args.n
-    if n < 2:
-        raise ArgumentProblem("minpoly requires n >= 2")
+    if not 2 <= n <= MAX_MINPOLY_N:
+        raise ArgumentProblem(f"minpoly supports n in [2, {MAX_MINPOLY_N}]")
     if args.form in ("nested", "both") and n < 3:
         raise ArgumentProblem(
             "the nested form starts at n = 3; n = 2 has only the closed form")
@@ -235,6 +245,12 @@ def cmd_minpoly(args) -> int:
 
 
 def cmd_matrix(args) -> int:
+    # checked before the build; _build_matrix rejects n > MAX_MATRIX_N
+    if args.n <= MAX_MATRIX_N \
+            and 4 ** max(args.n - 2, 0) * abs(args.r) > MAX_MATRIX_PRINT:
+        raise ArgumentProblem(
+            f"matrix serves 4^(n-2)*|r| <= {MAX_MATRIX_PRINT}; "
+            "verify checks larger matrices without printing them")
     m = _build_matrix(args.r, args.n, args.basis)
     _emit(_matrix_payload(m, args.r), args)
     return 0
@@ -368,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("minpoly", help="minimal polynomial of cos(pi/2^n) "
                                         "conjugates")
-    p.add_argument("--n", type=int, required=True, help="level n >= 2")
+    p.add_argument("--n", type=int, required=True,
+                   help=f"level n in [2, {MAX_MINPOLY_N}]")
     p.add_argument("--form", choices=("nested", "closed", "both"),
                    default="closed")
     _add_common(p)

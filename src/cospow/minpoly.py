@@ -21,7 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import EvalContext, IntPolynomial, binom_int, exact_div
+from .exact import (
+    EvalContext,
+    IntPolynomial,
+    binom_int,
+    exact_div,
+    odd_cos_basis,
+)
 
 
 def closed_minpoly(n: int) -> IntPolynomial:
@@ -83,8 +89,7 @@ def verify_minpoly_roots(n: int, ctx: EvalContext):
     """Max |f_n(+-cos((2i-1)pi/2^n))| over i = 1..2^{n-2}; should be tiny."""
     f = closed_minpoly(n)
     worst = ctx.zero
-    for i in range(1, 2 ** (n - 2) + 1):
-        x = ctx.cos(ctx.pi * (2 * i - 1) / 2**n)
+    for x in odd_cos_basis(n).values(ctx):
         for root in (x, -x):
             worst = max(worst, ctx.fabs(f.eval_real(root, ctx)))
     return worst

@@ -5,7 +5,8 @@ same cosines divided by 2: the matrix for r = -1 has every entry +-1, with
 the sign read off a modular quotient parity. For 1/sin^3 and 1/sin^5 the
 entries grow polynomially in the column index; each matrix is a single
 polynomial first row scattered through the rows by the same
-position-and-sign permutation, scaled by 2^3 resp. 2^5.
+position-and-sign permutation, scaled by 2^3 resp. 2^5. Those first rows
+are csc3_weight/2 and csc5_weight/24, the zeta(3) and zeta(5) weights.
 
 The cube case also has a one-shot closed form per entry (a quadratic in a
 reduced residue), which the tests pit against the scatter construction.
@@ -54,31 +55,36 @@ def matrix_neg1(n: int) -> ScaledMatrix:
     return make_matrix(rows, -1, odd_cos_basis(n))
 
 
-def row1_neg3(n: int, j: int) -> int:
-    """First-row entry j of the 1/sin^3 matrix: (2^{n-1} j - j^2 + j - 2^{n-2})/2."""
-    num = 2 ** (n - 1) * j - j * j + j - 2 ** (n - 2)
-    return exact_div(num, 2, "row1_neg3")
+def csc3_weight(n: int, j: int) -> int:
+    """Weight on csc((2j-1)pi/2^n) in the zeta(3) sum: -j^2+(2^{n-1}+1)j-2^{n-2}."""
+    return -j * j + (2 ** (n - 1) + 1) * j - 2 ** (n - 2)
 
 
-def _row1_neg5_numerator(n: int, j: int) -> int:
-    return (j**4 - 2 * j**3 * (2 ** (n - 1) + 1)
-            + j**2 * (3 * 2 ** (n - 1) - 1)
-            + 2 * j * (2 ** (n - 2) + 2 ** (3 * n - 4) + 1)
+def csc5_weight(n: int, j: int) -> int:
+    """Weight on csc((2j-1)pi/2^n) in the zeta(5) sum, a quartic in j."""
+    return (j**4 - 2 * (2 ** (n - 1) + 1) * j**3
+            + (3 * 2 ** (n - 1) - 1) * j**2
+            + 2 * (2 ** (n - 2) + 2 ** (3 * n - 4) + 1) * j
             - 2 ** (n - 1) * (2 ** (2 * n - 3) + 1))
 
 
+def row1_neg3(n: int, j: int) -> int:
+    """First-row entry j of the 1/sin^3 matrix: csc3_weight(n, j)/2."""
+    return exact_div(csc3_weight(n, j), 2, "row1_neg3")
+
+
 def row1_neg5(n: int, j: int) -> int:
-    """First-row entry j of the 1/sin^5 matrix, a quartic in j divided by 24.
+    """First-row entry j of the 1/sin^5 matrix: csc5_weight(n, j)/24.
 
     Integral for n >= 4. At n = 3 the quartic over 24 gives 3/2 and 7/2,
     so that one level is carried over 2^4 instead; see matrix_neg5.
     """
-    return exact_div(_row1_neg5_numerator(n, j), 24, "row1_neg5")
+    return exact_div(csc5_weight(n, j), 24, "row1_neg5")
 
 
 def _row1_neg5_doubled(n: int, j: int) -> int:
     # doubled entry for the n = 3 matrix over 2^4
-    return exact_div(_row1_neg5_numerator(n, j), 12, "doubled row1_neg5")
+    return exact_div(csc5_weight(n, j), 12, "doubled row1_neg5")
 
 
 def _scatter_reciprocal(n: int, first_row, log2_denom: int) -> ScaledMatrix:
@@ -122,14 +128,13 @@ def matrix_neg3_entry(i: int, j: int, n: int) -> int:
     """Closed form for one entry of matrix_neg3, no scatter pass.
 
     Reduce X = (i+j-1)(2i-1)^{2^{n-2}-1} mod 2^n, split X = q 2^{n-1} + P;
-    the entry is (-1)^q ((2^{n-1}+1)P - P^2 - 2^{n-2})/2.
+    the entry is (-1)^q row1_neg3(n, P), the first-row quadratic read at P.
     """
     dim = 2 ** (n - 2)
     x = mod_pos((i + j - 1) * pow(2 * i - 1, dim - 1, 2**n), 2**n)
     p = x % 2 ** (n - 1)
     q = x >> (n - 1)
-    num = (2 ** (n - 1) + 1) * p - p * p - 2 ** (n - 2)
-    return (-1) ** q * exact_div(num, 2, "matrix_neg3_entry")
+    return (-1) ** q * row1_neg3(n, p)
 
 
 def matrix_neg3_gather(n: int) -> ScaledMatrix:
@@ -163,13 +168,12 @@ def first_row_sum_identity(r: int, n: int, ctx: EvalContext):
         mat = matrix_neg5(n)
     else:
         raise ValueError("r must be -3 or -5")
-    row = mat.entries[0]
     lhs = ctx.zero
     rhs = ctx.zero
-    for j in range(1, 2 ** (n - 2) + 1):
-        csc = 1 / ctx.sin(ctx.pi * (2 * j - 1) / 2**n)
+    for entry, sin in zip(mat.entries[0], mat.basis.values(ctx)):
+        csc = 1 / sin
         lhs += csc ** (-r)
-        rhs += row[j - 1] * csc
+        rhs += entry * csc
     return lhs, 2 ** (-mat.log2_denom - 1) * rhs
 
 
@@ -190,23 +194,17 @@ class CscPowerSum:
         if self.scalar is not None:
             return ctx.to_real(self.scalar)
         tot = ctx.zero
-        for j, w in enumerate(self.csc_weights, start=1):
-            tot += ctx.to_real(w) / ctx.sin(ctx.pi * (2 * j - 1) / 2**self.n)
+        for w, sin in zip(self.csc_weights, odd_sin_basis(self.n).values(ctx)):
+            tot += ctx.to_real(w) / sin
         return tot
 
 
 def _weight3(n: int, j: int) -> Fraction:
-    return Fraction(-2 * j * j + 2 * (2 ** (n - 1) + 1) * j - 2 ** (n - 1))
+    return Fraction(2 * csc3_weight(n, j))
 
 
 def _weight5(n: int, j: int) -> Fraction:
-    return Fraction(
-        2 * j**4 - 4 * (2 ** (n - 1) + 1) * j**3
-        + 2 * (3 * 2 ** (n - 1) - 1) * j**2
-        + 2 * (2 ** (3 * n - 3) + 2 ** (n - 1) + 2) * j
-        - (2 ** (3 * n - 3) + 2 ** n),
-        3,
-    )
+    return Fraction(2 * csc5_weight(n, j), 3)
 
 
 def _weight7(n: int, j: int) -> Fraction:
@@ -254,6 +252,6 @@ def S_closed_form(s: int, n: int) -> CscPowerSum:
 def direct_csc_power_sum(s: int, n: int, ctx: EvalContext):
     """Numeric S(s, n) summed term by term, the oracle side of the tests."""
     tot = ctx.zero
-    for i in range(1, 2 ** (n - 2) + 1):
-        tot += ctx.sin(ctx.pi * (2 * i - 1) / 2**n) ** (-s)
+    for sin in odd_sin_basis(n).values(ctx):
+        tot += sin ** (-s)
     return tot

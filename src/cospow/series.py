@@ -7,6 +7,10 @@ Rearranged, the series computes sec^r and csc^r through a ratio with
 cos(rt) or sin(rt) in the divisor. A separate route expands 1/sin^r in
 powers of cos(2t) and works on all of (0, pi/2).
 
+The tangent series behind cos(r t), sin(r t), sec^r and csc^r is one
+kernel, _tangent_series; each route adds only its front factor or its
+divisor.
+
 Infinite series here stop on a shared rule: once 50 consecutive terms are
 each below tolerance/4 relative to the running partial sum, the tail is
 declared negligible. That run rule bounds nothing: on a slow geometric
@@ -107,6 +111,24 @@ def _require_cos_dominant(theta, ctx: EvalContext):
     return c, s
 
 
+def _tangent_series(r, tan, step: int, ctx: EvalContext,
+                    max_terms: int) -> SeriesResult:
+    """sum_j (-1)^j C(r, 2j+step) tan^{2j+step}, step 0 or 1, under the
+    run rule: the one series behind every tangent-series route."""
+    t2 = tan * tan
+
+    def terms():
+        tanpow = tan if step else ctx.one
+        j = 0
+        while True:
+            yield ((-1) ** j) * ctx.to_real(
+                binom_real(r, 2 * j + step, ctx)) * tanpow
+            tanpow *= t2
+            j += 1
+
+    return sum_until_negligible(terms(), ctx, max_terms=max_terms)
+
+
 def generalized_cos_series(r, theta, ctx: EvalContext,
                            max_terms: int = 100000) -> SeriesResult:
     """cos(r t) = cos^r t * sum_j (-1)^j C(r, 2j) tan^{2j} t for real r.
@@ -115,39 +137,18 @@ def generalized_cos_series(r, theta, ctx: EvalContext,
     reproduces the finite expansion.
     """
     c, s = _require_cos_dominant(theta, ctx)
-    t2 = (s / c) ** 2
-    front = ctx.power(c, r)
-
-    def terms():
-        tanpow = ctx.one
-        j = 0
-        while True:
-            yield ((-1) ** j) * ctx.to_real(binom_real(r, 2 * j, ctx)) * tanpow
-            tanpow *= t2
-            j += 1
-
-    res = sum_until_negligible(terms(), ctx, max_terms=max_terms)
-    return SeriesResult(front * res.value, res.terms_used, res.converged)
+    res = _tangent_series(r, s / c, 0, ctx, max_terms)
+    return SeriesResult(ctx.power(c, r) * res.value, res.terms_used,
+                        res.converged)
 
 
 def generalized_sin_series(r, theta, ctx: EvalContext,
                            max_terms: int = 100000) -> SeriesResult:
     """sin(r t) = cos^r t * sum_j (-1)^j C(r, 2j+1) tan^{2j+1} t for real r."""
     c, s = _require_cos_dominant(theta, ctx)
-    tan = s / c
-    t2 = tan * tan
-    front = ctx.power(c, r)
-
-    def terms():
-        tanpow = tan
-        j = 0
-        while True:
-            yield ((-1) ** j) * ctx.to_real(binom_real(r, 2 * j + 1, ctx)) * tanpow
-            tanpow *= t2
-            j += 1
-
-    res = sum_until_negligible(terms(), ctx, max_terms=max_terms)
-    return SeriesResult(front * res.value, res.terms_used, res.converged)
+    res = _tangent_series(r, s / c, 1, ctx, max_terms)
+    return SeriesResult(ctx.power(c, r) * res.value, res.terms_used,
+                        res.converged)
 
 
 def generalized_multiple_angle(r, theta, terms: int, ctx: EvalContext):
@@ -171,29 +172,17 @@ def sec_power_series_result(r, theta, ctx: EvalContext, divisor: str = "cos",
     vanish at r t.
     """
     c, s = _require_cos_dominant(theta, ctx)
-    tan = s / c
-    t2 = tan * tan
     if divisor == "cos":
         div = ctx.cos(ctx.to_real(r) * theta)
-        first, step = ctx.one, 0
+        step = 0
     elif divisor == "sin":
         div = ctx.sin(ctx.to_real(r) * theta)
-        first, step = tan, 1
+        step = 1
     else:
         raise ValueError("divisor must be 'cos' or 'sin'")
     if ctx.fabs(div) == 0:
         raise ValueError(f"{divisor}(r t) vanishes; pick the other divisor")
-
-    def terms():
-        tanpow = first
-        j = 0
-        while True:
-            yield ((-1) ** j) * ctx.to_real(
-                binom_real(r, 2 * j + step, ctx)) * tanpow
-            tanpow *= t2
-            j += 1
-
-    res = sum_until_negligible(terms(), ctx, max_terms=max_terms)
+    res = _tangent_series(r, s / c, step, ctx, max_terms)
     return SeriesResult(res.value / div, res.terms_used, res.converged)
 
 

@@ -29,8 +29,9 @@ from functools import lru_cache
 from operator import mul
 from typing import NamedTuple
 
-from .exact import EvalContext, IntPolynomial, exact_div
+from .exact import EvalContext, IntPolynomial, exact_div, odd_sin_basis
 from .minpoly import closed_minpoly
+from .negative_power import csc3_weight, csc5_weight
 from .series import SeriesResult
 
 # 30 significant digits each
@@ -317,8 +318,8 @@ def zeta_sine_sum(s, n: int, ctx: EvalContext) -> ZetaApproxResult:
         raise ValueError("zeta_sine_sum requires n >= 3")
     tot = ctx.zero
     big = 2**n
-    for i in range(1, 2 ** (n - 2) + 1):
-        tot += ctx.power(big * ctx.sin(ctx.pi * (2 * i - 1) / big), -s)
+    for sin in odd_sin_basis(n).values(ctx):
+        tot += ctx.power(big * sin, -s)
     p2s = ctx.power(ctx.two, s)
     value = p2s * ctx.power(ctx.pi, s) / (p2s - 1) * tot
     return ZetaApproxResult(value, n, 0, METHOD_SINE_SUM,
@@ -359,23 +360,10 @@ def zeta_binomial_series(s, n: int, max_terms: int,
     )
 
 
-def csc3_weight(n: int, j: int) -> int:
-    """Weight on csc((2j-1)pi/2^n) in the zeta(3) sum: -j^2+(2^{n-1}+1)j-2^{n-2}."""
-    return -j * j + (2 ** (n - 1) + 1) * j - 2 ** (n - 2)
-
-
-def csc5_weight(n: int, j: int) -> int:
-    """Weight on csc((2j-1)pi/2^n) in the zeta(5) sum, a quartic in j."""
-    return (j**4 - 2 * (2 ** (n - 1) + 1) * j**3
-            + (3 * 2 ** (n - 1) - 1) * j**2
-            + 2 * (2 ** (n - 2) + 2 ** (3 * n - 4) + 1) * j
-            - 2 ** (n - 1) * (2 ** (2 * n - 3) + 1))
-
-
 def _weighted_csc_sum(weight, n: int, ctx: EvalContext):
     tot = ctx.zero
-    for j in range(1, 2 ** (n - 2) + 1):
-        tot += weight(n, j) / ctx.sin(ctx.pi * (2 * j - 1) / 2**n)
+    for j, sin in enumerate(odd_sin_basis(n).values(ctx), start=1):
+        tot += weight(n, j) / sin
     return tot
 
 

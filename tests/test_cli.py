@@ -278,6 +278,51 @@ class TestCaps:
         assert "error:" in err
 
 
+class TestOutputCaps:
+    def test_unwritable_out_path(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "minpoly", "--n", "3",
+                             "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("n", ["15", "40", "1"])
+    def test_minpoly_level_cap(self, capsys, n):
+        # n = 15 printed a traceback (int-to-str limit), n = 40 raised
+        # MemoryError
+        start = time.perf_counter()
+        code, out, err = run(capsys, "minpoly", "--n", n)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
+    def test_minpoly_serves_its_cap(self, capsys):
+        code, doc, _ = run_json(capsys, "minpoly", "--n",
+                                str(cli.MAX_MINPOLY_N))
+        assert code == 0
+        assert len(doc["closed"]) == 2 ** (cli.MAX_MINPOLY_N - 1) + 1
+
+    @pytest.mark.parametrize("n,r", [("12", "4095"), ("12", "65")])
+    def test_matrix_print_cap(self, capsys, n, r):
+        # matrix --n 12 --r 4095 wrote 1.2 GB of JSON in 43 s
+        start = time.perf_counter()
+        code, out, err = run(capsys, "matrix", "--n", n, "--r", r)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
+    def test_matrix_print_cap_admits_the_served_sizes(self, capsys):
+        # the largest matrix the benchmark requests
+        assert 4 ** 9 * 63 <= cli.MAX_MATRIX_PRINT
+        code, doc, _ = run_json(capsys, "matrix", "--n", "10", "--r", "63")
+        assert code == 0
+        assert len(doc["entries"]) == 2 ** 8
+
+
 class TestZetaGuards:
     def test_max_terms_below_one(self, capsys):
         code, out, err = run(capsys, "zeta", "--s", "3", "--n", "5",
