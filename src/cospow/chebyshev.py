@@ -27,7 +27,7 @@ from .exact import (
     binom_int,
     exact_div,
     fold_odd_cos_index,
-    mod_pos,
+    poly_mul_coeffs,
     poly_x,
 )
 from .minpoly import closed_minpoly
@@ -139,7 +139,7 @@ def inverse_index(i: int, n: int) -> int:
     if not 1 <= i <= 2 ** (n - 2):
         raise ValueError("inverse_index requires 1 <= i <= 2^(n-2)")
     mod = 2 ** (n + 1)
-    return mod_pos(i * pow(2 * i - 1, 2 ** (n - 1) - 1, mod), mod)
+    return i * pow(2 * i - 1, 2 ** (n - 1) - 1, mod) % mod
 
 
 # exact composition modulo the level minimal polynomial, over dyadic rationals
@@ -172,10 +172,7 @@ def compose_mod(p: IntPolynomial, q: IntPolynomial,
     e = 0
     for c in reversed(p.coeffs):
         if acc:
-            out = [0] * (len(acc) + len(qc) - 1)
-            for ia, ca in enumerate(acc):
-                for ib, cb in enumerate(qc):
-                    out[ia + ib] += ca * cb
+            out = poly_mul_coeffs(acc, qc)
             steps = len(out) - df
             if steps > 0:
                 shift = lead_bits * steps

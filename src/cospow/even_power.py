@@ -21,6 +21,7 @@ from fractions import Fraction
 from .exact import (
     EvalContext,
     ScaledMatrix,
+    _wrapped_binomial,
     binom_int,
     even_cos_basis,
     exact_div,
@@ -47,21 +48,10 @@ def even_first_row(r: int, n: int) -> tuple[int, ...]:
     dim = 2 ** (n - 2)
     if r == 0:
         return (1,) + (0,) * (dim - 1)
-    half = r // 2
-    kmax = r // 2**n + 1
-    bracket = sum(
-        (-1) ** k * (binom_int(r, half - k * 2 ** (n - 1))
-                     - binom_int(r, half - (k + 1) * 2 ** (n - 1)))
-        for k in range(kmax + 1)
-    )
     # the constant entry is half the bracket; the bracket is always even
-    row = [exact_div(bracket, 2, "even_first_row constant")]
-    for j in range(1, dim):
-        row.append(sum(
-            (-1) ** k * (binom_int(r, half - (k * 2 ** (n - 1) + j))
-                         - binom_int(r, half - ((k + 1) * 2 ** (n - 1) - j)))
-            for k in range(kmax + 1)
-        ))
+    row = [exact_div(_wrapped_binomial(r, n, 0, 0), 2,
+                     "even_first_row constant")]
+    row += [_wrapped_binomial(r, n, j, j) for j in range(1, dim)]
     return tuple(row)
 
 
@@ -126,9 +116,4 @@ def integer_power_average(p: int, n: int) -> int:
         raise ValueError("integer_power_average requires p >= 1")
     if n < 2:
         raise ValueError("integer_power_average requires n >= 2")
-    step = 2 ** (n - 1)
-    return sum(
-        (-1) ** k * (binom_int(2 * p, p - k * step)
-                     - binom_int(2 * p, p - (k + 1) * step))
-        for k in range(p // step + 1)
-    )
+    return _wrapped_binomial(2 * p, n, 0, 0)

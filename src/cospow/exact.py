@@ -1,14 +1,14 @@
 """Exact integer and rational arithmetic kernel plus the numeric oracle.
 
 Everything downstream is built from the pieces here: binomial machinery,
-floor/mod conventions, dyadic-angle index folding, dense integer polynomials,
-and EvalContext, an arbitrary-precision evaluation environment wrapping an
-isolated mpmath context.
+dyadic-angle index folding, dense integer polynomials, and EvalContext, an
+arbitrary-precision evaluation environment wrapping an isolated mpmath
+context.
 
 Conventions used throughout the package:
-  * "mod" always means the least nonnegative residue.
-  * "floor" always rounds toward minus infinity (this matters for the
-    negative arguments that show up in the inverse-power matrices).
+  * "mod" always means the least nonnegative residue and "floor" always
+    rounds toward minus infinity: Python's % and // with a positive
+    divisor, which is the only kind this package divides by.
   * A dyadic angle is (2i-1)*pi/2^n, written as the integer pair (i, n).
 """
 
@@ -22,20 +22,6 @@ from typing import Iterable, Sequence, Union
 from mpmath.ctx_mp import MPContext
 
 Exact = Union[int, Fraction]
-
-
-def floor_div(a: int, b: int) -> int:
-    """Quotient of a by b rounded toward minus infinity. b must be positive."""
-    if b <= 0:
-        raise ValueError("floor_div requires b > 0")
-    return a // b
-
-
-def mod_pos(a: int, b: int) -> int:
-    """Least nonnegative residue of a modulo b. b must be positive."""
-    if b <= 0:
-        raise ValueError("mod_pos requires b > 0")
-    return a % b
 
 
 def exact_div(num: int, den: int, what: str) -> int:
@@ -62,6 +48,26 @@ def binom_int(r: int, k: int) -> int:
     if k < 0 or k > r:
         return 0
     return math.comb(r, k)
+
+
+def _wrapped_binomial(r: int, n: int, a: int, b: int) -> int:
+    """The binomial row of r wrapped around level n with alternating signs:
+
+        sum_{k>=0} (-1)^k [C(r, h - k 2^{n-1} - a) - C(r, h - (k+1) 2^{n-1} + b)]
+
+    with h = floor(r/2), for r >= 0 and 0 <= a, b <= 2^{n-1}. Every first
+    row of a cosine power is this sum: odd r at column j takes
+    (a, b) = (j-1, j), even r takes (j, j) and half of (0, 0) for the
+    constant, and (0, 0) at r = 2p is the level average of (2cos)^{2p}.
+    The loop stops once both lower indices are negative.
+    """
+    step = 2 ** (n - 1)
+    h = r // 2
+    tot = 0
+    for k in range(max(h - a, h + b - step) // step + 1):
+        tot += (-1) ** k * (binom_int(r, h - k * step - a)
+                            - binom_int(r, h - (k + 1) * step + b))
+    return tot
 
 
 def binom_real(a, k: int, ctx: "EvalContext"):
@@ -117,7 +123,7 @@ def fold_odd_cos_index(t: int, n: int) -> tuple[int, int]:
         raise ValueError("fold_odd_cos_index requires odd t")
     if n < 2:
         raise ValueError("fold_odd_cos_index requires n >= 2")
-    u = mod_pos(t, 2 ** (n + 1))
+    u = t % 2 ** (n + 1)
     if u > 2**n:
         u = 2 ** (n + 1) - u
     if u > 2 ** (n - 1):
@@ -134,7 +140,7 @@ def fold_even_cos_index(t: int, n: int) -> tuple[int, int]:
     """
     if n < 3:
         raise ValueError("fold_even_cos_index requires n >= 3")
-    u = mod_pos(t, 2**n)
+    u = t % 2**n
     if u > 2 ** (n - 1):
         u = 2**n - u
     if u == 2 ** (n - 2):
@@ -305,6 +311,20 @@ def int_mat_transpose(a: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]
     return tuple(zip(*a))
 
 
+def poly_mul_coeffs(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Ascending coefficients of the product of two ascending coefficient
+    lists, by schoolbook; an empty factor gives the empty list. The one
+    polynomial product: IntPolynomial and compose_mod both call it."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ci in enumerate(a):
+        if ci:
+            for j, cj in enumerate(b):
+                out[i + j] += ci * cj
+    return out
+
+
 class IntPolynomial:
     """Dense univariate polynomial with exact integer coefficients.
 
@@ -357,15 +377,7 @@ class IntPolynomial:
     def __mul__(self, other) -> "IntPolynomial":
         if isinstance(other, int):
             return IntPolynomial([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPolynomial()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ci in enumerate(a):
-            if ci:
-                for j, cj in enumerate(b):
-                    out[i + j] += ci * cj
-        return IntPolynomial(out)
+        return IntPolynomial(poly_mul_coeffs(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 

@@ -1,15 +1,15 @@
 """Reciprocal powers 1/cos and 1/sin^3, 1/sin^5 over the dyadic bases.
 
 The reciprocal of a dyadic cosine is again an integer combination of the
-same cosines divided by 2: the matrix for r = -1 has every entry +-1, with
-the sign read off a modular quotient parity. For 1/sin^3 and 1/sin^5 the
-entries grow polynomially in the column index; each matrix is a single
-polynomial first row scattered through the rows by the same
-position-and-sign permutation, scaled by 2^3 resp. 2^5. Those first rows
-are csc3_weight/2 and csc5_weight/24, the zeta(3) and zeta(5) weights.
-
-The cube case also has a one-shot closed form per entry (a quadratic in a
-reduced residue), which the tests pit against the scatter construction.
+same cosines divided by 2: the matrix for r = -1 has every entry +-1, its
+first row alternating. For 1/sin^3 and 1/sin^5 the entries grow
+polynomially in the column index, scaled by 2^3 resp. 2^5; those first
+rows are csc3_weight/2 and csc5_weight/24, the zeta(3) and zeta(5)
+weights. Like the odd positive powers, each matrix is its first row sent
+through odd_power's scatter or gather, and each family has both routes:
+the scatter's sign rule is that of the basis (odd cosines for r = -1, odd
+sines for r = -3, -5), and the row polynomials stay integral on the
+extended range 1..2^{n-1} the gather reads.
 
 The scalar sums sum_i csc^s((2i-1)pi/2^n) close in exact rationals for
 even s and in quadratic-through-sextic weight vectors against the
@@ -25,34 +25,22 @@ from .exact import (
     EvalContext,
     ScaledMatrix,
     exact_div,
-    make_matrix,
-    mod_pos,
     odd_cos_basis,
     odd_sin_basis,
 )
-from .odd_power import scatter_target
+from .odd_power import gather, gather_rows, scatter
 
 
 def matrix_neg1(n: int) -> ScaledMatrix:
     """Sign matrix with 1/cos((2i-1)pi/2^n) = 2 sum_j M[i,j] cos((2j-1)pi/2^n).
 
-    M[i,j] = (-1)^{1+q} where q is the parity of
-    floor((1-i-j)(1 + 2^{n-1} - 2i)^{2^{n-2}-1} / 2^{n-1}); the power is
-    reduced mod 2^n first, which preserves that parity. Requires n >= 3.
+    The gather of the alternating row, +1 at odd and -1 at even extended
+    columns. Requires n >= 3.
     """
     if n < 3:
         raise ValueError("matrix_neg1 requires n >= 3")
-    dim = 2 ** (n - 2)
-    modulus = 2**n
-    rows = []
-    for i in range(1, dim + 1):
-        powi = pow(1 + 2 ** (n - 1) - 2 * i, dim - 1, modulus)
-        row = []
-        for j in range(1, dim + 1):
-            q = (mod_pos((1 - i - j) * powi, modulus) >> (n - 1)) & 1
-            row.append((-1) ** (1 + q))
-        rows.append(row)
-    return make_matrix(rows, -1, odd_cos_basis(n))
+    alternating = [1 if p % 2 else -1 for p in range(1, 2 ** (n - 1) + 1)]
+    return gather(alternating, odd_cos_basis(n), -1)
 
 
 def csc3_weight(n: int, j: int) -> int:
@@ -87,27 +75,29 @@ def _row1_neg5_doubled(n: int, j: int) -> int:
     return exact_div(csc5_weight(n, j), 12, "doubled row1_neg5")
 
 
-def _scatter_reciprocal(n: int, first_row, log2_denom: int) -> ScaledMatrix:
-    # same destination as the positive odd powers (scatter_target), but the
-    # sign that works here is the parity of (p-1)//2^{n-1} = s//2, not
-    # perm_sign's flag
-    dim = 2 ** (n - 2)
-    fr = [first_row(n, j) for j in range(1, dim + 1)]
-    rows = []
-    for i in range(1, dim + 1):
-        row = [0] * dim
-        for j, v in enumerate(fr, start=1):
-            m, s = scatter_target(i, j, dim)
-            row[m - 1] = -v if s & 2 else v
-        rows.append(row)
-    return make_matrix(rows, log2_denom, odd_sin_basis(n))
+def reciprocal_first_row(r: int, n: int, length: int) \
+        -> tuple[list[int], int]:
+    """Columns 1..length of the 1/sin^{-r} first row, r = -3 or -5, n >= 3,
+    and the log2 denominator of its matrix: 2^{n-2} columns feed the
+    scatter, 2^{n-1} the gather. (r, n) = (-5, 3) takes the doubled row
+    over 2^4."""
+    if n < 3:
+        raise ValueError("reciprocal sine matrices require n >= 3")
+    if r == -3:
+        entry, log2_denom = row1_neg3, -3
+    elif r == -5 and n == 3:
+        entry, log2_denom = _row1_neg5_doubled, -4
+    elif r == -5:
+        entry, log2_denom = row1_neg5, -5
+    else:
+        raise ValueError("r must be -3 or -5")
+    return [entry(n, j) for j in range(1, length + 1)], log2_denom
 
 
 def matrix_neg3(n: int) -> ScaledMatrix:
     """1/sin^3((2i-1)pi/2^n) = 2^3 sum_j M[i,j] sin((2j-1)pi/2^n), n >= 3."""
-    if n < 3:
-        raise ValueError("matrix_neg3 requires n >= 3")
-    return _scatter_reciprocal(n, row1_neg3, -3)
+    row, log2_denom = reciprocal_first_row(-3, n, 2 ** (n - 2))
+    return scatter(row, odd_sin_basis(n), log2_denom)
 
 
 def matrix_neg5(n: int) -> ScaledMatrix:
@@ -117,34 +107,21 @@ def matrix_neg5(n: int) -> ScaledMatrix:
     csc^5(pi/8) = 48 sin(pi/8) + 112 sin(3pi/8), so the 2x2 matrix comes
     back over 2^4 with entries ((3, 7), (-7, 3)) instead.
     """
-    if n < 3:
-        raise ValueError("matrix_neg5 requires n >= 3")
-    if n == 3:
-        return _scatter_reciprocal(3, _row1_neg5_doubled, -4)
-    return _scatter_reciprocal(n, row1_neg5, -5)
+    row, log2_denom = reciprocal_first_row(-5, n, 2 ** (n - 2))
+    return scatter(row, odd_sin_basis(n), log2_denom)
 
 
 def matrix_neg3_entry(i: int, j: int, n: int) -> int:
-    """Closed form for one entry of matrix_neg3, no scatter pass.
-
-    Reduce X = (i+j-1)(2i-1)^{2^{n-2}-1} mod 2^n, split X = q 2^{n-1} + P;
-    the entry is (-1)^q row1_neg3(n, P), the first-row quadratic read at P.
-    """
-    dim = 2 ** (n - 2)
-    x = mod_pos((i + j - 1) * pow(2 * i - 1, dim - 1, 2**n), 2**n)
-    p = x % 2 ** (n - 1)
-    q = x >> (n - 1)
-    return (-1) ** q * row1_neg3(n, p)
+    """One entry of matrix_neg3 from the gather's row i alone, no scatter
+    pass and no other row."""
+    row, _ = reciprocal_first_row(-3, n, 2 ** (n - 1))
+    return next(gather_rows(row, n, (i,)))[j - 1]
 
 
 def matrix_neg3_gather(n: int) -> ScaledMatrix:
-    """matrix_neg3 rebuilt entrywise from matrix_neg3_entry."""
-    if n < 3:
-        raise ValueError("matrix_neg3_gather requires n >= 3")
-    dim = 2 ** (n - 2)
-    rows = [[matrix_neg3_entry(i, j, n) for j in range(1, dim + 1)]
-            for i in range(1, dim + 1)]
-    return make_matrix(rows, -3, odd_sin_basis(n))
+    """matrix_neg3 rebuilt by the gather of the extended first row."""
+    row, log2_denom = reciprocal_first_row(-3, n, 2 ** (n - 1))
+    return gather(row, odd_sin_basis(n), log2_denom)
 
 
 def cosine_basis_variant(m: ScaledMatrix) -> ScaledMatrix:
@@ -162,19 +139,14 @@ def first_row_sum_identity(r: int, n: int, ctx: EvalContext):
     2^{|r|} everywhere except the half-integral (r, n) = (-5, 3) level.
     r in {-3, -5}.
     """
-    if r == -3:
-        mat = matrix_neg3(n)
-    elif r == -5:
-        mat = matrix_neg5(n)
-    else:
-        raise ValueError("r must be -3 or -5")
+    row, log2_denom = reciprocal_first_row(r, n, 2 ** (n - 2))
     lhs = ctx.zero
     rhs = ctx.zero
-    for entry, sin in zip(mat.entries[0], mat.basis.values(ctx)):
+    for entry, sin in zip(row, odd_sin_basis(n).values(ctx)):
         csc = 1 / sin
         lhs += csc ** (-r)
         rhs += entry * csc
-    return lhs, 2 ** (-mat.log2_denom - 1) * rhs
+    return lhs, 2 ** (-log2_denom - 1) * rhs
 
 
 @dataclass(frozen=True)

@@ -5,17 +5,22 @@ For odd r >= 1 there is a 2^{n-2} x 2^{n-2} integer matrix M with
     cos^r((2i-1)pi/2^n) = (1/2^{r-1}) sum_k M[i,k] cos((2k-1)pi/2^n).
 
 Row 1 comes from an alternating binomial sum; every later row is a signed
-permutation of row 1. Two independent constructions are implemented and
-must agree entrywise, which is the core self-check of the package:
+permutation of row 1. The reciprocal powers (negative_power) share that
+shape, so every dyadic matrix in the package is built from its first row
+by one of two routes, and every family has both:
 
   * scatter: walk row 1 through the permutation/sign law and deposit each
-    entry at its image position. The loop applies the law through
-    scatter_target, a plain-int helper with O(1) work per entry;
-    perm_sign states the same law per entry and is its reference;
+    entry at its image position. The position is scatter_target's, a
+    plain-int helper with O(1) work per entry; the sign rule is read off
+    the basis (odd cosines and odd sines flip at different fold counts);
   * gather: compute each entry in place from a modular inverse power,
-    looking it up in the row-1 formula evaluated once per call on the
-    extended index range 1..2^{n-1}, where it is antisymmetric, so no
-    manual folding is needed. Gather never uses perm_sign.
+    looking it up in the first row extended to the index range
+    1..2^{n-1}, where it needs no manual folding. The gather's sign does
+    not depend on the basis, and it never uses scatter_target.
+
+The two routes must agree entrywise, which is the core self-check of the
+package. perm_sign states the law per entry and is the reference the
+tests hold scatter_target to.
 
 The unsigned permutation law makes {1..2^{n-2}} a cyclic abelian group
 (group elements are plain ints here). The matrices are normal and any two
@@ -32,12 +37,10 @@ from .exact import (
     BasisVector,
     EvalContext,
     ScaledMatrix,
-    binom_int,
-    floor_div,
+    _wrapped_binomial,
     int_mat_mul,
     int_mat_transpose,
     make_matrix,
-    mod_pos,
     odd_cos_basis,
 )
 
@@ -54,14 +57,7 @@ def first_row_entry(r: int, n: int, j: int) -> int:
     is what lets the gather construction skip explicit folding.
     """
     _check_odd_r(r)
-    half = (r - 1) // 2
-    tot = 0
-    for k in range(floor_div(r + 1, 2**n) + 1):
-        tot += (-1) ** k * (
-            binom_int(r, half - (k * 2 ** (n - 1) + j - 1))
-            - binom_int(r, half - ((k + 1) * 2 ** (n - 1) - j))
-        )
-    return tot
+    return _wrapped_binomial(r, n, j - 1, j)
 
 
 def first_row(r: int, n: int) -> tuple[int, ...]:
@@ -93,23 +89,73 @@ def perm_sign(i: int, j: int, n: int) -> PermSign:
     if not (1 <= i <= dim and 1 <= j <= dim):
         raise ValueError("perm_sign indices out of range")
     p = 2 * i * j - i - j + 1
-    s = floor_div(p - 1, dim)
-    m = mod_pos((-1) ** s * (p - s * dim), dim + 1)
-    q = floor_div(dim + 2 * i * j - i - j, 2 ** (n - 1))
+    s = (p - 1) // dim
+    m = (-1) ** s * (p - s * dim) % (dim + 1)
+    q = (dim + 2 * i * j - i - j) // 2 ** (n - 1)
     return PermSign(m, q & 1)
 
 
 def scatter_target(i: int, j: int, dim: int) -> tuple[int, int]:
-    """perm_sign's position law in plain ints, for the scatter loops.
+    """perm_sign's position law in plain ints, for scatter and group_op.
 
     Splits p - 1 = s dim + t (0 <= t < dim) for p = 2ij - i - j + 1 and
     returns (m, s): row i sends row-1 column j to column m, which is t+1
-    for even s and dim-t for odd s. Each caller reads its sign off s: the
-    positive odd powers flip when s = 1, 2 mod 4 (perm_sign's parity flag
-    is that of (s+1)//2), the reciprocal powers when s = 2, 3 mod 4.
+    for even s and dim-t for odd s. The sign is read off s by the basis:
+    on the odd cosines it flips when s = 1, 2 mod 4 (perm_sign's parity
+    flag is that of (s+1)//2), on the odd sines when s = 2, 3 mod 4.
     """
     s, t = divmod(2 * i * j - i - j, dim)
     return (dim - t if s & 1 else t + 1), s
+
+
+def scatter(first_row, basis: Basis, log2_denom: int) -> ScaledMatrix:
+    """The matrix over an odd basis whose row i is row 1 sent through
+    scatter_target, with the sign rule of the basis kind."""
+    dim = basis.dim
+    if basis.kind == "even_cos":
+        raise ValueError("scatter needs an odd basis")
+    if len(first_row) != dim:
+        raise ValueError("scatter needs a first row of length 2^(n-2)")
+    # s = 1, 2 mod 4 on the cosines is s + 1 = 2, 3 mod 4: bit 1 of s + 1
+    shift = 1 if basis.kind == "odd_cos" else 0
+    rows = []
+    for i in range(1, dim + 1):
+        row = [0] * dim
+        for j, v in enumerate(first_row, start=1):
+            m, s = scatter_target(i, j, dim)
+            row[m - 1] = -v if (s + shift) & 2 else v
+        rows.append(row)
+    return make_matrix(rows, log2_denom, basis)
+
+
+def gather_rows(extended_row, n: int, rows):
+    """Rows i in `rows` of the gathered matrix, one list each; extended_row
+    [p-1] is column p of the first row for 1 <= p <= 2^{n-1}.
+
+    (2i-1)^{2^{n-2}-1} inverts 2i-1 modulo 2^{n-1} (Euler); the full
+    product X = (i+j-1)(2i-1)^{2^{n-2}-1} is reduced modulo 2^n so the
+    parity of floor(X/2^{n-1}) survives as bit n-1 of the residue. The
+    huge power is never materialized, and the inverse is reduced once per
+    row. The entry is the extended row at X mod 2^{n-1}, which is never 0,
+    negated when X >= 2^{n-1}; with the negated row appended to the row
+    that is the single lookup signed[X-1].
+    """
+    dim = 2 ** (n - 2)
+    modulus = 4 * dim
+    signed = [*extended_row, *[-v for v in extended_row]]
+    for i in rows:
+        inv = pow(2 * i - 1, dim - 1, modulus)
+        yield [signed[k * inv % modulus - 1] for k in range(i, i + dim)]
+
+
+def gather(extended_row, basis: Basis, log2_denom: int) -> ScaledMatrix:
+    """The matrix over an odd basis built by gather_rows from the first row
+    extended to columns 1..2^{n-1}."""
+    n = basis.n
+    if len(extended_row) != 2 ** (n - 1):
+        raise ValueError("gather needs an extended row of length 2^(n-1)")
+    return make_matrix(gather_rows(extended_row, n, range(1, basis.dim + 1)),
+                       log2_denom, basis)
 
 
 def matrix_scatter(r: int, n: int) -> ScaledMatrix:
@@ -117,55 +163,31 @@ def matrix_scatter(r: int, n: int) -> ScaledMatrix:
     _check_odd_r(r)
     if n < 2:
         raise ValueError("matrix_scatter requires n >= 2")
-    dim = 2 ** (n - 2)
-    fr = first_row(r, n)
-    rows = []
-    for i in range(1, dim + 1):
-        row = [0] * dim
-        for j, v in enumerate(fr, start=1):
-            m, s = scatter_target(i, j, dim)
-            row[m - 1] = -v if (s + 1) & 2 else v
-        rows.append(row)
-    return make_matrix(rows, r - 1, odd_cos_basis(n))
+    return scatter(first_row(r, n), odd_cos_basis(n), r - 1)
 
 
 def matrix_gather(r: int, n: int) -> ScaledMatrix:
     """Build M entry by entry from the modular inverse power.
 
-    (2i-1)^{2^{n-2}-1} inverts 2i-1 modulo 2^{n-1} (Euler); the full
-    product X = (i+j-1)(2i-1)^{2^{n-2}-1} is reduced modulo 2^n so the
-    parity of floor(X/2^{n-1}) survives as bit n-1 of the residue. The
-    huge power is never materialized.
-
-    The entry is then +-first_row_entry(r, n, X mod 2^{n-1}). The extended
-    row of all 2^{n-1} such values is built once per call, so each entry
-    is a lookup; the row is a local, nothing is cached across calls.
+    The first row is extended by first_row_entry, whose alternating sum is
+    antisymmetric on 1..2^{n-1}; the extended row is a local built once per
+    call, nothing is cached across calls.
     """
     _check_odd_r(r)
     if n < 2:
         raise ValueError("matrix_gather requires n >= 2")
-    dim = 2 ** (n - 2)
-    half = 2 ** (n - 1)
-    modulus = 2**n
-    # ext[p] for extended column 1 <= p <= 2^{n-1}; ext[0] is unused
-    ext = [0] + [first_row_entry(r, n, p) for p in range(1, half + 1)]
-    rows = []
-    for i in range(1, dim + 1):
-        inv = pow(2 * i - 1, dim - 1, modulus)
-        row = []
-        for j in range(1, dim + 1):
-            x = (i + j - 1) * inv % modulus
-            v = ext[x % half]
-            row.append(-v if x >= half else v)
-        rows.append(row)
-    return make_matrix(rows, r - 1, odd_cos_basis(n))
+    ext = [first_row_entry(r, n, p) for p in range(1, 2 ** (n - 1) + 1)]
+    return gather(ext, odd_cos_basis(n), r - 1)
 
 
 # the permutation law as a group on {1..2^{n-2}}
 
 def group_op(a: int, b: int, n: int) -> int:
     """The composition index: a then b lands on group_op(a, b, n)."""
-    return perm_sign(a, b, n).m
+    dim = 2 ** (n - 2)
+    if not (1 <= a <= dim and 1 <= b <= dim):
+        raise ValueError("group elements out of range")
+    return scatter_target(a, b, dim)[0]
 
 
 def group_inverse(a: int, n: int) -> int:

@@ -26,6 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from operator import mul
 from typing import NamedTuple
 
@@ -166,8 +167,15 @@ def _newton_step(cs: list[int], recent, m: int) -> int:
 
 
 def _average_stream(level: int):
-    """A(0), A(1), ... of AvgPowers(level), keeping only the last dim
-    averages: the window the Newton step reads."""
+    """Integer averages A(p) = (1/2^{level-2}) sum_i (2cos t_i)^{2p} for
+    p = 0, 1, ..., t_i over the canonical level angles.
+
+    Computed by Newton's identities on the even part of
+    monic_two_cos_poly(level): binomial sums would need C(2p, p) at p in
+    the thousands, while each Newton step is a short integer convolution.
+    A(0) = 1. Keeps only the last dim averages, the window the Newton step
+    reads.
+    """
     cs = _newton_coefficients(level)
     window = deque([1], maxlen=len(cs))
     yield 1
@@ -180,34 +188,24 @@ def _average_stream(level: int):
 
 
 class AvgPowers:
-    """Integer averages A(p) = (1/2^{level-2}) sum_i (2cos t_i)^{2p}.
-
-    t_i runs over the canonical level angles. Computed by Newton's
-    identities on the even part of monic_two_cos_poly(level): binomial
-    sums would need C(2p, p) at p in the thousands, while each Newton
-    step is a short integer convolution. A(0) = 1. Keeps every average
-    it has computed; the series routes stream them instead
-    (_average_stream).
-    """
+    """The averages of _average_stream(level), kept as they stream so any
+    A(p) can be read again. The series routes stream them instead."""
 
     def __init__(self, level: int):
         if level < 2:
             raise ValueError("AvgPowers requires level >= 2")
         self.level = level
         self.dim = 2 ** (level - 2)
-        self._cs = _newton_coefficients(level)
-        self._avgs = [1]
-
-    def _extend_to(self, p: int):
-        cs, avgs, d = self._cs, self._avgs, self.dim
-        while len(avgs) <= p:
-            avgs.append(_newton_step(cs, avgs[:-d - 1:-1], len(avgs)))
+        self._stream = _average_stream(level)
+        self._avgs: list[int] = []
 
     def avg(self, p: int) -> int:
         if p < 0:
             raise ValueError("power index must be >= 0")
-        self._extend_to(p)
-        return self._avgs[p]
+        avgs = self._avgs
+        if p >= len(avgs):
+            avgs.extend(islice(self._stream, p + 1 - len(avgs)))
+        return avgs[p]
 
 
 # pi rounded down (pi = 3.14159265358979323...); the tail ratio bound below

@@ -12,7 +12,7 @@ from cospow.even_power import (
     merca_numeric_lhs,
     merca_sum,
 )
-from cospow.exact import EvalContext, binom_int
+from cospow.exact import EvalContext, binom_int, fold_even_cos_index
 from cospow.odd_power import verify_numeric
 
 R16_N4 = (
@@ -220,3 +220,16 @@ def test_merca_property(bign, p):
     gap = ctx.fabs(ctx.to_real(merca_sum(bign, p))
                    - merca_numeric_lhs(bign, p, ctx))
     assert gap < ctx.power(ctx.two, -80)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 40).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, 2 ** (n - 2)), st.integers(1, 2 ** (n - 2) - 1))))
+def test_fold_total_on_in_range_indices(nij):
+    """The module docstring's totality claim: for 1 <= i <= 2^{n-2} and
+    1 <= j < 2^{n-2}, j(2i-1) folds onto a non-constant basis element,
+    never onto cos(pi/2) = 0, so even_matrix cannot raise."""
+    n, i, j = nij
+    k, sign = fold_even_cos_index(j * (2 * i - 1), n)
+    assert 1 <= k < 2 ** (n - 2)
+    assert sign in (1, -1)

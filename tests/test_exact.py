@@ -21,13 +21,11 @@ from cospow.exact import (
     binom_real,
     even_cos_basis,
     exact_div,
-    floor_div,
     fold_even_cos_index,
     fold_odd_cos_index,
     int_mat_mul,
     int_mat_transpose,
     make_matrix,
-    mod_pos,
     odd_cos_basis,
     odd_sin_basis,
     pochhammer,
@@ -38,27 +36,6 @@ from cospow.exact import (
 
 
 class TestFloorMod:
-    def test_floor_div_negative(self):
-        assert floor_div(-7, 2) == -4
-        assert floor_div(-1, 16) == -1
-        assert floor_div(7, 2) == 3
-
-    def test_mod_pos_negative(self):
-        assert mod_pos(-7, 16) == 9
-        assert mod_pos(-16, 16) == 0
-        assert mod_pos(33, 16) == 1
-
-    def test_rejects_nonpositive_modulus(self):
-        with pytest.raises(ValueError):
-            floor_div(5, 0)
-        with pytest.raises(ValueError):
-            mod_pos(5, -2)
-
-    @given(st.integers(-10**6, 10**6), st.integers(1, 10**4))
-    def test_division_identity(self, a, b):
-        assert floor_div(a, b) * b + mod_pos(a, b) == a
-        assert 0 <= mod_pos(a, b) < b
-
     def test_exact_div(self):
         assert exact_div(-24, 6, "test") == -4
         with pytest.raises(ArithmeticError, match="odd half"):
@@ -166,7 +143,7 @@ class TestFolding:
         try:
             k, sign = fold_even_cos_index(t, n)
         except ZeroBasisElementError:
-            assert mod_pos(t, 2 ** (n - 1)) == 2 ** (n - 2)
+            assert t % 2 ** (n - 1) == 2 ** (n - 2)
             return
         assert 0 <= k < 2 ** (n - 2)
         lhs = ctx.cos(ctx.pi * t / 2 ** (n - 1))

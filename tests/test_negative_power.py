@@ -16,10 +16,18 @@ from cospow.negative_power import (
     matrix_neg3_entry,
     matrix_neg3_gather,
     matrix_neg5,
+    reciprocal_first_row,
     row1_neg3,
     row1_neg5,
 )
-from cospow.odd_power import perm_sign, scatter_target, verify_numeric
+from cospow.exact import odd_cos_basis, odd_sin_basis
+from cospow.odd_power import (
+    gather,
+    perm_sign,
+    scatter,
+    scatter_target,
+    verify_numeric,
+)
 
 NEG1_N4 = (
     (1, -1, 1, -1),
@@ -48,6 +56,47 @@ def test_frozen_neg1_n4():
     assert m.entries == NEG1_N4
     assert m.log2_denom == -1
     assert m.basis.kind == "odd_cos"
+
+
+def test_neg1_scatter_route_frozen_n4():
+    """The cosine-rule scatter of the alternating first row, the other
+    route to matrix_neg1, gives the frozen n = 4 matrix."""
+    m = scatter((1, -1, 1, -1), odd_cos_basis(4), -1)
+    assert m.entries == NEG1_N4
+    assert m.log2_denom == -1
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_neg1_scatter_equals_gather(n):
+    """matrix_neg1 is the gather of the alternating row; scattering its
+    first row over the odd cosines rebuilds it."""
+    m = matrix_neg1(n)
+    assert m.entries[0] == tuple(
+        1 if p % 2 else -1 for p in range(1, 2 ** (n - 2) + 1))
+    assert scatter(m.entries[0], odd_cos_basis(n), -1) == m
+
+
+@pytest.mark.parametrize("r", (-3, -5))
+@pytest.mark.parametrize("n", range(3, 10))
+def test_reciprocal_scatter_equals_gather(r, n):
+    """matrix_neg3 and matrix_neg5 are scatters over the odd sines; the
+    gather of the first row extended to 1..2^{n-1} gives the same matrix,
+    the doubled row over 2^4 included at (r, n) = (-5, 3)."""
+    ext, log2_denom = reciprocal_first_row(r, n, 2 ** (n - 1))
+    scattered = matrix_neg3(n) if r == -3 else matrix_neg5(n)
+    assert gather(ext, odd_sin_basis(n), log2_denom) == scattered
+
+
+def test_extended_rows_integral():
+    """The -3 and -5 row polynomials divide exactly on the whole extended
+    range 1..2^{n-1} the gather reads, not just on the first row; the
+    exact_div guards raise otherwise."""
+    for n in range(3, 12):
+        ext3, _ = reciprocal_first_row(-3, n, 2 ** (n - 1))
+        ext5, log2_denom = reciprocal_first_row(-5, n, 2 ** (n - 1))
+        assert len(ext3) == len(ext5) == 2 ** (n - 1)
+        assert all(type(v) is int for v in ext3 + ext5)
+        assert log2_denom == (-4 if n == 3 else -5)
 
 
 def test_neg1_entries_all_unit():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cospow.even_power import even_matrix
-from cospow.exact import EvalContext, ScaledMatrix
+from cospow.exact import EvalContext, ScaledMatrix, even_cos_basis, odd_cos_basis
 from cospow.negative_power import (
     cosine_basis_variant,
     matrix_neg1,
@@ -22,6 +22,7 @@ from cospow.odd_power import (
     find_generator,
     first_row,
     first_row_entry,
+    gather,
     group_inverse,
     group_op,
     is_normal,
@@ -29,6 +30,7 @@ from cospow.odd_power import (
     matrix_scatter,
     perm_sign,
     power_sum,
+    scatter,
     scatter_target,
     sine_basis_variant,
     verify_group_axioms,
@@ -100,6 +102,15 @@ def test_scatter_equals_gather_property(rn):
     # of first_row_entry in gather's extended row
     r, n = rn
     assert matrix_scatter(r, n) == matrix_gather(r, n)
+
+
+def test_routes_reject_bad_rows_and_bases():
+    with pytest.raises(ValueError):
+        scatter(first_row(7, 5)[:-1], odd_cos_basis(5), 6)
+    with pytest.raises(ValueError):
+        gather(first_row(7, 5), odd_cos_basis(5), 6)
+    with pytest.raises(ValueError):
+        scatter(first_row(7, 5), even_cos_basis(5), 6)
 
 
 def test_first_row_antisymmetry():
@@ -231,6 +242,18 @@ class TestGroup:
             g = find_generator(n)
             assert g is not None
             assert element_order(g, n) == 2 ** (n - 2)
+
+    def test_group_op_is_perm_sign_position(self):
+        for n in range(2, 8):
+            dim = 2 ** (n - 2)
+            assert cayley_table(n) == tuple(
+                tuple(perm_sign(a, b, n).m for b in range(1, dim + 1))
+                for a in range(1, dim + 1))
+
+    def test_group_op_rejects_out_of_range(self):
+        for a, b in ((0, 1), (1, 5), (5, 5)):
+            with pytest.raises(ValueError):
+                group_op(a, b, 4)
 
     def test_cayley_rows_are_permutations(self):
         for n in (4, 5):
