@@ -9,7 +9,6 @@ is checkable against an arbitrary-precision numeric oracle (EvalContext).
 """
 
 from .chebyshev import (
-    OddChebyshev,
     inverse_index,
     p_poly,
     signed_p_poly,
@@ -36,7 +35,7 @@ from .exact import (
     odd_cos_basis,
     odd_sin_basis,
 )
-from .minpoly import MinPolyPair, closed_minpoly, minpoly_pair, nested_minpoly
+from .minpoly import closed_minpoly, nested_minpoly
 from .negative_power import (
     CscPowerSum,
     S_closed_form,
@@ -58,12 +57,12 @@ from .odd_power import (
     verify_numeric,
 )
 from .series import (
-    csc_power_cos2_series,
-    csc_power_series,
+    csc_power_cos2_series_result,
+    csc_power_series_result,
     generalized_multiple_angle,
-    jordan_bounds_check,
+    jordan_bounds,
     multiple_angle,
-    sec_power_series,
+    sec_power_series_result,
     sine_progression_sum,
 )
 from .zeta import (
@@ -89,8 +88,6 @@ __all__ = [
     "DyadicAngle",
     "EvalContext",
     "IntPolynomial",
-    "MinPolyPair",
-    "OddChebyshev",
     "S_closed_form",
     "ScaledMatrix",
     "ZeroBasisElementError",
@@ -101,8 +98,8 @@ __all__ = [
     "binom_real",
     "cayley_table",
     "closed_minpoly",
-    "csc_power_cos2_series",
-    "csc_power_series",
+    "csc_power_cos2_series_result",
+    "csc_power_series_result",
     "even_cos_basis",
     "even_first_row",
     "even_matrix",
@@ -115,14 +112,13 @@ __all__ = [
     "generalized_multiple_angle",
     "integer_power_average",
     "inverse_index",
-    "jordan_bounds_check",
+    "jordan_bounds",
     "matrix_gather",
     "matrix_neg1",
     "matrix_neg3",
     "matrix_neg5",
     "matrix_scatter",
     "merca_sum",
-    "minpoly_pair",
     "multiple_angle",
     "nested_minpoly",
     "odd_cos_basis",
@@ -131,7 +127,7 @@ __all__ = [
     "perm_sign",
     "power_sum",
     "reference_even_zeta",
-    "sec_power_series",
+    "sec_power_series_result",
     "signed_p_poly",
     "sine_basis_variant",
     "sine_progression_sum",

@@ -18,7 +18,6 @@ Euler's theorem gives an explicit inverse index modulo 2^{n+1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
@@ -28,18 +27,11 @@ from .exact import (
     exact_div,
     fold_odd_cos_index,
     poly_mul_coeffs,
-    poly_x,
 )
 from .minpoly import closed_minpoly
 
 
-@dataclass(frozen=True)
-class OddChebyshev:
-    i: int
-    poly: IntPolynomial
-
-
-def p_poly(i: int) -> OddChebyshev:
+def p_poly(i: int) -> IntPolynomial:
     """The transform p_i as an exact polynomial. Requires i >= 1."""
     if i < 1:
         raise ValueError("p_poly requires i >= 1")
@@ -48,12 +40,12 @@ def p_poly(i: int) -> OddChebyshev:
         num = ((-1) ** j * 2 ** (2 * j - 2) * binom_int(i + j - 2, 2 * j - 2)
                * (2 * i - 1))
         coeffs[2 * j - 1] = exact_div(num, 2 * j - 1, "p_poly coefficient")
-    return OddChebyshev(i, IntPolynomial(coeffs))
+    return IntPolynomial(coeffs)
 
 
 def signed_p_poly(i: int) -> IntPolynomial:
     """(-1)^i p_i, the polynomial that maps cos t to cos((2i-1)t)."""
-    p = p_poly(i).poly
+    p = p_poly(i)
     return p if i % 2 == 0 else -p
 
 
@@ -63,10 +55,10 @@ def verify_recursion(i_max: int) -> bool:
     if i_max < 1:
         raise ValueError("verify_recursion requires i_max >= 1")
     shift = IntPolynomial([-2, 0, 4])  # 2(2x^2 - 1)
-    prev = p_poly(1).poly
-    cur = p_poly(2).poly
+    prev = p_poly(1)
+    cur = p_poly(2)
     for i in range(1, i_max + 1):
-        nxt = p_poly(i + 2).poly
+        nxt = p_poly(i + 2)
         if -prev - shift * cur - nxt != IntPolynomial():
             return False
         prev, cur = cur, nxt
@@ -102,18 +94,18 @@ def odd_multiple_identity_check(i: int, theta, ctx: EvalContext):
     if i < 1:
         raise ValueError("odd_multiple_identity_check requires i >= 1")
     theta = ctx.to_real(theta)
-    p = p_poly(i).poly
+    p = p_poly(i)
     err_sin = ctx.fabs(ctx.sin((2 * i - 1) * theta)
-                       + p.eval_real(ctx.sin(theta), ctx))
+                       + p(ctx.sin(theta)))
     err_cos = ctx.fabs(ctx.cos((2 * i - 1) * theta)
-                       - (-1) ** i * p.eval_real(ctx.cos(theta), ctx))
+                       - (-1) ** i * p(ctx.cos(theta)))
     return err_sin, err_cos
 
 
 def composition_commutes(i: int, j: int) -> bool:
     """Exact polynomial check of p_i(p_j(x)) = p_j(p_i(x))."""
-    pi = p_poly(i).poly
-    pj = p_poly(j).poly
+    pi = p_poly(i)
+    pj = p_poly(j)
     return pi.compose(pj) == pj.compose(pi)
 
 
@@ -245,7 +237,3 @@ def weighted_coefficient_sum_identity(i: int, j: int) \
                    * binom_int(i + j - 3, i - j + 1),
                    (2 * j - 3) * (j - 1))
     return lhs, rhs
-
-
-def identity_poly() -> IntPolynomial:
-    return poly_x()

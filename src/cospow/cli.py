@@ -52,6 +52,9 @@ class ArgumentProblem(Exception):
 
 
 def _context(args) -> EvalContext:
+    if args.precision > MAX_PRECISION:
+        raise ArgumentProblem(
+            f"--precision is served up to {MAX_PRECISION} bits")
     try:
         return EvalContext(args.precision)
     except ValueError as exc:
@@ -190,6 +193,24 @@ MAX_MINPOLY_N = 14
 # ~10 s), so s is capped as well
 MAX_ZETA_N = 12
 MAX_ZETA_S = 100
+# largest --precision `verify`, `zeta` and `sums` serve. On a 2-vCPU Xeon
+# the heaviest admitted request, verify --n 12 --r 4095, took 11.5 s at
+# 256 bits, 25.7 s at 2048 and 40 s at 4096; sums and zeta at n = 12 took
+# under 0.5 s at 2048 and 18 s at 16384. At 2^20 bits even verify --n 3
+# --r 1 did not finish in 40 s
+MAX_PRECISION = 2048
+# largest T^2 dim (dim + 64), dim = 2^{n-3}, that `zeta --method binomial`
+# serves for --max-terms T: term p's Newton step multiplies the last dim
+# averages, of about 2p bits, by coefficients of up to about 3 dim bits,
+# and the time fits that product. At 2^42 it took 5-8 s at each of n = 6,
+# 7, 9, 11, 12, at 256 and at 2048 bits (2-vCPU Xeon, Python 3.11);
+# 10000 terms at n = 12 took 41 s
+MAX_BINOMIAL_WORK = 2**42
+# largest level `sums` serves: s = 8 at n = 12 takes 0.3 s
+MAX_SUMS_N = 12
+# largest level `group` serves: the associativity check visits all 8^{n-2}
+# triples, and n = 10 takes 3.7 s
+MAX_GROUP_N = 10
 
 
 def _build_matrix(r: int, n: int, basis: str) -> ScaledMatrix:
@@ -289,6 +310,13 @@ def cmd_zeta(args) -> int:
         raise ArgumentProblem(f"zeta supports n in [3, {MAX_ZETA_N}]")
     if args.max_terms < 1:
         raise ArgumentProblem("zeta requires --max-terms >= 1")
+    if args.method == METHOD_BINOMIAL:
+        dim = 2 ** (args.n - 3)
+        most = math.isqrt(MAX_BINOMIAL_WORK // (dim * (dim + 64)))
+        if args.max_terms > most:
+            raise ArgumentProblem(
+                f"zeta --method binomial at n = {args.n} serves "
+                f"--max-terms <= {most}")
     ctx = _context(args)
     s = int(args.s) if float(args.s).is_integer() else args.s
     if args.method == METHOD_SINE_SUM:
@@ -322,8 +350,8 @@ def cmd_zeta(args) -> int:
 def cmd_sums(args) -> int:
     if not 2 <= args.s <= 8:
         raise ArgumentProblem("sums supports s in [2, 8]")
-    if not 3 <= args.n <= 12:
-        raise ArgumentProblem("sums supports n in [3, 12]")
+    if not 3 <= args.n <= MAX_SUMS_N:
+        raise ArgumentProblem(f"sums supports n in [3, {MAX_SUMS_N}]")
     ctx = _context(args)
     closed = S_closed_form(args.s, args.n)
     closed_numeric = closed.numeric(ctx)
@@ -348,8 +376,8 @@ def cmd_sums(args) -> int:
 
 
 def cmd_group(args) -> int:
-    if not 3 <= args.n <= 10:
-        raise ArgumentProblem("group supports n in [3, 10]")
+    if not 3 <= args.n <= MAX_GROUP_N:
+        raise ArgumentProblem(f"group supports n in [3, {MAX_GROUP_N}]")
     table = cayley_table(args.n)
     verdicts = verify_group_axioms(args.n, table)
     payload = {
@@ -370,8 +398,9 @@ def _add_common(sub, precision: bool = False):
                      help="write output to FILE instead of stdout")
     if precision:
         sub.add_argument("--precision", type=int, default=256, metavar="BITS",
-                         help="working precision in bits (default 256; "
-                              "tolerance is 2^-BITS/2)")
+                         help="working precision in bits, 64 to "
+                              f"{MAX_PRECISION} (default 256; tolerance "
+                              "is 2^-BITS/2)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -423,20 +452,23 @@ def build_parser() -> argparse.ArgumentParser:
                                         METHOD_WEIGHTED3, METHOD_WEIGHTED5),
                    default=METHOD_SINE_SUM)
     p.add_argument("--max-terms", type=int, default=10000,
-                   help="series term budget, >= 1 (default 10000)")
+                   help="series term budget, >= 1 (default 10000); the "
+                        "binomial method caps it by level")
     _add_common(p, precision=True)
     p.set_defaults(handler=cmd_zeta)
 
     p = subs.add_parser("sums", help="cosecant power sum S(s, n): closed "
                                      "form vs direct numeric")
     p.add_argument("--s", type=int, required=True, help="power s in [2, 8]")
-    p.add_argument("--n", type=int, required=True, help="level n in [3, 12]")
+    p.add_argument("--n", type=int, required=True,
+                   help=f"level n in [3, {MAX_SUMS_N}]")
     _add_common(p, precision=True)
     p.set_defaults(handler=cmd_sums)
 
     p = subs.add_parser("group", help="Cayley table and axioms of the "
                                       "angle-multiplication group")
-    p.add_argument("--n", type=int, required=True, help="level n in [3, 10]")
+    p.add_argument("--n", type=int, required=True,
+                   help=f"level n in [3, {MAX_GROUP_N}]")
     _add_common(p)
     p.set_defaults(handler=cmd_group)
 

@@ -26,7 +26,6 @@ from .exact import (
     even_cos_basis,
     exact_div,
     fold_even_cos_index,
-    make_matrix,
 )
 
 
@@ -77,7 +76,7 @@ def even_matrix(r: int, n: int) -> ScaledMatrix:
                 raise ArithmeticError("fold reached the constant column")
             row[k] += sign * fr[j]
         rows.append(row)
-    return make_matrix(rows, r - 1, even_cos_basis(n))
+    return ScaledMatrix(tuple(map(tuple, rows)), r - 1, even_cos_basis(n))
 
 
 def merca_sum(bign: int, p: int) -> Fraction:

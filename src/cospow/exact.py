@@ -17,11 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from mpmath.ctx_mp import MPContext
-
-Exact = Union[int, Fraction]
 
 
 def exact_div(num: int, den: int, what: str) -> int:
@@ -87,25 +85,6 @@ def binom_real(a, k: int, ctx: "EvalContext"):
     a = ctx.to_real(a)
     for t in range(k):
         v = v * (a - t) / (t + 1)
-    return v
-
-
-def pochhammer(a, k: int, ctx: "EvalContext"):
-    """Ascending factorial a(a+1)...(a+k-1); empty product is 1.
-
-    Satisfies binom_real(-a, k) = (-1)^k * pochhammer(a, k) / k!.
-    """
-    if k < 0:
-        raise ValueError("pochhammer requires k >= 0")
-    if isinstance(a, (int, Fraction)):
-        v = Fraction(1)
-        for t in range(k):
-            v *= Fraction(a) + t
-        return ctx.to_real(v)
-    v = ctx.one
-    a = ctx.to_real(a)
-    for t in range(k):
-        v = v * (a + t)
     return v
 
 
@@ -270,12 +249,6 @@ class ScaledMatrix:
         return ScaledMatrix(rev, self.log2_denom, new_basis)
 
 
-def make_matrix(rows: Iterable[Iterable[int]], log2_denom: int,
-                basis: Basis) -> ScaledMatrix:
-    return ScaledMatrix(tuple(tuple(int(x) for x in r) for r in rows),
-                        log2_denom, basis)
-
-
 @dataclass(frozen=True)
 class BasisVector:
     """Exact rational coefficients over a declared basis."""
@@ -305,10 +278,6 @@ def int_mat_mul(a: Sequence[Sequence[int]],
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
-
-
-def int_mat_transpose(a: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    return tuple(zip(*a))
 
 
 def poly_mul_coeffs(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -388,31 +357,14 @@ class IntPolynomial:
             acc = acc * inner + IntPolynomial([c])
         return acc
 
-    def eval_exact(self, x: Exact) -> Exact:
-        acc: Exact = 0
+    def __call__(self, x):
+        """p(x) by Horner. The accumulator starts from the int 0, so an
+        exact x (int, Fraction) gives an exact value and a real or complex
+        context number gives one of its own kind."""
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def eval_real(self, x, ctx: "EvalContext"):
-        acc = ctx.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def eval_complex(self, z, ctx: "EvalContext"):
-        acc = ctx.mpc(0)
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
-
-def poly_x() -> IntPolynomial:
-    return IntPolynomial([0, 1])
-
-
-def poly_compose(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    return p.compose(q)
 
 
 def poly_mod_reduce(p: IntPolynomial, f: IntPolynomial) -> tuple[Fraction, ...]:
@@ -519,9 +471,6 @@ class EvalContext:
 
     def nstr(self, x, digits: int = 17) -> str:
         return self._mp.nstr(x, digits)
-
-    def angle(self, a: DyadicAngle):
-        return a.radians(self)
 
     def close(self, x, y, tol=None) -> bool:
         t = self.tolerance if tol is None else self.to_real(tol)

@@ -18,7 +18,6 @@ f_n(2x^2 - 1) = f_{n+1}(x) is exact for every n >= 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
@@ -68,30 +67,13 @@ def nested_minpoly(n: int) -> IntPolynomial:
                           for c in q.coeffs])
 
 
-@dataclass(frozen=True)
-class MinPolyPair:
-    n: int
-    nested: IntPolynomial
-    closed: IntPolynomial
-
-    @property
-    def equal(self) -> bool:
-        return self.nested == self.closed
-
-
-def minpoly_pair(n: int) -> MinPolyPair:
-    if n < 3:
-        raise ValueError("minpoly_pair requires n >= 3")
-    return MinPolyPair(n, nested_minpoly(n), closed_minpoly(n))
-
-
 def verify_minpoly_roots(n: int, ctx: EvalContext):
     """Max |f_n(+-cos((2i-1)pi/2^n))| over i = 1..2^{n-2}; should be tiny."""
     f = closed_minpoly(n)
     worst = ctx.zero
     for x in odd_cos_basis(n).values(ctx):
         for root in (x, -x):
-            worst = max(worst, ctx.fabs(f.eval_real(root, ctx)))
+            worst = max(worst, ctx.fabs(f(root)))
     return worst
 
 

@@ -39,8 +39,6 @@ from .exact import (
     ScaledMatrix,
     _wrapped_binomial,
     int_mat_mul,
-    int_mat_transpose,
-    make_matrix,
     odd_cos_basis,
 )
 
@@ -125,7 +123,7 @@ def scatter(first_row, basis: Basis, log2_denom: int) -> ScaledMatrix:
             m, s = scatter_target(i, j, dim)
             row[m - 1] = -v if (s + shift) & 2 else v
         rows.append(row)
-    return make_matrix(rows, log2_denom, basis)
+    return ScaledMatrix(tuple(map(tuple, rows)), log2_denom, basis)
 
 
 def gather_rows(extended_row, n: int, rows):
@@ -154,8 +152,8 @@ def gather(extended_row, basis: Basis, log2_denom: int) -> ScaledMatrix:
     n = basis.n
     if len(extended_row) != 2 ** (n - 1):
         raise ValueError("gather needs an extended row of length 2^(n-1)")
-    return make_matrix(gather_rows(extended_row, n, range(1, basis.dim + 1)),
-                       log2_denom, basis)
+    rows = gather_rows(extended_row, n, range(1, basis.dim + 1))
+    return ScaledMatrix(tuple(map(tuple, rows)), log2_denom, basis)
 
 
 def matrix_scatter(r: int, n: int) -> ScaledMatrix:
@@ -287,7 +285,7 @@ def verify_numeric(m: ScaledMatrix, r: int, ctx: EvalContext):
 
 def is_normal(m: ScaledMatrix) -> bool:
     """Exact test of M M^T = M^T M."""
-    t = int_mat_transpose(m.entries)
+    t = tuple(zip(*m.entries))
     return int_mat_mul(m.entries, t) == int_mat_mul(t, m.entries)
 
 

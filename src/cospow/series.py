@@ -14,10 +14,10 @@ divisor.
 Infinite series here stop on a shared rule: once 50 consecutive terms are
 each below tolerance/4 relative to the running partial sum, the tail is
 declared negligible. That run rule bounds nothing: on a slow geometric
-tail it stops early (ROADMAP item 4 keeps it open for these routes). The
+tail it stops early (the ROADMAP keeps it open for these routes). The
 zeta series no longer use it; they stop on a certified tail bound
-(zeta._level_series). The *_result variants report the terms consumed;
-the plain functions return just the value.
+(zeta._level_series). The sec/csc routes return a SeriesResult, whose
+value is the sum and whose terms_used and converged report the stop.
 """
 
 from __future__ import annotations
@@ -186,13 +186,6 @@ def sec_power_series_result(r, theta, ctx: EvalContext, divisor: str = "cos",
     return SeriesResult(res.value / div, res.terms_used, res.converged)
 
 
-def sec_power_series(r, theta, terms: int, ctx: EvalContext,
-                     divisor: str = "cos"):
-    """sec^r t, plain value; see sec_power_series_result."""
-    return sec_power_series_result(r, theta, ctx, divisor=divisor,
-                                   max_terms=terms).value
-
-
 def csc_power_series_result(r, theta, ctx: EvalContext, divisor: str = "cos",
                             max_terms: int = 100000) -> SeriesResult:
     """csc^r t via sec^r at the complementary angle pi/2 - t.
@@ -201,13 +194,6 @@ def csc_power_series_result(r, theta, ctx: EvalContext, divisor: str = "cos",
     """
     return sec_power_series_result(r, ctx.pi / 2 - theta, ctx,
                                    divisor=divisor, max_terms=max_terms)
-
-
-def csc_power_series(r, theta, terms: int, ctx: EvalContext,
-                     divisor: str = "cos"):
-    """csc^r t, plain value; see csc_power_series_result."""
-    return csc_power_series_result(r, theta, ctx, divisor=divisor,
-                                   max_terms=terms).value
 
 
 def csc_power_cos2_series_result(r, theta, ctx: EvalContext,
@@ -219,7 +205,7 @@ def csc_power_cos2_series_result(r, theta, ctx: EvalContext,
     needed. Converges geometrically with ratio |cos 2t|.
     """
     if not (0 < theta < ctx.pi / 2):
-        raise ValueError("csc_power_cos2_series requires 0 < t < pi/2")
+        raise ValueError("csc_power_cos2_series_result requires 0 < t < pi/2")
     c2 = ctx.cos(2 * theta)
     front = ctx.power(ctx.two, ctx.to_real(r) / 2)
     # keep the exponent exact when r is; binom_real then stays in Fractions
@@ -235,11 +221,6 @@ def csc_power_cos2_series_result(r, theta, ctx: EvalContext,
 
     res = sum_until_negligible(terms(), ctx, max_terms=max_terms)
     return SeriesResult(front * res.value, res.terms_used, res.converged)
-
-
-def csc_power_cos2_series(r, theta, terms: int, ctx: EvalContext):
-    """1/sin^r t, plain value; see csc_power_cos2_series_result."""
-    return csc_power_cos2_series_result(r, theta, ctx, max_terms=terms).value
 
 
 def sine_progression_sum(a, d, count: int, ctx: EvalContext):
@@ -281,7 +262,3 @@ def jordan_bounds(x, ctx: EvalContext) -> JordanBounds:
     upper = xr - 2 * xr**3 / (3 * ctx.pi**2)
     return JordanBounds(xr, lower, ctx.sin(xr), upper)
 
-
-def jordan_bounds_check(x, ctx: EvalContext) -> bool:
-    """True iff the cubic envelope around sin x holds at x."""
-    return jordan_bounds(x, ctx).holds

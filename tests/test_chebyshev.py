@@ -10,7 +10,6 @@ from cospow.chebyshev import (
     coefficient_sum_identity,
     composition_commutes,
     compose_mod,
-    identity_poly,
     inverse_index,
     odd_multiple_identity_check,
     p_poly,
@@ -25,22 +24,22 @@ from cospow.minpoly import closed_minpoly
 
 
 def test_first_three_polys():
-    assert p_poly(1).poly.coeffs == (0, -1)
-    assert p_poly(2).poly.coeffs == (0, -3, 0, 4)
-    assert p_poly(3).poly.coeffs == (0, -5, 0, 20, 0, -16)
+    assert p_poly(1).coeffs == (0, -1)
+    assert p_poly(2).coeffs == (0, -3, 0, 4)
+    assert p_poly(3).coeffs == (0, -5, 0, 20, 0, -16)
 
 
 def test_degree_and_oddness():
     for i in range(1, 12):
-        p = p_poly(i).poly
+        p = p_poly(i)
         assert p.degree == 2 * i - 1
         assert all(p.coeffs[k] == 0 for k in range(0, len(p.coeffs), 2))
 
 
 def test_signed_poly_sign():
     assert signed_p_poly(1).coeffs == (0, 1)
-    assert signed_p_poly(2) == p_poly(2).poly
-    assert signed_p_poly(3) == -p_poly(3).poly
+    assert signed_p_poly(2) == p_poly(2)
+    assert signed_p_poly(3) == -p_poly(3)
 
 
 def test_recursion():
@@ -58,7 +57,7 @@ def test_multiple_angle_identities(ctx):
 def test_closed_form_matches_poly(ctx):
     for i in (1, 2, 3, 6, 10):
         for x in (Fraction(1, 3), Fraction(-4, 5), Fraction(9, 10)):
-            want = p_poly(i).poly.eval_real(ctx.to_real(x), ctx)
+            want = p_poly(i)(ctx.to_real(x))
             got = closed_form_eval(i, x, ctx)
             assert ctx.close(got, want, tol=ctx.power(ctx.two, -200))
     assert closed_form_eval(4, 0, ctx) == ctx.zero
@@ -79,7 +78,7 @@ def test_signed_composition_angle(ctx):
         for j in range(1, 2 ** (n - 2) + 1):
             k, sign = signed_composition_angle(i, j, n)
             x = ctx.cos(ctx.pi * (2 * j - 1) / 2**n)
-            lhs = signed_p_poly(i).eval_real(x, ctx)
+            lhs = signed_p_poly(i)(x)
             rhs = sign * ctx.cos(ctx.pi * (2 * k - 1) / 2**n)
             assert ctx.close(lhs, rhs)
 
@@ -115,10 +114,10 @@ def test_inverse_composition_mod_minpoly():
 
 def test_compose_mod_basic():
     f = closed_minpoly(3)
-    x = identity_poly()
+    x = IntPolynomial([0, 1])
     assert compose_mod(x, x, f) == (Fraction(0), Fraction(1))
     # degree is always reduced below deg f
-    p5 = p_poly(5).poly
+    p5 = p_poly(5)
     rem = compose_mod(p5, p5, f)
     assert len(rem) <= f.degree
 
@@ -139,7 +138,7 @@ def test_compose_mod_matches_fraction_route(n, i, j):
        st.lists(st.integers(-50, 50), max_size=6))
 def test_compose_mod_rejects_non_dyadic_lead(lead, low):
     f = IntPolynomial(low + [lead])
-    x = identity_poly()
+    x = IntPolynomial([0, 1])
     with pytest.raises(ValueError):
         compose_mod(x, x, f)
 

@@ -322,8 +322,67 @@ class TestOutputCaps:
         assert code == 0
         assert len(doc["entries"]) == 2 ** 8
 
+    @pytest.mark.parametrize("argv", [("verify", "--n", "3", "--r", "1"),
+                                      ("zeta", "--s", "3", "--n", "5"),
+                                      ("sums", "--s", "3", "--n", "5")])
+    def test_precision_cap(self, capsys, argv):
+        # verify --n 3 --r 1 at 2^20 bits ran past 40 s
+        for bits in ("1000000", str(cli.MAX_PRECISION + 1)):
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv, "--precision", bits)
+            assert time.perf_counter() - start < 1
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and "Traceback" not in err
+
+    def test_precision_cap_is_served(self, capsys):
+        code, doc, _ = run_json(capsys, "verify", "--n", "3", "--r", "1",
+                                "--precision", str(cli.MAX_PRECISION))
+        assert code == 0
+        assert doc["ok"] is True
+
+    def test_level_range_messages(self, capsys):
+        _, _, err = run(capsys, "sums", "--s", "4", "--n", "13")
+        assert err == "error: sums supports n in [3, 12]\n"
+        _, _, err = run(capsys, "group", "--n", "11")
+        assert err == "error: group supports n in [3, 10]\n"
+
+
+def _binomial_most(capsys, n: str) -> int:
+    """The --max-terms bound the binomial method names at level n."""
+    code, out, err = run(capsys, "zeta", "--s", "3", "--n", n,
+                         "--method", "binomial", "--max-terms", str(10**9))
+    assert code == 2
+    assert out == ""
+    return int(err.rsplit("<=", 1)[1])
+
 
 class TestZetaGuards:
+    @pytest.mark.parametrize("n,terms", [("12", "50000"), ("12", "10000"),
+                                         ("11", "10000")])
+    def test_binomial_work_cap(self, capsys, n, terms):
+        # the default 10000 terms at n = 12 ran 41 s, only to report
+        # terms-exhausted
+        start = time.perf_counter()
+        code, out, err = run(capsys, "zeta", "--s", "3", "--n", n,
+                             "--method", "binomial", "--max-terms", terms)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "max-terms" in err
+
+    def test_binomial_work_cap_is_served(self, capsys):
+        most = _binomial_most(capsys, "5")
+        code, doc, _ = run_json(capsys, "zeta", "--s", "3", "--n", "5",
+                                "--method", "binomial",
+                                "--max-terms", str(most))
+        assert code == 0
+        assert doc["status"] == "ok"
+
+    def test_default_max_terms_served_up_to_n10(self, capsys):
+        assert _binomial_most(capsys, "10") >= 10000
+        assert _binomial_most(capsys, "11") < 10000
+
     def test_max_terms_below_one(self, capsys):
         code, out, err = run(capsys, "zeta", "--s", "3", "--n", "5",
                              "--method", "binomial", "--max-terms", "0")

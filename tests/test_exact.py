@@ -24,14 +24,9 @@ from cospow.exact import (
     fold_even_cos_index,
     fold_odd_cos_index,
     int_mat_mul,
-    int_mat_transpose,
-    make_matrix,
     odd_cos_basis,
     odd_sin_basis,
-    pochhammer,
-    poly_compose,
     poly_mod_reduce,
-    poly_x,
 )
 
 
@@ -82,16 +77,13 @@ class TestBinomial:
         v = binom_real(Fraction(1, 2), 2, ctx)
         assert ctx.close(v, ctx.to_real(Fraction(-1, 8)))
 
-    def test_pochhammer_values(self, ctx):
-        assert ctx.close(pochhammer(3, 4, ctx), ctx.to_real(360))
-        assert ctx.close(pochhammer(Fraction(1, 2), 0, ctx), ctx.one)
-
     @given(st.integers(1, 30), st.integers(0, 12))
     def test_negation_rule(self, a, k):
-        """binom(-a, k) = (-1)^k poch(a, k) / k!"""
+        """binom(-a, k) = (-1)^k a(a+1)...(a+k-1) / k!"""
         ctx = EvalContext(128)
         lhs = binom_real(-a, k, ctx)
-        rhs = (-1) ** k * pochhammer(a, k, ctx) / math.factorial(k)
+        rhs = ctx.to_real(Fraction((-1) ** k * math.prod(range(a, a + k)),
+                                   math.factorial(k)))
         assert ctx.close(lhs, rhs)
 
     def test_inexact_route(self, ctx):
@@ -181,7 +173,6 @@ class TestBases:
         assert a.canonical
         assert not DyadicAngle(5, 4).canonical
         assert ctx.close(a.radians(ctx), 3 * ctx.pi / 16)
-        assert ctx.close(ctx.angle(a), a.radians(ctx))
         with pytest.raises(ValueError):
             DyadicAngle(0, 4)
 
@@ -189,16 +180,16 @@ class TestBases:
 class TestScaledMatrix:
     def test_shape_check(self):
         with pytest.raises(ValueError):
-            make_matrix([[1, 2]], 0, odd_cos_basis(4))
+            ScaledMatrix(((1, 2),), 0, odd_cos_basis(4))
 
     def test_scale(self, ctx):
-        m = make_matrix([[1, 0], [0, 1]], 3, odd_cos_basis(3))
+        m = ScaledMatrix(((1, 0), (0, 1)), 3, odd_cos_basis(3))
         assert ctx.close(m.scale(ctx), ctx.to_real(Fraction(1, 8)))
-        neg = make_matrix([[1, 0], [0, 1]], -2, odd_sin_basis(3))
+        neg = ScaledMatrix(((1, 0), (0, 1)), -2, odd_sin_basis(3))
         assert ctx.close(neg.scale(ctx), ctx.to_real(4))
 
     def test_reversal_involution(self):
-        m = make_matrix([[1, 2], [3, 4]], 1, odd_cos_basis(3))
+        m = ScaledMatrix(((1, 2), (3, 4)), 1, odd_cos_basis(3))
         r = m.reversed_rows_and_columns(odd_sin_basis(3))
         assert r.entries == ((4, 3), (2, 1))
         assert r.basis.kind == "odd_sin"
@@ -218,7 +209,6 @@ class TestIntMat:
         a = [[1, 2], [3, 4]]
         b = [[0, 1], [1, 0]]
         assert int_mat_mul(a, b) == ((2, 1), (4, 3))
-        assert int_mat_transpose(a) == ((1, 3), (2, 4))
 
     def test_mul_shape_check(self):
         with pytest.raises(ValueError):
@@ -243,16 +233,16 @@ class TestIntPolynomial:
     def test_compose(self):
         p = IntPolynomial([0, 0, 1])    # x^2
         q = IntPolynomial([1, 1])       # 1 + x
-        assert poly_compose(p, q).coeffs == (1, 2, 1)
-        assert p.compose(poly_x()) == p
+        assert p.compose(q).coeffs == (1, 2, 1)
+        assert p.compose(IntPolynomial([0, 1])) == p
 
     def test_eval_routes_agree(self, ctx):
         p = IntPolynomial([2, -3, 0, 5])
-        assert p.eval_exact(Fraction(1, 2)) == Fraction(9, 8)
-        assert p.eval_exact(2) == 36
-        assert ctx.close(p.eval_real(ctx.to_real(Fraction(1, 2)), ctx),
+        assert p(Fraction(1, 2)) == Fraction(9, 8)
+        assert p(2) == 36
+        assert ctx.close(p(ctx.to_real(Fraction(1, 2))),
                          ctx.to_real(Fraction(9, 8)))
-        z = p.eval_complex(ctx.mpc(0, 1), ctx)
+        z = p(ctx.mpc(0, 1))
         # p(i) = 2 - 3i - 5i = 2 - 8i
         assert ctx.close(z.real, ctx.two)
         assert ctx.close(z.imag, ctx.to_real(-8))

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from cospow.minpoly import (
     closed_minpoly,
     lemma_sum_identity,
-    minpoly_pair,
     nested_minpoly,
     verify_halving_recursion,
     verify_minpoly_roots,
@@ -34,15 +33,13 @@ def test_closed_n5_frozen():
 
 def test_nested_equals_closed():
     for n in range(3, 11):
-        pair = minpoly_pair(n)
-        assert pair.equal, f"forms disagree at n={n}"
+        assert nested_minpoly(n) == closed_minpoly(n), \
+            f"forms disagree at n={n}"
 
 
 def test_nested_rejects_n2():
     with pytest.raises(ValueError):
         nested_minpoly(2)
-    with pytest.raises(ValueError):
-        minpoly_pair(2)
     with pytest.raises(ValueError):
         closed_minpoly(1)
 

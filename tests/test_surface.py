@@ -1,0 +1,55 @@
+"""The package's public names, and the shape of every built matrix."""
+
+import pytest
+
+import cospow
+from cospow import chebyshev, exact, minpoly, series
+from cospow.even_power import even_matrix
+from cospow.negative_power import (
+    matrix_neg1,
+    matrix_neg3,
+    matrix_neg3_gather,
+    matrix_neg5,
+)
+from cospow.odd_power import matrix_gather, matrix_scatter
+
+# wrappers that only forwarded a call, unwrapped a field or copied a body
+REMOVED = {
+    exact: ("make_matrix", "int_mat_transpose", "poly_x", "poly_compose",
+            "pochhammer"),
+    chebyshev: ("identity_poly", "OddChebyshev"),
+    minpoly: ("MinPolyPair", "minpoly_pair"),
+    series: ("sec_power_series", "csc_power_series",
+             "csc_power_cos2_series", "jordan_bounds_check"),
+}
+
+
+def test_every_exported_name_resolves():
+    assert len(set(cospow.__all__)) == len(cospow.__all__)
+    for name in cospow.__all__:
+        assert getattr(cospow, name) is not None, name
+
+
+def test_removed_wrappers_are_gone():
+    for module, names in REMOVED.items():
+        for name in names:
+            assert name not in cospow.__all__, name
+            assert not hasattr(cospow, name), name
+            assert not hasattr(module, name), (module.__name__, name)
+    for name in ("eval_exact", "eval_real", "eval_complex"):
+        assert not hasattr(exact.IntPolynomial, name), name
+    assert not hasattr(exact.EvalContext, "angle")
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_entries_are_tuples_of_ints(n):
+    built = [matrix_scatter(r, n) for r in (1, 7, 2 ** n + 1)]
+    built += [matrix_gather(r, n) for r in (1, 7, 2 ** n + 1)]
+    built += [matrix_neg1(n), matrix_neg3(n), matrix_neg5(n),
+              matrix_neg3_gather(n), even_matrix(2, n), even_matrix(10, n)]
+    for m in built:
+        assert type(m.entries) is tuple
+        assert len(m.entries) == m.dim
+        for row in m.entries:
+            assert type(row) is tuple
+            assert all(type(x) is int for x in row), row
