@@ -7,27 +7,25 @@ Rearranged, the series computes sec^r and csc^r through a ratio with
 cos(rt) or sin(rt) in the divisor. A separate route expands 1/sin^r in
 powers of cos(2t) and works on all of (0, pi/2).
 
-The tangent series behind cos(r t), sin(r t), sec^r and csc^r is one
-kernel, _tangent_series; each route adds only its front factor or its
-divisor.
-
-Infinite series here stop on a shared rule: once 50 consecutive terms are
-each below tolerance/4 relative to the running partial sum, the tail is
-declared negligible. That run rule bounds nothing: on a slow geometric
-tail it stops early (the ROADMAP keeps it open for these routes). The
-zeta series no longer use it; they stop on a certified tail bound
-(zeta._level_series). The sec/csc routes return a SeriesResult, whose
-value is the sum and whose terms_used and converged report the stop.
+Every infinite series of the package stops on one certified test,
+tail_is_negligible: a geometric tail bound plus the accumulated rounding
+is at most the tolerance times a lower bound on |sum|. The zeta level
+series apply it in fixed point (zeta._level_series); here the kernel
+sum_until_negligible applies it to a series given by its first term and
+its exact term ratio, and each route is just such a ratio. So converged
+means within tolerance, relative, of the limit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .exact import EvalContext, binom_int, binom_real
+from .exact import EvalContext, binom_int
 
-STOP_RUN = 50
+# a term ratio bound is rounded up to a multiple of 2^-RATIO_BITS
+RATIO_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -37,62 +35,90 @@ class SeriesResult:
     converged: bool
 
 
-def sum_until_negligible(terms, ctx: EvalContext, tolerance=None,
-                         max_terms: int = 100000) -> SeriesResult:
-    """Accumulate an iterable of context numbers under the stop rule.
+def as_fraction(x, ctx: EvalContext) -> Fraction:
+    """x exactly: ints, floats and mpfs are all dyadic rationals."""
+    if isinstance(x, (int, float, Fraction)):
+        return Fraction(x)
+    man, exp = ctx.to_real(x).man_exp
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
-    A term counts toward the stop run when |term| < (tolerance/4)|partial|
-    (absolute once the partial sum is zero). Returns the partial sum, how
-    many terms were consumed, and whether the run completed before
-    max_terms.
+
+def tail_is_negligible(term, q_num: int, q_den: int, rounding, lower,
+                       tol_num: int, tol_den: int) -> bool:
+    """The certified stop, exact in integers or Fractions. If no later term
+    exceeds q = q_num/q_den < 1 times the one before, the tail after one of
+    size term is at most term q/(1-q); true when that plus rounding is at
+    most tol_num/tol_den times lower, a lower bound on |sum|."""
+    gap = q_den - q_num
+    return gap > 0 and tol_den * (term * q_num + rounding * gap) \
+        <= tol_num * lower * gap
+
+
+def sum_until_negligible(first, base, ratio, settled: int, ctx: EvalContext,
+                         exact: bool = True,
+                         max_terms: int = 100000) -> SeriesResult:
+    """sum_j t_j, t_j = first c_j base^j, c_0 = 1, c_{j+1} = c_j ratio(j).
+
+    ratio(j) is an int or Fraction; c_j steps by it exactly when exact,
+    in ctx arithmetic otherwise. From index settled on, |ratio(j)| must be
+    monotone with limit at most 1, so q = |base| max(1, |ratio(j)|),
+    rounded up, bounds every later term ratio. The stop: |t_j| q/(1-q)
+    plus terms 2^(8-precision_bits) sum |t_k| (the mpf roundings, a
+    caller's few included) is at most tolerance times |S| - tail -
+    rounding, as the terms may change sign. A zero term or ratio ends
+    the series exactly; else max_terms terms run unconverged.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
-    if tolerance is None:
-        tolerance = ctx.tolerance
-    cutoff = ctx.to_real(tolerance) / 4
-    total = ctx.zero
-    run = 0
-    used = 0
-    for term in terms:
+    # tail + rounding <= tol (|S| - tail - rounding) is the test against
+    # |S| at tolerance tol/(1+tol)
+    tol_num, tol_den = as_fraction(ctx.tolerance, ctx).as_integer_ratio()
+    tol_den += tol_num
+    b = as_fraction(ctx.fabs(base), ctx)
+    base_up = -(-(b.numerator << RATIO_BITS) // b.denominator)
+    unit = Fraction(1, 2 ** (ctx.precision_bits - 8))
+    coef = Fraction(1) if exact else ctx.one
+    power, total, size, converged = first, ctx.zero, ctx.zero, False
+    for used in range(1, max_terms + 1):
+        term = ctx.to_real(coef) * power
         total += term
-        used += 1
-        scale = ctx.fabs(total)
-        if ctx.fabs(term) < (cutoff * scale if scale > 0 else cutoff):
-            run += 1
-            if run >= STOP_RUN:
-                return SeriesResult(total, used, True)
-        else:
-            run = 0
-        if used >= max_terms:
-            break
-    return SeriesResult(total, used, False)
+        size += ctx.fabs(term)
+        rho = ratio(used - 1)
+        ends = rho == 0 or term == 0  # every later term is zero
+        if ends or used > settled:
+            num, den = abs(rho).as_integer_ratio()
+            converged = tail_is_negligible(
+                as_fraction(ctx.fabs(term), ctx),
+                0 if ends else base_up * max(num, den), den << RATIO_BITS,
+                used * unit * as_fraction(size, ctx),
+                as_fraction(ctx.fabs(total), ctx), tol_num, tol_den)
+            if converged or ends:
+                break
+        coef *= rho if exact else ctx.to_real(rho)
+        power *= base
+    return SeriesResult(total, used, converged)
+
+
+def _multiple_angle(n_mult: int, theta, step: int, ctx: EvalContext):
+    """sum_r (-1)^r C(N,2r+step) cos^{N-2r-step} t sin^{2r+step} t: the
+    finite expansion of cos(N t) at step 0 and of sin(N t) at step 1."""
+    if n_mult < 0:
+        raise ValueError("angle multiple must be >= 0")
+    c, s = ctx.cos(theta), ctx.sin(theta)
+    return sum(
+        ((-1) ** r) * binom_int(n_mult, 2 * r + step)
+        * c ** (n_mult - 2 * r - step) * s ** (2 * r + step)
+        for r in range((n_mult - step) // 2 + 1))
 
 
 def multiple_angle_cos(n_mult: int, theta, ctx: EvalContext):
     """cos(N t) as the finite sum sum_r (-1)^r C(N,2r) cos^{N-2r} t sin^{2r} t."""
-    if n_mult < 0:
-        raise ValueError("angle multiple must be >= 0")
-    c = ctx.cos(theta)
-    s = ctx.sin(theta)
-    return sum(
-        ((-1) ** r) * binom_int(n_mult, 2 * r)
-        * c ** (n_mult - 2 * r) * s ** (2 * r)
-        for r in range(n_mult // 2 + 1)
-    )
+    return _multiple_angle(n_mult, theta, 0, ctx)
 
 
 def multiple_angle_sin(n_mult: int, theta, ctx: EvalContext):
     """sin(N t) as the finite sum sum_r (-1)^r C(N,2r+1) cos^{N-2r-1} t sin^{2r+1} t."""
-    if n_mult < 0:
-        raise ValueError("angle multiple must be >= 0")
-    c = ctx.cos(theta)
-    s = ctx.sin(theta)
-    return sum(
-        ((-1) ** r) * binom_int(n_mult, 2 * r + 1)
-        * c ** (n_mult - 2 * r - 1) * s ** (2 * r + 1)
-        for r in range((n_mult + 1) // 2)
-    )
+    return _multiple_angle(n_mult, theta, 1, ctx)
 
 
 def multiple_angle(n_mult: int, theta, ctx: EvalContext):
@@ -103,30 +129,27 @@ def multiple_angle(n_mult: int, theta, ctx: EvalContext):
             multiple_angle_cos(n_mult, theta, ctx))
 
 
-def _require_cos_dominant(theta, ctx: EvalContext):
-    c = ctx.cos(theta)
-    s = ctx.sin(theta)
+def _tangent_series(r, theta, step: int, ctx: EvalContext, max_terms: int):
+    """(cos t, sum_j (-1)^j C(r, k) tan^k t), k = 2j+step, step 0 or 1: the
+    one series behind every tangent-series route. Needs |cos t| > |sin t|.
+
+    The coefficient ratio is -(r-k)(r-k-1)/((k+1)(k+2)); once k > r its
+    size is monotone toward 1 (falling for r < -1, rising for r > -1).
+    """
+    c, s = ctx.cos(theta), ctx.sin(theta)
     if not ctx.fabs(c) > ctx.fabs(s):
         raise ValueError("series requires |cos t| > |sin t|")
-    return c, s
+    tan = s / c
+    rq = as_fraction(r, ctx)
 
+    def ratio(j):
+        k = 2 * j + step
+        return -(rq - k) * (rq - k - 1) / ((k + 1) * (k + 2))
 
-def _tangent_series(r, tan, step: int, ctx: EvalContext,
-                    max_terms: int) -> SeriesResult:
-    """sum_j (-1)^j C(r, 2j+step) tan^{2j+step}, step 0 or 1, under the
-    run rule: the one series behind every tangent-series route."""
-    t2 = tan * tan
-
-    def terms():
-        tanpow = tan if step else ctx.one
-        j = 0
-        while True:
-            yield ((-1) ** j) * ctx.to_real(
-                binom_real(r, 2 * j + step, ctx)) * tanpow
-            tanpow *= t2
-            j += 1
-
-    return sum_until_negligible(terms(), ctx, max_terms=max_terms)
+    return c, sum_until_negligible(
+        ctx.to_real(rq) * tan if step else ctx.one, tan * tan, ratio,
+        max(0, math.floor((rq - step) / 2) + 1), ctx,
+        exact=isinstance(r, (int, Fraction)), max_terms=max_terms)
 
 
 def generalized_cos_series(r, theta, ctx: EvalContext,
@@ -136,25 +159,21 @@ def generalized_cos_series(r, theta, ctx: EvalContext,
     Needs |cos t| > |sin t|; for integer r >= 0 the series terminates and
     reproduces the finite expansion.
     """
-    c, s = _require_cos_dominant(theta, ctx)
-    res = _tangent_series(r, s / c, 0, ctx, max_terms)
-    return SeriesResult(ctx.power(c, r) * res.value, res.terms_used,
-                        res.converged)
+    c, res = _tangent_series(r, theta, 0, ctx, max_terms)
+    return replace(res, value=ctx.power(c, r) * res.value)
 
 
 def generalized_sin_series(r, theta, ctx: EvalContext,
                            max_terms: int = 100000) -> SeriesResult:
     """sin(r t) = cos^r t * sum_j (-1)^j C(r, 2j+1) tan^{2j+1} t for real r."""
-    c, s = _require_cos_dominant(theta, ctx)
-    res = _tangent_series(r, s / c, 1, ctx, max_terms)
-    return SeriesResult(ctx.power(c, r) * res.value, res.terms_used,
-                        res.converged)
+    c, res = _tangent_series(r, theta, 1, ctx, max_terms)
+    return replace(res, value=ctx.power(c, r) * res.value)
 
 
 def generalized_multiple_angle(r, theta, terms: int, ctx: EvalContext):
     """(sin(r t), cos(r t)) by the generalized binomial series, real r.
 
-    terms caps the series length; the shared auto-stop rule may finish
+    terms caps each series' length; the certified stop may end it
     earlier. Requires |cos t| > |sin t|.
     """
     sin_res = generalized_sin_series(r, theta, ctx, max_terms=terms)
@@ -169,21 +188,16 @@ def sec_power_series_result(r, theta, ctx: EvalContext, divisor: str = "cos",
     divisor "cos": sec^r t = [sum_j (-1)^j C(r,2j) tan^{2j} t] / cos(r t);
     divisor "sin" uses the odd-index coefficients over sin(r t). Either
     way |cos t| > |sin t| is required, and the chosen divisor must not
-    vanish at r t.
+    vanish at r t: below tolerance in size it is rejected.
     """
-    c, s = _require_cos_dominant(theta, ctx)
-    if divisor == "cos":
-        div = ctx.cos(ctx.to_real(r) * theta)
-        step = 0
-    elif divisor == "sin":
-        div = ctx.sin(ctx.to_real(r) * theta)
-        step = 1
-    else:
+    if divisor not in ("cos", "sin"):
         raise ValueError("divisor must be 'cos' or 'sin'")
-    if ctx.fabs(div) == 0:
+    step = int(divisor == "sin")
+    div = (ctx.sin if step else ctx.cos)(ctx.to_real(r) * theta)
+    if ctx.fabs(div) < ctx.tolerance:
         raise ValueError(f"{divisor}(r t) vanishes; pick the other divisor")
-    res = _tangent_series(r, s / c, step, ctx, max_terms)
-    return SeriesResult(res.value / div, res.terms_used, res.converged)
+    _, res = _tangent_series(r, theta, step, ctx, max_terms)
+    return replace(res, value=res.value / div)
 
 
 def csc_power_series_result(r, theta, ctx: EvalContext, divisor: str = "cos",
@@ -202,25 +216,18 @@ def csc_power_cos2_series_result(r, theta, ctx: EvalContext,
 
     Rewrites sin^2 t as (1 - cos 2t)/2 and applies the binomial series;
     |cos 2t| < 1 on the open interval, so no dominance condition is
-    needed. Converges geometrically with ratio |cos 2t|.
+    needed. The coefficient ratio (r/2+j)/(j+1) is monotone in size toward
+    1 once j > -r/2, so the terms shrink geometrically with ratio |cos 2t|.
     """
     if not (0 < theta < ctx.pi / 2):
         raise ValueError("csc_power_cos2_series_result requires 0 < t < pi/2")
-    c2 = ctx.cos(2 * theta)
     front = ctx.power(ctx.two, ctx.to_real(r) / 2)
-    # keep the exponent exact when r is; binom_real then stays in Fractions
-    half_r = Fraction(-r, 2) if isinstance(r, int) else -ctx.to_real(r) / 2
-
-    def terms():
-        cpow = ctx.one
-        j = 0
-        while True:
-            yield ((-1) ** j) * ctx.to_real(binom_real(half_r, j, ctx)) * cpow
-            cpow *= c2
-            j += 1
-
-    res = sum_until_negligible(terms(), ctx, max_terms=max_terms)
-    return SeriesResult(front * res.value, res.terms_used, res.converged)
+    half = as_fraction(r, ctx) / 2
+    res = sum_until_negligible(
+        ctx.one, ctx.cos(2 * theta), lambda j: (half + j) / (j + 1),
+        max(0, math.floor(-half) + 1), ctx,
+        exact=isinstance(r, (int, Fraction)), max_terms=max_terms)
+    return replace(res, value=front * res.value)
 
 
 def sine_progression_sum(a, d, count: int, ctx: EvalContext):

@@ -33,7 +33,8 @@ from typing import NamedTuple
 from .exact import EvalContext, IntPolynomial, exact_div, odd_sin_basis
 from .minpoly import closed_minpoly
 from .negative_power import csc3_weight, csc5_weight
-from .series import SeriesResult
+from .series import (RATIO_BITS, SeriesResult, as_fraction,
+                     tail_is_negligible)
 
 # 30 significant digits each
 ZETA3 = "1.20205690315959428539973816151"
@@ -211,19 +212,10 @@ class AvgPowers:
 # pi rounded down (pi = 3.14159265358979323...); the tail ratio bound below
 # needs a lower bound on the angle
 _PI_BELOW = Fraction(3141592653589793, 10**15)
-_RATIO_BITS = 64
-
-
-def _as_fraction(x, ctx: EvalContext) -> Fraction:
-    """x exactly: ints, floats and mpfs are all dyadic rationals."""
-    if isinstance(x, (int, float, Fraction)):
-        return Fraction(x)
-    man, exp = ctx.to_real(x).man_exp
-    return man * Fraction(2) ** exp
 
 
 def _tail_ratio_above(n: int) -> int:
-    """An integer R with cos^2(pi/2^{n-1}) <= R / 2^64, n >= 3.
+    """An integer R with cos^2(pi/2^{n-1}) <= R / 2^RATIO_BITS, n >= 3.
 
     For 0 <= x <= 1 the sine series alternates with shrinking terms, so
     cut after a negative term (x^11/11!) it is below sin x. sin grows on
@@ -234,7 +226,7 @@ def _tail_ratio_above(n: int) -> int:
     sin_below = sum((-1) ** k * x ** (2 * k + 1) / math.factorial(2 * k + 1)
                     for k in range(6))
     r = 1 - sin_below**2
-    return -(-(r.numerator << _RATIO_BITS) // r.denominator)
+    return -(-(r.numerator << RATIO_BITS) // r.denominator)
 
 
 def _level_series(a: Fraction, n: int, max_terms: int,
@@ -253,13 +245,12 @@ def _level_series(a: Fraction, n: int, max_terms: int,
     4cos^2 t_i is largest at the first level-(n-1) angle, and the
     coefficient ratio rho_p = c_{p+1}/c_p = (a+2p)(a+2p+1)/((2p+1)(2p+2))
     decreases for a >= 1 and stays below 1 for a < 1. So with
-    q = r max(1, rho_p), r = cos^2(pi/2^{n-1}) rounded up, the terms
-    after term p sum to at most term_p q/(1-q). The loop stops once that
-    bound plus the accumulated fixed-point rounding is at most tolerance
-    times the partial sum, which is a lower bound on the whole sum. A
-    further 2^{8-precision_bits} of the partial sum is reserved for the
-    few mpf roundings a caller applies to the value. Otherwise it runs
-    exactly max_terms terms and reports converged False. a > 0, n >= 3.
+    q = r max(1, rho_p), r = cos^2(pi/2^{n-1}) rounded up, the loop stops
+    on series.tail_is_negligible with the fixed-point rounding, plus
+    2^{8-precision_bits} of the partial sum for a caller's few mpf
+    roundings, against the partial sum (the terms are positive).
+    Otherwise it runs exactly max_terms terms and reports converged
+    False. a > 0, n >= 3.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
@@ -267,7 +258,7 @@ def _level_series(a: Fraction, n: int, max_terms: int,
     vv = v * v
     prec = ctx.precision_bits
     bits = prec + 2 * max_terms.bit_length() + 8
-    tol_num, tol_den = _as_fraction(ctx.tolerance, ctx).as_integer_ratio()
+    tol_num, tol_den = as_fraction(ctx.tolerance, ctx).as_integer_ratio()
     r_num = _tail_ratio_above(n)
     # coef is c_p 2^W rounded down, at most coef_err below it
     coef, coef_err = 1 << bits, 0
@@ -287,13 +278,12 @@ def _level_series(a: Fraction, n: int, max_terms: int,
         x = u + 2 * p * v
         num = x * (x + v)
         den = vv * (2 * p + 1) * (2 * p + 2)
-        # q = r_num big / (2^64 den); one_minus_q is 1 - q scaled by 2^64 den
-        big = num if num > den else den
-        one_minus_q = (den << _RATIO_BITS) - r_num * big
-        if one_minus_q > 0 and tol_den * (
-                (term + term_err) * r_num * big
-                + (rounding + (total >> (prec - 8))) * one_minus_q) \
-                <= tol_num * total * one_minus_q:
+        # q = r_num max(num, den) / (2^RATIO_BITS den)
+        if tail_is_negligible(term + term_err,
+                              r_num * (num if num > den else den),
+                              den << RATIO_BITS,
+                              rounding + (total >> (prec - 8)), total,
+                              tol_num, tol_den):
             converged = True
             break
         if used >= max_terms:
@@ -343,7 +333,7 @@ def zeta_binomial_series(s, n: int, max_terms: int,
         raise ValueError("zeta_binomial_series requires s > 1")
     if n < 3:
         raise ValueError("zeta_binomial_series requires n >= 3")
-    res = _level_series(_as_fraction(s, ctx) / 2, n, max_terms, ctx)
+    res = _level_series(as_fraction(s, ctx) / 2, n, max_terms, ctx)
     s2 = ctx.to_real(s) / 2
     p2s = ctx.power(ctx.two, s)
     pref = ctx.power(ctx.two, 3 * s2 - n * ctx.to_real(s) + n - 3) \

@@ -163,9 +163,11 @@ NUMERIC_DIGESTS = {  # (routine, precision)
         "fbf538144eb2fd2b2b0e11c752ab33396bd63a0751ebb8c146908c822d46e068",
 }
 
+# re-recorded when the tangent series moved from the 50-term run rule to
+# the certified stop: term counts and last digits changed on purpose
 SERIES_DIGESTS = {  # precision
-    128: "43b8a45fd5b287bfbf2fe88adc8c5ca6ad33d65d1371cc2c61f200f03df66451",
-    256: "28875826d61c85c53767e588bd5ab16c5b01053efa2cef4bad525dcce921af75",
+    128: "af95ddcf4b80bee36c0fab163873c543a3a80e8daef15d9a3d0a218d4b1b307f",
+    256: "ce694662764db699d56526bcc1d820ccd505ee958c38c7b57ae6a1bb5901789d",
 }
 
 CLI_DIGESTS = {

@@ -6,7 +6,6 @@ import pytest
 
 from cospow.exact import EvalContext
 from cospow.series import (
-    STOP_RUN,
     csc_power_cos2_series_result,
     csc_power_series_result,
     generalized_cos_series,
@@ -23,37 +22,56 @@ from cospow.series import (
 
 
 class TestStopRule:
-    def test_zero_stream_stops_at_run(self, ctx):
-        def zeros():
-            while True:
-                yield ctx.zero
+    """The kernel sums first * c_j * base^j, c_{j+1} = c_j * ratio(j)."""
 
-        res = sum_until_negligible(zeros(), ctx)
+    def test_zero_stream_stops_at_once(self, ctx):
+        res = sum_until_negligible(ctx.zero, ctx.one, lambda j: 1, 0, ctx)
         assert res.converged
-        assert res.terms_used == STOP_RUN
+        assert res.terms_used == 1
         assert res.value == ctx.zero
 
-    def test_geometric(self, ctx):
-        def halves():
-            v = ctx.one
-            while True:
-                yield v
-                v /= 2
-
-        res = sum_until_negligible(halves(), ctx)
+    def test_zero_ratio_ends_exactly(self, ctx):
+        res = sum_until_negligible(ctx.two, ctx.one, lambda j: 0, 5, ctx)
         assert res.converged
-        assert ctx.close(res.value, ctx.two)
+        assert res.terms_used == 1
+        assert res.value == ctx.two
+
+    def test_geometric(self, ctx):
+        for base in (Fraction(1, 2), Fraction(-1, 2)):
+            res = sum_until_negligible(ctx.one, ctx.to_real(base),
+                                       lambda j: 1, 0, ctx)
+            want = ctx.to_real(1 / (1 - base))
+            assert res.converged
+            assert ctx.fabs(res.value - want) <= ctx.tolerance * want
+
+    def test_no_stop_before_settled(self, ctx):
+        res = sum_until_negligible(ctx.one, ctx.to_real(Fraction(1, 2)),
+                                   lambda j: 1, 300, ctx)
+        assert res.converged
+        assert res.terms_used == 301
 
     def test_max_terms_cutoff(self, ctx):
-        def ones():
-            while True:
-                yield ctx.one
-
-        res = sum_until_negligible(ones(), ctx, max_terms=7)
+        # ratio 1 at base 1: q = 1 bounds no tail, so only max_terms ends it
+        res = sum_until_negligible(ctx.one, ctx.one, lambda j: 1, 0, ctx,
+                                   max_terms=7)
         assert not res.converged
         assert res.terms_used == 7
+        assert res.value == 7
         with pytest.raises(ValueError):
-            sum_until_negligible(ones(), ctx, max_terms=0)
+            sum_until_negligible(ctx.one, ctx.one, lambda j: 1, 0, ctx,
+                                 max_terms=0)
+
+    def test_integer_exponent_terminates_exactly(self, ctx):
+        theta = ctx.to_real(Fraction(3, 10))
+        s_fin, c_fin = multiple_angle(6, theta, ctx)
+        res = generalized_cos_series(6, theta, ctx)
+        assert res.converged
+        assert res.terms_used == 4
+        assert ctx.close(res.value, c_fin)
+        res = generalized_sin_series(6, theta, ctx)
+        assert res.converged
+        assert res.terms_used == 3
+        assert ctx.close(res.value, s_fin)
 
 
 class TestFiniteMultiples:
@@ -131,6 +149,19 @@ class TestSecCsc:
         got = sec_power_series_result(2, ctx.zero, ctx, max_terms=100).value
         assert ctx.close(got, ctx.one)
 
+    @pytest.mark.parametrize("r, theta", ((3, 6), (4, 8)))
+    def test_sec_divisor_rounds_to_nonzero(self, r, theta):
+        # cos(r pi/theta) = cos(pi/2) is not exactly zero in mpf; the sine
+        # divisor at the same point is 1
+        ctx = EvalContext(128)
+        t = ctx.pi / theta
+        with pytest.raises(ValueError):
+            sec_power_series_result(r, t, ctx, divisor="cos")
+        res = sec_power_series_result(r, t, ctx, divisor="sin")
+        assert res.converged
+        want = ctx.power(ctx.cos(t), -r)
+        assert ctx.fabs(res.value - want) <= ctx.tolerance * want
+
     def test_sec_bad_divisor_name(self, ctx):
         with pytest.raises(ValueError):
             sec_power_series_result(2, ctx.one / 4, ctx, divisor="tan",
@@ -198,6 +229,51 @@ class TestCscCos2Route:
             numeric = (f_plus - f_minus) / (2 * h)
             analytic = -3 * ctx.cos(theta) * ctx.power(ctx.sin(theta), -4)
             assert ctx.fabs(numeric - analytic) < ctx.power(ctx.two, -20)
+
+
+# the grid of tests/test_golden.py; csc^r at t needs |sin t| > |cos t|
+SERIES_R = (-3, 3, Fraction(1, 2), Fraction(-5, 2), 2.5)
+SERIES_THETA = (Fraction(1, 5), Fraction(2, 5))
+CSC_THETA = (Fraction(7, 5),)
+
+
+def _routes():
+    for r in SERIES_R:
+        for t in SERIES_THETA:
+            yield generalized_cos_series, r, t, {}
+            yield generalized_sin_series, r, t, {}
+            yield sec_power_series_result, r, t, {"divisor": "cos"}
+            yield sec_power_series_result, r, t, {"divisor": "sin"}
+            yield csc_power_cos2_series_result, r, t, {}
+        for t in CSC_THETA:
+            yield csc_power_series_result, r, t, {}
+    # slow geometric tails: |cos 2t| = 0.980, 0.989 and tan^2 t = 0.868
+    for t in (Fraction(1, 10), Fraction(3, 40)):
+        yield csc_power_cos2_series_result, 3, t, {}
+    for r in SERIES_R:
+        yield generalized_cos_series, r, Fraction(3, 4), {}
+        yield generalized_sin_series, r, Fraction(3, 4), {}
+
+
+def _id(v):
+    if callable(v):
+        return v.__name__
+    if isinstance(v, dict):
+        return v.get("divisor", "")
+    return str(v).replace("/", "_")
+
+
+@pytest.mark.parametrize("prec", (128, 256))
+@pytest.mark.parametrize("route, r, t, kw", list(_routes()), ids=_id)
+def test_converged_means_within_tolerance(route, r, t, kw, prec):
+    """A converged result is within tolerance, relative, of the same call
+    at twice the precision."""
+    lo, hi = EvalContext(prec), EvalContext(2 * prec)
+    res = route(r, lo.to_real(t), lo, **kw)
+    ref = route(r, hi.to_real(t), hi, **kw)
+    assert res.converged and ref.converged
+    err = hi.fabs(hi.to_real(res.value) - ref.value)
+    assert err <= hi.to_real(lo.tolerance) * hi.fabs(ref.value)
 
 
 class TestProgressionSum:

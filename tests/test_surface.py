@@ -20,7 +20,7 @@ REMOVED = {
     chebyshev: ("identity_poly", "OddChebyshev"),
     minpoly: ("MinPolyPair", "minpoly_pair"),
     series: ("sec_power_series", "csc_power_series",
-             "csc_power_cos2_series", "jordan_bounds_check"),
+             "csc_power_cos2_series", "jordan_bounds_check", "STOP_RUN"),
 }
 
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from cospow.even_power import integer_power_average
 from cospow.exact import EvalContext
-from cospow.series import sum_until_negligible
 from cospow.zeta import (
     METHOD_BINOMIAL,
     METHOD_SINE_SUM,
@@ -178,12 +177,30 @@ PRECISIONS = (128, 256)
 LEVELS = (3, 4, 5, 6)
 
 
+def _run_rule_sum(terms, ctx, max_terms: int):
+    """The 50-term run rule, kept here so the reference stays independent
+    of the kernel under test: stop once 50 consecutive terms are each
+    below tolerance/4 relative to the partial sum. Returns the sum and
+    whether the run completed within max_terms."""
+    cutoff = ctx.tolerance / 4
+    total = ctx.zero
+    run = 0
+    for used, term in enumerate(terms, start=1):
+        total += term
+        scale = ctx.fabs(total)
+        run = run + 1 if ctx.fabs(term) < (
+            cutoff * scale if scale > 0 else cutoff) else 0
+        if run >= 50:
+            return total, True
+        if used >= max_terms:
+            return total, False
+
+
 def reference_binomial_series(s, n: int, max_terms: int, ctx):
     """zeta_binomial_series read straight off its definition: one mpf term
-    per power average, summed under the 50-term run rule of
-    series.sum_until_negligible (the route before the fixed-point kernel).
-    Run at twice the precision, its tolerance is the square of the
-    kernel's, so it serves as the reference value."""
+    per power average, summed under the 50-term run rule (the route before
+    the fixed-point kernel). Run at twice the precision, its tolerance is
+    the square of the kernel's, so it serves as the reference value."""
     averages = AvgPowers(n - 1)
     s2 = ctx.to_real(s) / 2
 
@@ -198,11 +215,11 @@ def reference_binomial_series(s, n: int, max_terms: int, ctx):
             pow2 /= 4
             p += 1
 
-    res = sum_until_negligible(terms(), ctx, max_terms=max_terms)
+    total, converged = _run_rule_sum(terms(), ctx, max_terms)
     p2s = ctx.power(ctx.two, s)
     pref = ctx.power(ctx.two, 3 * s2 - n * ctx.to_real(s) + n - 3) \
         * ctx.power(ctx.pi, s) / (p2s - 1)
-    return pref * res.value, res.converged
+    return pref * total, converged
 
 
 @settings(max_examples=20, deadline=None)
