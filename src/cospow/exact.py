@@ -427,9 +427,7 @@ class EvalContext:
         """Convert int, Fraction, float, str, or mpf to an mpf exactly
         (Fractions round once, at full working precision)."""
         if isinstance(x, Fraction):
-            # (int, 0) rounds like mpf(int) without its slow zero-bit strip
-            mpf = self._mp.mpf
-            return mpf((x.numerator, 0)) / mpf((x.denominator, 0))
+            return self._mp.mpf(x.numerator) / self._mp.mpf(x.denominator)
         return self._mp.mpf(x)
 
     def mpc(self, re=0, im=0):

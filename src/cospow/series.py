@@ -55,18 +55,19 @@ def tail_is_negligible(term, q_num: int, q_den: int, rounding, lower,
 
 
 def sum_until_negligible(first, base, ratio, settled: int, ctx: EvalContext,
-                         exact: bool = True,
                          max_terms: int = 100000) -> SeriesResult:
     """sum_j t_j, t_j = first c_j base^j, c_0 = 1, c_{j+1} = c_j ratio(j).
 
-    ratio(j) is an int or Fraction; c_j steps by it exactly when exact,
-    in ctx arithmetic otherwise. From index settled on, |ratio(j)| must be
-    monotone with limit at most 1, so q = |base| max(1, |ratio(j)|),
+    ratio(j) is an exact int or Fraction; c_j steps by it in ctx
+    arithmetic. From index settled on, |ratio(j)| must be monotone with
+    limit at most 1, so q = |base| max(1, |ratio(j)|),
     rounded up, bounds every later term ratio. The stop: |t_j| q/(1-q)
     plus terms 2^(8-precision_bits) sum |t_k| (the mpf roundings, a
     caller's few included) is at most tolerance times |S| - tail -
     rounding, as the terms may change sign. A zero term or ratio ends
-    the series exactly; else max_terms terms run unconverged.
+    the series exactly, converged when that same test holds with no tail:
+    a finite sum that cancels to within rounding of zero has no relative
+    bound and reports unconverged. Else max_terms terms run unconverged.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
@@ -77,10 +78,10 @@ def sum_until_negligible(first, base, ratio, settled: int, ctx: EvalContext,
     b = as_fraction(ctx.fabs(base), ctx)
     base_up = -(-(b.numerator << RATIO_BITS) // b.denominator)
     unit = Fraction(1, 2 ** (ctx.precision_bits - 8))
-    coef = Fraction(1) if exact else ctx.one
+    coef = ctx.one
     power, total, size, converged = first, ctx.zero, ctx.zero, False
     for used in range(1, max_terms + 1):
-        term = ctx.to_real(coef) * power
+        term = coef * power
         total += term
         size += ctx.fabs(term)
         rho = ratio(used - 1)
@@ -94,31 +95,35 @@ def sum_until_negligible(first, base, ratio, settled: int, ctx: EvalContext,
                 as_fraction(ctx.fabs(total), ctx), tol_num, tol_den)
             if converged or ends:
                 break
-        coef *= rho if exact else ctx.to_real(rho)
+        coef *= ctx.to_real(rho)
         power *= base
     return SeriesResult(total, used, converged)
 
 
-def _multiple_angle(n_mult: int, theta, step: int, ctx: EvalContext):
-    """sum_r (-1)^r C(N,2r+step) cos^{N-2r-step} t sin^{2r+step} t: the
-    finite expansion of cos(N t) at step 0 and of sin(N t) at step 1."""
-    if n_mult < 0:
-        raise ValueError("angle multiple must be >= 0")
-    c, s = ctx.cos(theta), ctx.sin(theta)
-    return sum(
-        ((-1) ** r) * binom_int(n_mult, 2 * r + step)
-        * c ** (n_mult - 2 * r - step) * s ** (2 * r + step)
-        for r in range((n_mult - step) // 2 + 1))
-
-
 def multiple_angle_cos(n_mult: int, theta, ctx: EvalContext):
     """cos(N t) as the finite sum sum_r (-1)^r C(N,2r) cos^{N-2r} t sin^{2r} t."""
-    return _multiple_angle(n_mult, theta, 0, ctx)
+    if n_mult < 0:
+        raise ValueError("angle multiple must be >= 0")
+    c = ctx.cos(theta)
+    s = ctx.sin(theta)
+    return sum(
+        ((-1) ** r) * binom_int(n_mult, 2 * r)
+        * c ** (n_mult - 2 * r) * s ** (2 * r)
+        for r in range(n_mult // 2 + 1)
+    )
 
 
 def multiple_angle_sin(n_mult: int, theta, ctx: EvalContext):
     """sin(N t) as the finite sum sum_r (-1)^r C(N,2r+1) cos^{N-2r-1} t sin^{2r+1} t."""
-    return _multiple_angle(n_mult, theta, 1, ctx)
+    if n_mult < 0:
+        raise ValueError("angle multiple must be >= 0")
+    c = ctx.cos(theta)
+    s = ctx.sin(theta)
+    return sum(
+        ((-1) ** r) * binom_int(n_mult, 2 * r + 1)
+        * c ** (n_mult - 2 * r - 1) * s ** (2 * r + 1)
+        for r in range((n_mult + 1) // 2)
+    )
 
 
 def multiple_angle(n_mult: int, theta, ctx: EvalContext):
@@ -148,8 +153,7 @@ def _tangent_series(r, theta, step: int, ctx: EvalContext, max_terms: int):
 
     return c, sum_until_negligible(
         ctx.to_real(rq) * tan if step else ctx.one, tan * tan, ratio,
-        max(0, math.floor((rq - step) / 2) + 1), ctx,
-        exact=isinstance(r, (int, Fraction)), max_terms=max_terms)
+        max(0, math.floor((rq - step) / 2) + 1), ctx, max_terms=max_terms)
 
 
 def generalized_cos_series(r, theta, ctx: EvalContext,
@@ -225,8 +229,7 @@ def csc_power_cos2_series_result(r, theta, ctx: EvalContext,
     half = as_fraction(r, ctx) / 2
     res = sum_until_negligible(
         ctx.one, ctx.cos(2 * theta), lambda j: (half + j) / (j + 1),
-        max(0, math.floor(-half) + 1), ctx,
-        exact=isinstance(r, (int, Fraction)), max_terms=max_terms)
+        max(0, math.floor(-half) + 1), ctx, max_terms=max_terms)
     return replace(res, value=front * res.value)
 
 

@@ -73,6 +73,14 @@ class TestStopRule:
         assert res.terms_used == 3
         assert ctx.close(res.value, s_fin)
 
+    def test_finite_sum_cancelling_to_zero_is_unconverged(self, ctx):
+        # cos(3 pi/6) = 0: the sum 1 - 3 tan^2 ends after 2 terms, but a
+        # sum within rounding of zero has no relative bound to certify
+        res = generalized_cos_series(3, ctx.pi / 6, ctx)
+        assert res.terms_used == 2
+        assert not res.converged
+        assert ctx.fabs(res.value) < ctx.tolerance
+
 
 class TestFiniteMultiples:
     def test_small_multiples(self, ctx):
