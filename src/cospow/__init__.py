@@ -30,8 +30,6 @@ from .exact import (
     binom_int,
     binom_real,
     even_cos_basis,
-    fold_even_cos_index,
-    fold_odd_cos_index,
     odd_cos_basis,
     odd_sin_basis,
 )
@@ -50,7 +48,6 @@ from .odd_power import (
     first_row,
     matrix_gather,
     matrix_scatter,
-    perm_sign,
     power_sum,
     sine_basis_variant,
     verify_group_axioms,
@@ -107,8 +104,6 @@ __all__ = [
     "finite_level_identity",
     "first_row",
     "first_row_sum_identity",
-    "fold_even_cos_index",
-    "fold_odd_cos_index",
     "generalized_multiple_angle",
     "integer_power_average",
     "inverse_index",
@@ -124,7 +119,6 @@ __all__ = [
     "odd_cos_basis",
     "odd_sin_basis",
     "p_poly",
-    "perm_sign",
     "power_sum",
     "reference_even_zeta",
     "sec_power_series_result",

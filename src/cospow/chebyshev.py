@@ -25,7 +25,7 @@ from .exact import (
     IntPolynomial,
     binom_int,
     exact_div,
-    fold_odd_cos_index,
+    odd_cos_basis,
     poly_mul_coeffs,
 )
 from .minpoly import closed_minpoly
@@ -112,12 +112,13 @@ def composition_commutes(i: int, j: int) -> bool:
 def signed_composition_angle(i: int, j: int, n: int) -> tuple[int, int]:
     """Canonical (index, sign) of (-1)^i p_i applied to cos((2j-1)pi/2^n).
 
-    The raw image is cos((2(2ij-i-j+1)-1)pi/2^n); the result is its fold
-    into the first-quadrant odd-cosine basis.
+    The raw image is cos((2i-1)(2j-1)pi/2^n); the result is its fold
+    into the first-quadrant odd-cosine basis, with a 1-based index.
     """
     if i < 1 or j < 1:
         raise ValueError("signed_composition_angle requires i, j >= 1")
-    return fold_odd_cos_index(2 * (2 * i * j - i - j + 1) - 1, n)
+    k, sign = odd_cos_basis(n).fold((2 * i - 1) * (2 * j - 1))
+    return k + 1, sign
 
 
 def inverse_index(i: int, n: int) -> int:

@@ -94,48 +94,43 @@ def _flat_str(x) -> str:
     return str(x)
 
 
+def _walk(payload: dict):
+    """The payload flattened once for the line formats, as (name, cells,
+    rows): rows is None except for a nonempty list of rows, which comes as
+    an iterable of cell lists with no cells of its own; a dict gives one
+    "key.k" item per entry. Every cell is a string."""
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            for k, v in value.items():
+                yield f"{key}.{k}", [_flat_str(v)], None
+        elif isinstance(value, (list, tuple)) and value \
+                and isinstance(value[0], (list, tuple)):
+            yield key, [], ([_flat_str(v) for v in row] for row in value)
+        elif isinstance(value, (list, tuple)):
+            yield key, [_flat_str(v) for v in value], None
+        else:
+            yield key, [_flat_str(value)], None
+
+
 def _render_csv(payload: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    for key, value in payload.items():
-        if isinstance(value, (list, tuple)) and value \
-                and isinstance(value[0], (list, tuple)):
-            writer.writerow([key])
-            for row in value:
-                writer.writerow([_flat_str(v) for v in row])
-        elif isinstance(value, (list, tuple)):
-            writer.writerow([key, *(_flat_str(v) for v in value)])
-        elif isinstance(value, dict):
-            for k, v in value.items():
-                writer.writerow([f"{key}.{k}", _flat_str(v)])
-        else:
-            writer.writerow([key, _flat_str(value)])
+    for name, cells, rows in _walk(payload):
+        writer.writerow([name, *cells])
+        writer.writerows(rows or ())
     return buf.getvalue()
-
-
-def _tex_escape(s: str) -> str:
-    return s.replace("_", r"\_")
 
 
 def _render_tex(payload: dict) -> str:
     lines = []
-    for key, value in payload.items():
-        if isinstance(value, (list, tuple)) and value \
-                and isinstance(value[0], (list, tuple)):
-            lines.append(f"% {key}")
-            lines.append(r"\begin{pmatrix}")
-            for row in value:
-                lines.append("  " + " & ".join(_flat_str(v) for v in row)
-                             + r" \\")
-            lines.append(r"\end{pmatrix}")
-        elif isinstance(value, (list, tuple)):
-            body = ", ".join(_flat_str(v) for v in value)
-            lines.append(rf"% {key}: {body}")
-        elif isinstance(value, dict):
-            for k, v in value.items():
-                lines.append(rf"% {key}.{k}: {_flat_str(v)}")
+    for name, cells, rows in _walk(payload):
+        name = name.replace("_", r"\_")
+        if rows is None:
+            lines.append(f"% {name}: {', '.join(cells)}")
         else:
-            lines.append(rf"% {_tex_escape(key)}: {_flat_str(value)}")
+            lines += [f"% {name}", r"\begin{pmatrix}",
+                      *("  " + " & ".join(row) + r" \\" for row in rows),
+                      r"\end{pmatrix}"]
     return "\n".join(lines) + "\n"
 
 

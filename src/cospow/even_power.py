@@ -3,11 +3,11 @@
 cos^r at a level-n dyadic angle, r even, lives in the span of the constant
 and the halved-level cosines. Row 1 (the angle pi/2^n) is an alternating
 binomial sum whose constant entry carries an exact factor 1/2; every other
-row follows by the basis automorphism cos(j pi/2^{n-1}) ->
-cos(j(2i-1) pi/2^{n-1}) followed by index folding. The folding can never
-land on cos(pi/2) = 0 for in-range source indices (the 2-adic valuation of
-j(2i-1) equals that of j, which is too small), so the construction is
-total.
+row is odd_power's scatter of it, the basis automorphism cos(j pi/2^{n-1})
+-> cos(j(2i-1) pi/2^{n-1}) followed by exact.quarter_fold. The fold never
+lands on cos(pi/2) = 0 for in-range source indices (the 2-adic valuation
+of j(2i-1) equals that of j, which is too small), and the constant column
+stays put, so each row is a signed permutation of row 1.
 
 Also here: the general-N scalar power sum of cos^{2p}(k pi/N) (an exact
 rational), and the integer-valued averages of (2 cos)^{2p} over a dyadic
@@ -25,8 +25,8 @@ from .exact import (
     binom_int,
     even_cos_basis,
     exact_div,
-    fold_even_cos_index,
 )
+from .odd_power import scatter
 
 
 def _check_even_r(r: int):
@@ -55,28 +55,12 @@ def even_first_row(r: int, n: int) -> tuple[int, ...]:
 
 
 def even_matrix(r: int, n: int) -> ScaledMatrix:
-    """The full change-of-basis matrix for cos^r, r even >= 2, n >= 3.
-
-    Row i distributes the first row through the automorphism: source index
-    j lands at fold_even_cos_index(j(2i-1), n) with the fold sign, and the
-    constant column is invariant across rows.
-    """
+    """The full change-of-basis matrix for cos^r, r even >= 2, n >= 3: the
+    scatter of even_first_row over the even basis."""
     _check_even_r(r)
     if r < 2:
         raise ValueError("even_matrix requires r >= 2")
-    dim = 2 ** (n - 2)
-    fr = even_first_row(r, n)
-    rows = []
-    for i in range(1, dim + 1):
-        row = [0] * dim
-        row[0] = fr[0]
-        for j in range(1, dim):
-            k, sign = fold_even_cos_index(j * (2 * i - 1), n)
-            if k == 0:
-                raise ArithmeticError("fold reached the constant column")
-            row[k] += sign * fr[j]
-        rows.append(row)
-    return ScaledMatrix(tuple(map(tuple, rows)), r - 1, even_cos_basis(n))
+    return scatter(even_first_row(r, n), even_cos_basis(n), r - 1)
 
 
 def merca_sum(bign: int, p: int) -> Fraction:

@@ -1,9 +1,10 @@
 """Exact integer and rational arithmetic kernel plus the numeric oracle.
 
 Everything downstream is built from the pieces here: binomial machinery,
-dyadic-angle index folding, dense integer polynomials, and EvalContext, an
-arbitrary-precision evaluation environment wrapping an isolated mpmath
-context.
+the declared bases with quarter_fold, the one law that folds a dyadic
+angle back into the first quadrant, dense integer polynomials, and
+EvalContext, an arbitrary-precision evaluation environment wrapping an
+isolated mpmath context.
 
 Conventions used throughout the package:
   * "mod" always means the least nonnegative residue and "floor" always
@@ -92,43 +93,19 @@ class ZeroBasisElementError(ValueError):
     """Raised when an even-basis fold lands on cos(pi/2) = 0."""
 
 
-def fold_odd_cos_index(t: int, n: int) -> tuple[int, int]:
-    """Reduce cos(t*pi/2^n), t odd, to a signed canonical basis element.
+def quarter_fold(h: int, dim: int) -> tuple[int, int]:
+    """Fold the angle h*pi/2^n, 2^n = 4 dim, into the first quadrant.
 
-    Returns (k, sign) with 1 <= k <= 2^{n-2} and
-    cos(t*pi/2^n) = sign * cos((2k-1)*pi/2^n) exactly.
+    The angle is s quarter turns plus rem*pi/2^n, 0 <= rem < 2 dim; an odd
+    s reflects the remainder, so the folded angle has numerator rem or
+    2 dim - rem. Returns (k, s) with k that numerator halved down: the
+    0-based column of the folded angle in the odd bases (numerator 2k+1,
+    odd h) and in the even basis (numerator 2k, even h; k = dim is pi/2).
+    The sign is the function's: a cosine turns negative when s = 1, 2
+    mod 4, a sine when s = 2, 3 mod 4.
     """
-    if t % 2 == 0:
-        raise ValueError("fold_odd_cos_index requires odd t")
-    if n < 2:
-        raise ValueError("fold_odd_cos_index requires n >= 2")
-    u = t % 2 ** (n + 1)
-    if u > 2**n:
-        u = 2 ** (n + 1) - u
-    if u > 2 ** (n - 1):
-        return (2**n - u + 1) // 2, -1
-    return (u + 1) // 2, 1
-
-
-def fold_even_cos_index(t: int, n: int) -> tuple[int, int]:
-    """Reduce cos(t*pi/2^{n-1}) to a signed element of the even basis.
-
-    Returns (k, sign) with 0 <= k <= 2^{n-2}-1 and
-    cos(t*pi/2^{n-1}) = sign * cos(k*pi/2^{n-1}); k = 0 is the constant 1.
-    Folding onto cos(pi/2) = 0 is not representable and raises.
-    """
-    if n < 3:
-        raise ValueError("fold_even_cos_index requires n >= 3")
-    u = t % 2**n
-    if u > 2 ** (n - 1):
-        u = 2**n - u
-    if u == 2 ** (n - 2):
-        raise ZeroBasisElementError(
-            f"cos({t}*pi/2^{n - 1}) folds to cos(pi/2) = 0"
-        )
-    if u > 2 ** (n - 2):
-        return 2 ** (n - 1) - u, -1
-    return u, 1
+    s, rem = divmod(h, 2 * dim)
+    return (2 * dim - rem if s & 1 else rem) >> 1, s
 
 
 @dataclass(frozen=True)
@@ -190,6 +167,28 @@ class Basis:
         if k == 0:
             return ctx.one
         return ctx.cos(ctx.pi * k / 2 ** (self.n - 1))
+
+    @property
+    def phase(self) -> int:
+        """1 on the cosine bases, 0 on the sine basis: quarter_fold's s
+        negates the basis function exactly when (s + phase) & 2."""
+        return int(self.kind != "odd_sin")
+
+    def fold(self, t: int) -> tuple[int, int]:
+        """(column, sign) with g(t*pi/2^m) = sign * element(column), g the
+        basis function. 2^m is 2^n on the odd bases, which fold odd t only,
+        and 2^{n-1} on the even basis, where a fold onto cos(pi/2) = 0
+        raises ZeroBasisElementError."""
+        if self.kind == "even_cos":
+            k, s = quarter_fold(2 * t, self.dim)
+            if k == self.dim:
+                raise ZeroBasisElementError(
+                    f"cos({t}*pi/2^{self.n - 1}) folds to cos(pi/2) = 0")
+        elif t % 2 == 0:
+            raise ValueError(f"the {self.kind} basis folds odd t only")
+        else:
+            k, s = quarter_fold(t, self.dim)
+        return k, -1 if (s + self.phase) & 2 else 1
 
     def values(self, ctx: "EvalContext") -> list:
         """Numeric values of all dim basis elements, in column order: one

@@ -7,9 +7,10 @@ polynomially in the column index, scaled by 2^3 resp. 2^5; those first
 rows are csc3_weight/2 and csc5_weight/24, the zeta(3) and zeta(5)
 weights. Like the odd positive powers, each matrix is its first row sent
 through odd_power's scatter or gather, and each family has both routes:
-the scatter's sign rule is that of the basis (odd cosines for r = -1, odd
-sines for r = -3, -5), and the row polynomials stay integral on the
-extended range 1..2^{n-1} the gather reads.
+the scatter folds every angle by exact.quarter_fold and signs it by the
+basis function (cosine for r = -1, sine for r = -3, -5), and the row
+polynomials stay integral on the extended range 1..2^{n-1} the gather
+reads.
 
 The scalar sums sum_i csc^s((2i-1)pi/2^n) close in exact rationals for
 even s and in quadratic-through-sextic weight vectors against the

@@ -5,22 +5,22 @@ For odd r >= 1 there is a 2^{n-2} x 2^{n-2} integer matrix M with
     cos^r((2i-1)pi/2^n) = (1/2^{r-1}) sum_k M[i,k] cos((2k-1)pi/2^n).
 
 Row 1 comes from an alternating binomial sum; every later row is a signed
-permutation of row 1. The reciprocal powers (negative_power) share that
-shape, so every dyadic matrix in the package is built from its first row
-by one of two routes, and every family has both:
+permutation of row 1. The even powers (even_power) and the reciprocal
+powers (negative_power) share that shape, so every matrix in the package
+is built from its first row, by one of two routes:
 
-  * scatter: walk row 1 through the permutation/sign law and deposit each
-    entry at its image position. The position is scatter_target's, a
-    plain-int helper with O(1) work per entry; the sign rule is read off
-    the basis (odd cosines and odd sines flip at different fold counts);
+  * scatter: row i multiplies the angle of each row-1 column by 2i-1 and
+    deposits the entry where exact.quarter_fold puts the product, with the
+    sign of the basis function (cosines and sines flip at different fold
+    counts). It serves all three bases;
   * gather: compute each entry in place from a modular inverse power,
     looking it up in the first row extended to the index range
-    1..2^{n-1}, where it needs no manual folding. The gather's sign does
-    not depend on the basis, and it never uses scatter_target.
+    1..2^{n-1}, where it needs no folding at all. It serves the odd bases,
+    and its sign does not depend on the basis.
 
-The two routes must agree entrywise, which is the core self-check of the
-package. perm_sign states the law per entry and is the reference the
-tests hold scatter_target to.
+The two routes must agree entrywise on every odd-basis family, which is
+the core self-check of the package; the tests also hold the fold to an
+independent per-entry statement of the law.
 
 The unsigned permutation law makes {1..2^{n-2}} a cyclic abelian group
 (group elements are plain ints here). The matrices are normal and any two
@@ -29,7 +29,6 @@ at the same level commute, all checkable in exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
@@ -40,6 +39,7 @@ from .exact import (
     _wrapped_binomial,
     int_mat_mul,
     odd_cos_basis,
+    quarter_fold,
 )
 
 
@@ -66,62 +66,24 @@ def first_row(r: int, n: int) -> tuple[int, ...]:
     return tuple(first_row_entry(r, n, j) for j in range(1, 2 ** (n - 2) + 1))
 
 
-@dataclass(frozen=True)
-class PermSign:
-    m: int        # target column, 1-based
-    q_parity: int  # sign is (-1)^q_parity
-
-    @property
-    def sign(self) -> int:
-        return -1 if self.q_parity else 1
-
-
-def perm_sign(i: int, j: int, n: int) -> PermSign:
-    """Where row i sends row-1 column j, and with what sign.
-
-    p = 2ij - i - j + 1 tracks the product of odd numbers (2i-1)(2j-1);
-    the quotient/residue pair of p against 2^{n-2} and 2^{n-1} yields the
-    folded position and the reflection sign.
-    """
-    dim = 2 ** (n - 2)
-    if not (1 <= i <= dim and 1 <= j <= dim):
-        raise ValueError("perm_sign indices out of range")
-    p = 2 * i * j - i - j + 1
-    s = (p - 1) // dim
-    m = (-1) ** s * (p - s * dim) % (dim + 1)
-    q = (dim + 2 * i * j - i - j) // 2 ** (n - 1)
-    return PermSign(m, q & 1)
-
-
-def scatter_target(i: int, j: int, dim: int) -> tuple[int, int]:
-    """perm_sign's position law in plain ints, for scatter and group_op.
-
-    Splits p - 1 = s dim + t (0 <= t < dim) for p = 2ij - i - j + 1 and
-    returns (m, s): row i sends row-1 column j to column m, which is t+1
-    for even s and dim-t for odd s. The sign is read off s by the basis:
-    on the odd cosines it flips when s = 1, 2 mod 4 (perm_sign's parity
-    flag is that of (s+1)//2), on the odd sines when s = 2, 3 mod 4.
-    """
-    s, t = divmod(2 * i * j - i - j, dim)
-    return (dim - t if s & 1 else t + 1), s
-
-
 def scatter(first_row, basis: Basis, log2_denom: int) -> ScaledMatrix:
-    """The matrix over an odd basis whose row i is row 1 sent through
-    scatter_target, with the sign rule of the basis kind."""
+    """The matrix whose row i is row 1 sent through the angle law: the
+    angle of column j times 2i-1 folds by quarter_fold onto a column, with
+    the sign of the basis function. Column j (0-based) sits at
+    (2j+1)pi/2^n on the odd bases and at 2j pi/2^n on the even one, so the
+    numerators of row i start at (2i-1)h0, h0 = 1 resp. 0, and step by
+    2(2i-1)."""
     dim = basis.dim
-    if basis.kind == "even_cos":
-        raise ValueError("scatter needs an odd basis")
     if len(first_row) != dim:
         raise ValueError("scatter needs a first row of length 2^(n-2)")
-    # s = 1, 2 mod 4 on the cosines is s + 1 = 2, 3 mod 4: bit 1 of s + 1
-    shift = 1 if basis.kind == "odd_cos" else 0
+    h0 = int(basis.kind != "even_cos")
+    phase = basis.phase
     rows = []
-    for i in range(1, dim + 1):
+    for odd in range(1, 2 * dim, 2):
         row = [0] * dim
-        for j, v in enumerate(first_row, start=1):
-            m, s = scatter_target(i, j, dim)
-            row[m - 1] = -v if (s + shift) & 2 else v
+        for h, v in zip(range(odd * h0, odd * 2 * dim, 2 * odd), first_row):
+            k, s = quarter_fold(h, dim)
+            row[k] = -v if (s + phase) & 2 else v
         rows.append(row)
     return ScaledMatrix(tuple(map(tuple, rows)), log2_denom, basis)
 
@@ -150,6 +112,8 @@ def gather(extended_row, basis: Basis, log2_denom: int) -> ScaledMatrix:
     """The matrix over an odd basis built by gather_rows from the first row
     extended to columns 1..2^{n-1}."""
     n = basis.n
+    if basis.kind == "even_cos":
+        raise ValueError("gather needs an odd basis")
     if len(extended_row) != 2 ** (n - 1):
         raise ValueError("gather needs an extended row of length 2^(n-1)")
     rows = gather_rows(extended_row, n, range(1, basis.dim + 1))
@@ -185,7 +149,7 @@ def group_op(a: int, b: int, n: int) -> int:
     dim = 2 ** (n - 2)
     if not (1 <= a <= dim and 1 <= b <= dim):
         raise ValueError("group elements out of range")
-    return scatter_target(a, b, dim)[0]
+    return quarter_fold((2 * a - 1) * (2 * b - 1), dim)[0] + 1
 
 
 def group_inverse(a: int, n: int) -> int:
@@ -301,22 +265,21 @@ def conjugation_invariance(m: ScaledMatrix, a: int) -> bool:
 
         M[i,j] = s_i s_j M[a o i, a o j]
 
-    with (a o i, s_i) = perm_sign(a, i, n). The sign convention extends
-    the group law by (-a) o b = -(a o b).
+    where m.basis.fold((2a-1)(2i-1)) gives column a o i - 1 and sign s_i,
+    the sign of the basis function. The sign convention extends the group
+    law by (-a) o b = -(a o b). Requires an odd basis.
     """
-    n = m.basis.n
     dim = m.dim
     if not 1 <= a <= dim:
         raise ValueError("group element out of range")
-    for i in range(1, dim + 1):
-        pi = perm_sign(a, i, n)
-        for j in range(1, dim + 1):
-            pj = perm_sign(a, j, n)
-            if m.entries[i - 1][j - 1] != (
-                pi.sign * pj.sign * m.entries[pi.m - 1][pj.m - 1]
-            ):
-                return False
-    return True
+    if m.basis.kind == "even_cos":
+        raise ValueError("conjugation_invariance needs an odd basis")
+    folds = [m.basis.fold((2 * a - 1) * (2 * i - 1))
+             for i in range(1, dim + 1)]
+    return all(
+        m.entries[i][j] == si * sj * m.entries[ki][kj]
+        for i, (ki, si) in enumerate(folds)
+        for j, (kj, sj) in enumerate(folds))
 
 
 def power_sum(r: int, n: int) -> BasisVector:

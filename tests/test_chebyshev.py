@@ -19,7 +19,12 @@ from cospow.chebyshev import (
     verify_recursion,
     weighted_coefficient_sum_identity,
 )
-from cospow.exact import EvalContext, IntPolynomial, poly_mod_reduce
+from cospow.exact import (
+    EvalContext,
+    IntPolynomial,
+    odd_cos_basis,
+    poly_mod_reduce,
+)
 from cospow.minpoly import closed_minpoly
 
 
@@ -97,13 +102,11 @@ def test_inverse_index_range_check():
 def test_inverse_index_closes_to_identity_angle():
     """Composing angle maps i then inverse_index(i) lands on angle 1
     with positive sign, for every canonical index."""
-    from cospow.exact import fold_odd_cos_index
-
     for n in range(3, 8):
         for i in range(1, 2 ** (n - 2) + 1):
             k = inverse_index(i, n)
             t = (2 * i - 1) * (2 * k - 1)
-            assert fold_odd_cos_index(t, n) == (1, 1)
+            assert odd_cos_basis(n).fold(t) == (0, 1)
 
 
 def test_inverse_composition_mod_minpoly():

@@ -428,6 +428,14 @@ class TestFormatsAndOutput:
         assert r"\begin{pmatrix}" in out
         assert r"35 & 21 & 7 & 1 \\" in out
 
+    def test_tex_escapes_every_key(self, capsys):
+        code, out, _ = run(capsys, "sums", "--s", "3", "--n", "4",
+                           "--format", "tex")
+        assert code == 0
+        assert r"% csc\_weights: 8, 20, 28, 32" in out
+        assert r"% closed\_numeric: " in out
+        assert "csc_weights" not in out
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "m.json"
         code, out, _ = run(capsys, "matrix", "--n", "3", "--r", "3",

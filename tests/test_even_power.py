@@ -12,7 +12,7 @@ from cospow.even_power import (
     merca_numeric_lhs,
     merca_sum,
 )
-from cospow.exact import EvalContext, binom_int, fold_even_cos_index
+from cospow.exact import EvalContext, binom_int, even_cos_basis, quarter_fold
 from cospow.odd_power import verify_numeric
 
 R16_N4 = (
@@ -230,6 +230,18 @@ def test_fold_total_on_in_range_indices(nij):
     1 <= j < 2^{n-2}, j(2i-1) folds onto a non-constant basis element,
     never onto cos(pi/2) = 0, so even_matrix cannot raise."""
     n, i, j = nij
-    k, sign = fold_even_cos_index(j * (2 * i - 1), n)
+    k, sign = even_cos_basis(n).fold(j * (2 * i - 1))
     assert 1 <= k < 2 ** (n - 2)
     assert sign in (1, -1)
+
+
+def test_even_scatter_rows_are_permutations():
+    """The scatter assigns each entry to its fold target, so on the even
+    basis every row's targets must be all dim columns, once each; checked
+    exhaustively at n = 3..12 on the angles 2j(2i-1)pi/2^n it folds."""
+    for n in range(3, 13):
+        dim = 2 ** (n - 2)
+        for odd in range(1, 2 * dim, 2):
+            targets = sorted(quarter_fold(2 * j * odd, dim)[0]
+                             for j in range(dim))
+            assert targets == list(range(dim)), (n, odd)

@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from cospow.exact import (
     Basis,
@@ -21,8 +21,6 @@ from cospow.exact import (
     binom_real,
     even_cos_basis,
     exact_div,
-    fold_even_cos_index,
-    fold_odd_cos_index,
     int_mat_mul,
     odd_cos_basis,
     odd_sin_basis,
@@ -93,55 +91,57 @@ class TestBinomial:
 
 class TestFolding:
     def test_odd_fold_examples(self):
-        # n=4: angles t*pi/16, canonical odd indices 1,3,5,7 -> k=1..4
-        assert fold_odd_cos_index(1, 4) == (1, 1)
-        assert fold_odd_cos_index(7, 4) == (4, 1)
-        assert fold_odd_cos_index(9, 4) == (4, -1)   # cos(9pi/16) = -cos(7pi/16)
-        assert fold_odd_cos_index(15, 4) == (1, -1)
-        assert fold_odd_cos_index(17, 4) == (1, -1)  # period 2pi in t is 32
-        assert fold_odd_cos_index(-1, 4) == (1, 1)
+        # n=4: angles t*pi/16, canonical odd numerators 1,3,5,7 -> k=0..3
+        b = odd_cos_basis(4)
+        assert b.fold(1) == (0, 1)
+        assert b.fold(7) == (3, 1)
+        assert b.fold(9) == (3, -1)   # cos(9pi/16) = -cos(7pi/16)
+        assert b.fold(15) == (0, -1)
+        assert b.fold(17) == (0, -1)  # period 2pi in t is 32
+        assert b.fold(-1) == (0, 1)
 
     def test_odd_fold_rejects_even(self):
-        with pytest.raises(ValueError):
-            fold_odd_cos_index(2, 4)
-
-    @given(st.integers(-500, 500).map(lambda v: 2 * v + 1),
-           st.integers(2, 9))
-    def test_odd_fold_numeric(self, t, n):
-        ctx = EvalContext(128)
-        k, sign = fold_odd_cos_index(t, n)
-        assert 1 <= k <= 2 ** (n - 2)
-        assert sign in (1, -1)
-        lhs = ctx.cos(ctx.pi * t / 2**n)
-        rhs = sign * ctx.cos(ctx.pi * (2 * k - 1) / 2**n)
-        assert ctx.close(lhs, rhs)
+        for b in (odd_cos_basis(4), odd_sin_basis(4)):
+            with pytest.raises(ValueError):
+                b.fold(2)
 
     def test_even_fold_examples(self):
-        assert fold_even_cos_index(0, 4) == (0, 1)
-        assert fold_even_cos_index(3, 4) == (3, 1)
-        assert fold_even_cos_index(5, 4) == (3, -1)  # cos(5pi/8) = -cos(3pi/8)
-        assert fold_even_cos_index(8, 4) == (0, -1)  # cos(pi) = -1
-        assert fold_even_cos_index(16, 4) == (0, 1)
+        b = even_cos_basis(4)
+        assert b.fold(0) == (0, 1)
+        assert b.fold(3) == (3, 1)
+        assert b.fold(5) == (3, -1)  # cos(5pi/8) = -cos(3pi/8)
+        assert b.fold(8) == (0, -1)  # cos(pi) = -1
+        assert b.fold(16) == (0, 1)
 
     def test_even_fold_zero_raises(self):
         with pytest.raises(ZeroBasisElementError):
-            fold_even_cos_index(4, 4)
+            even_cos_basis(4).fold(4)
         with pytest.raises(ZeroBasisElementError):
-            fold_even_cos_index(12, 4)
+            even_cos_basis(4).fold(12)
 
-    @given(st.integers(-500, 500), st.integers(3, 9))
-    def test_even_fold_numeric(self, t, n):
+    @given(st.sampled_from(("odd_cos", "odd_sin", "even_cos")),
+           st.integers(2, 9), st.integers(-500, 500))
+    def test_fold_numeric(self, kind, n, v):
+        """sign * element(column) is the basis function at the folded
+        angle t*pi/2^m: 2^m = 2^n and t odd on the odd bases, 2^{n-1} and
+        any t on the even one, which rejects exactly cos(pi/2)."""
+        assume(kind != "even_cos" or n >= 3)
         ctx = EvalContext(128)
-        try:
-            k, sign = fold_even_cos_index(t, n)
-        except ZeroBasisElementError:
-            assert t % 2 ** (n - 1) == 2 ** (n - 2)
-            return
-        assert 0 <= k < 2 ** (n - 2)
-        lhs = ctx.cos(ctx.pi * t / 2 ** (n - 1))
-        rhs = sign * (ctx.one if k == 0
-                      else ctx.cos(ctx.pi * k / 2 ** (n - 1)))
-        assert ctx.close(lhs, rhs)
+        b = Basis(kind, n)
+        if kind == "even_cos":
+            t, angle = v, ctx.pi * v / 2 ** (n - 1)
+            if t % 2 ** (n - 1) == 2 ** (n - 2):
+                with pytest.raises(ZeroBasisElementError):
+                    b.fold(t)
+                return
+        else:
+            t = 2 * v + 1
+            angle = ctx.pi * t / 2**n
+        k, sign = b.fold(t)
+        assert 0 <= k < b.dim
+        assert sign in (1, -1)
+        g = ctx.sin if kind == "odd_sin" else ctx.cos
+        assert ctx.close(g(angle), sign * b.element(k, ctx))
 
 
 class TestBases:

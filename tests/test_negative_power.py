@@ -23,9 +23,7 @@ from cospow.negative_power import (
 from cospow.exact import odd_cos_basis, odd_sin_basis
 from cospow.odd_power import (
     gather,
-    perm_sign,
     scatter,
-    scatter_target,
     verify_numeric,
 )
 
@@ -152,21 +150,6 @@ def test_neg3_gather_equals_scatter():
 @given(st.integers(3, 9))
 def test_neg3_scatter_equals_gather_property(n):
     assert matrix_neg3(n) == matrix_neg3_gather(n)
-
-
-def test_scatter_target_reciprocal_sign():
-    """The reciprocal scatter reads its sign off scatter_target's fold
-    count: negative exactly when (p-1)//2^{n-1} is odd, p = 2ij-i-j+1, at
-    the position perm_sign gives; every (i, j) at n = 2..9."""
-    for n in range(2, 10):
-        dim = 2 ** (n - 2)
-        for i in range(1, dim + 1):
-            for j in range(1, dim + 1):
-                m, s = scatter_target(i, j, dim)
-                p = 2 * i * j - i - j + 1
-                assert m == perm_sign(i, j, n).m, (i, j, n)
-                assert bool(s & 2) == bool((p - 1) // 2 ** (n - 1) % 2), \
-                    (i, j, n)
 
 
 def test_neg3_entry_spot_values():

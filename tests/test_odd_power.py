@@ -5,8 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cospow.even_power import even_matrix
-from cospow.exact import EvalContext, ScaledMatrix, even_cos_basis, odd_cos_basis
+from cospow.even_power import even_first_row, even_matrix
+from cospow.exact import (
+    EvalContext,
+    ScaledMatrix,
+    even_cos_basis,
+    odd_cos_basis,
+    odd_sin_basis,
+)
 from cospow.negative_power import (
     cosine_basis_variant,
     matrix_neg1,
@@ -28,10 +34,8 @@ from cospow.odd_power import (
     is_normal,
     matrix_gather,
     matrix_scatter,
-    perm_sign,
     power_sum,
     scatter,
-    scatter_target,
     sine_basis_variant,
     verify_group_axioms,
     verify_numeric,
@@ -104,13 +108,19 @@ def test_scatter_equals_gather_property(rn):
     assert matrix_scatter(r, n) == matrix_gather(r, n)
 
 
-def test_routes_reject_bad_rows_and_bases():
+def test_routes_reject_bad_rows_and_bases(ctx):
     with pytest.raises(ValueError):
         scatter(first_row(7, 5)[:-1], odd_cos_basis(5), 6)
     with pytest.raises(ValueError):
         gather(first_row(7, 5), odd_cos_basis(5), 6)
+    # gather never folds, so it has no even-basis form
+    ext = [first_row_entry(7, 5, p) for p in range(1, 17)]
     with pytest.raises(ValueError):
-        scatter(first_row(7, 5), even_cos_basis(5), 6)
+        gather(ext, even_cos_basis(5), 6)
+    # the scatter serves the even basis as well
+    m = scatter(even_first_row(6, 5), even_cos_basis(5), 5)
+    assert m.basis == even_cos_basis(5)
+    assert verify_numeric(m, 6, ctx) < ctx.power(ctx.two, -128)
 
 
 def test_first_row_antisymmetry():
@@ -181,17 +191,37 @@ def test_verify_numeric_matches_per_entry_reference(prec):
     assert verify_numeric(bad, 7, ctx) == verify_numeric_per_entry(bad, 7, ctx)
 
 
-def test_scatter_target_equals_perm_sign():
-    """The scatter helper against the per-entry law, position and sign,
-    for every (i, j) at n = 2..9."""
+def perm_sign(i: int, j: int, n: int) -> tuple[int, int]:
+    """The angle law per entry, stated independently of the fold: where
+    row i sends row-1 column j (1-based) on the odd cosines, and the sign.
+
+    p = 2ij - i - j + 1 tracks the product of odd numbers (2i-1)(2j-1);
+    the quotient/residue pair of p against 2^{n-2} and 2^{n-1} yields the
+    folded position and the reflection sign.
+    """
+    dim = 2 ** (n - 2)
+    p = 2 * i * j - i - j + 1
+    s = (p - 1) // dim
+    m = (-1) ** s * (p - s * dim) % (dim + 1)
+    q = (dim + 2 * i * j - i - j) // 2 ** (n - 1)
+    return m, (-1) ** q
+
+
+def test_fold_equals_perm_sign_reference():
+    """Basis.fold against the per-entry law, for every (i, j) at n = 2..9:
+    the position on both odd bases, the cosine sign, and the sine sign,
+    which is negative exactly when (p-1)//2^{n-1} is odd."""
     for n in range(2, 10):
         dim = 2 ** (n - 2)
+        cos, sin = odd_cos_basis(n), odd_sin_basis(n)
         for i in range(1, dim + 1):
             for j in range(1, dim + 1):
-                ps = perm_sign(i, j, n)
-                m, s = scatter_target(i, j, dim)
-                assert m == ps.m, (i, j, n)
-                assert (-1 if (s + 1) & 2 else 1) == ps.sign, (i, j, n)
+                t = (2 * i - 1) * (2 * j - 1)
+                m, sign = perm_sign(i, j, n)
+                p = 2 * i * j - i - j + 1
+                sin_sign = -1 if (p - 1) // 2 ** (n - 1) % 2 else 1
+                assert cos.fold(t) == (m - 1, sign), (i, j, n)
+                assert sin.fold(t) == (m - 1, sin_sign), (i, j, n)
 
 
 def test_sine_variant(ctx):
@@ -247,7 +277,7 @@ class TestGroup:
         for n in range(2, 8):
             dim = 2 ** (n - 2)
             assert cayley_table(n) == tuple(
-                tuple(perm_sign(a, b, n).m for b in range(1, dim + 1))
+                tuple(perm_sign(a, b, n)[0] for b in range(1, dim + 1))
                 for a in range(1, dim + 1))
 
     def test_group_op_rejects_out_of_range(self):
@@ -284,9 +314,19 @@ class TestStructure:
             for a in range(1, m.dim + 1):
                 assert conjugation_invariance(m, a)
 
+    def test_conjugation_invariance_sine_basis(self):
+        """The sine-basis matrices relabel with the sine's fold signs."""
+        for n in range(3, 7):
+            for m in (sine_basis_variant(matrix_scatter(7, n)),
+                      matrix_neg3(n), matrix_neg5(n)):
+                for a in range(1, m.dim + 1):
+                    assert conjugation_invariance(m, a), (n, a)
+
     def test_conjugation_range_check(self):
         with pytest.raises(ValueError):
             conjugation_invariance(matrix_scatter(3, 4), 5)
+        with pytest.raises(ValueError):
+            conjugation_invariance(even_matrix(4, 4), 1)
 
     def test_rows_from_first_row_via_signed_relabeling(self):
         """Gather rows match scattering row 1 by perm_sign: the two routes
@@ -297,8 +337,8 @@ class TestStructure:
             dim = m.dim
             for i in range(1, dim + 1):
                 for j in range(1, dim + 1):
-                    ps = perm_sign(i, j, n)
-                    assert m.entries[i - 1][ps.m - 1] == ps.sign * row1[j - 1]
+                    k, sign = perm_sign(i, j, n)
+                    assert m.entries[i - 1][k - 1] == sign * row1[j - 1]
 
 
 def test_power_sum_frozen():

@@ -3,7 +3,7 @@
 import pytest
 
 import cospow
-from cospow import chebyshev, exact, minpoly, series
+from cospow import chebyshev, exact, minpoly, odd_power, series
 from cospow.even_power import even_matrix
 from cospow.negative_power import (
     matrix_neg1,
@@ -13,10 +13,12 @@ from cospow.negative_power import (
 )
 from cospow.odd_power import matrix_gather, matrix_scatter
 
-# wrappers that only forwarded a call, unwrapped a field or copied a body
+# wrappers that only forwarded a call, unwrapped a field or copied a body,
+# and the restatements of the angle law that Basis.fold replaced
 REMOVED = {
     exact: ("make_matrix", "int_mat_transpose", "poly_x", "poly_compose",
-            "pochhammer"),
+            "pochhammer", "fold_odd_cos_index", "fold_even_cos_index"),
+    odd_power: ("scatter_target", "perm_sign", "PermSign"),
     chebyshev: ("identity_poly", "OddChebyshev"),
     minpoly: ("MinPolyPair", "minpoly_pair"),
     series: ("sec_power_series", "csc_power_series",
