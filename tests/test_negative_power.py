@@ -152,6 +152,23 @@ def test_neg3_scatter_equals_gather_property(n):
     assert matrix_neg3(n) == matrix_neg3_gather(n)
 
 
+def test_scatter_target_reciprocal_sign():
+    """The reciprocal scatter folds onto the sine basis: the same position
+    as on the cosines, and a sign that is negative exactly when
+    (p-1)//2^{n-1} is odd, p = 2ij-i-j+1; every (i, j) at n = 2..9."""
+    for n in range(2, 10):
+        dim = 2 ** (n - 2)
+        cos, sin = odd_cos_basis(n), odd_sin_basis(n)
+        for i in range(1, dim + 1):
+            for j in range(1, dim + 1):
+                t = (2 * i - 1) * (2 * j - 1)
+                k, s = sin.fold(t)
+                p = 2 * i * j - i - j + 1
+                assert k == cos.fold(t)[0], (i, j, n)
+                assert (s == -1) == bool((p - 1) // 2 ** (n - 1) % 2), \
+                    (i, j, n)
+
+
 def test_neg3_entry_spot_values():
     assert matrix_neg3_entry(1, 1, 4) == 2
     assert matrix_neg3_entry(4, 3, 4) == -5

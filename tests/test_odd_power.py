@@ -11,7 +11,6 @@ from cospow.exact import (
     ScaledMatrix,
     even_cos_basis,
     odd_cos_basis,
-    odd_sin_basis,
 )
 from cospow.negative_power import (
     cosine_basis_variant,
@@ -207,21 +206,18 @@ def perm_sign(i: int, j: int, n: int) -> tuple[int, int]:
     return m, (-1) ** q
 
 
-def test_fold_equals_perm_sign_reference():
-    """Basis.fold against the per-entry law, for every (i, j) at n = 2..9:
-    the position on both odd bases, the cosine sign, and the sine sign,
-    which is negative exactly when (p-1)//2^{n-1} is odd."""
+def test_scatter_target_equals_perm_sign():
+    """Where the scatter sends each entry, Basis.fold of the product angle
+    (2i-1)(2j-1), against the per-entry law, position and sign, for every
+    (i, j) at n = 2..9."""
     for n in range(2, 10):
         dim = 2 ** (n - 2)
-        cos, sin = odd_cos_basis(n), odd_sin_basis(n)
+        b = odd_cos_basis(n)
         for i in range(1, dim + 1):
             for j in range(1, dim + 1):
-                t = (2 * i - 1) * (2 * j - 1)
                 m, sign = perm_sign(i, j, n)
-                p = 2 * i * j - i - j + 1
-                sin_sign = -1 if (p - 1) // 2 ** (n - 1) % 2 else 1
-                assert cos.fold(t) == (m - 1, sign), (i, j, n)
-                assert sin.fold(t) == (m - 1, sin_sign), (i, j, n)
+                assert b.fold((2 * i - 1) * (2 * j - 1)) == (m - 1, sign), \
+                    (i, j, n)
 
 
 def test_sine_variant(ctx):
