@@ -22,7 +22,6 @@ from .even_power import (
 from .exact import (
     Basis,
     BasisVector,
-    DyadicAngle,
     EvalContext,
     IntPolynomial,
     ScaledMatrix,
@@ -82,7 +81,6 @@ __all__ = [
     "Basis",
     "BasisVector",
     "CscPowerSum",
-    "DyadicAngle",
     "EvalContext",
     "IntPolynomial",
     "S_closed_form",

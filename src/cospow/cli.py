@@ -168,13 +168,14 @@ def _matrix_payload(m: ScaledMatrix, r: int) -> dict:
     }
 
 
-# largest level `matrix` and `verify` serve: the dense matrix has 4^{n-2}
-# entries, a million at n = 12
+# largest level `matrix`, `verify` and `group` serve: the dense matrix and
+# the Cayley table have 4^{n-2} entries, a million at n = 12
 MAX_MATRIX_N = 12
-# largest |r| they serve: an odd r costs about r/2^n rounds of r-bit
-# binomials per first-row entry, and entries carry up to r bits. At 4096
-# `verify --n 12` takes ~13 s and every entry prints within Python's
-# 4300-digit limit on int-to-str conversion (r = 16385 breaks it)
+# largest |r| `matrix` and `verify` serve: an odd r costs about r/2^n
+# rounds of r-bit binomials per first-row entry, and entries carry up to
+# r bits. At 4096 `verify --n 12` takes ~13 s and every entry prints
+# within Python's 4300-digit limit on int-to-str conversion (r = 16385
+# breaks it)
 MAX_MATRIX_R = 4096
 # largest 4^{n-2} |r| `matrix` prints: entries carry up to ~|r| bits (n = 11,
 # r = 63 is 3 MB of JSON, n = 12, r = 4095 1.2 GB); `verify` prints none
@@ -203,9 +204,6 @@ MAX_PRECISION = 2048
 MAX_BINOMIAL_WORK = 2**42
 # largest level `sums` serves: s = 8 at n = 12 takes 0.3 s
 MAX_SUMS_N = 12
-# largest level `group` serves: the associativity check visits all 8^{n-2}
-# triples, and n = 10 takes 3.7 s
-MAX_GROUP_N = 10
 
 
 def _build_matrix(r: int, n: int, basis: str) -> ScaledMatrix:
@@ -371,8 +369,8 @@ def cmd_sums(args) -> int:
 
 
 def cmd_group(args) -> int:
-    if not 3 <= args.n <= MAX_GROUP_N:
-        raise ArgumentProblem(f"group supports n in [3, {MAX_GROUP_N}]")
+    if not 3 <= args.n <= MAX_MATRIX_N:
+        raise ArgumentProblem(f"group supports n in [3, {MAX_MATRIX_N}]")
     table = cayley_table(args.n)
     verdicts = verify_group_axioms(args.n, table)
     payload = {
@@ -463,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("group", help="Cayley table and axioms of the "
                                       "angle-multiplication group")
     p.add_argument("--n", type=int, required=True,
-                   help=f"level n in [3, {MAX_GROUP_N}]")
+                   help=f"level n in [3, {MAX_MATRIX_N}]")
     _add_common(p)
     p.set_defaults(handler=cmd_group)
 

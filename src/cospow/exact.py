@@ -109,27 +109,6 @@ def quarter_fold(h: int, dim: int) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class DyadicAngle:
-    """The angle (2i-1)*pi/2^n as the integer pair (i, n)."""
-
-    i: int
-    n: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("DyadicAngle requires n >= 2")
-        if self.i < 1:
-            raise ValueError("DyadicAngle requires i >= 1")
-
-    @property
-    def canonical(self) -> bool:
-        return 1 <= self.i <= 2 ** (self.n - 2)
-
-    def radians(self, ctx: "EvalContext"):
-        return ctx.pi * (2 * self.i - 1) / 2**self.n
-
-
-@dataclass(frozen=True)
 class Basis:
     """A declared cosine or sine basis at level n.
 
@@ -455,12 +434,6 @@ class EvalContext:
 
     def sin(self, x):
         return self._mp.sin(x)
-
-    def acos(self, x):
-        return self._mp.acos(x)
-
-    def sqrt(self, x):
-        return self._mp.sqrt(x)
 
     def power(self, x, y):
         return self._mp.power(x, y)

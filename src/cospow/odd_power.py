@@ -153,11 +153,12 @@ def group_op(a: int, b: int, n: int) -> int:
 
 
 def group_inverse(a: int, n: int) -> int:
+    """The fold of (2a-1)^{2^{n-2}-1}, which inverts 2a-1 modulo 2^n
+    (Euler); gather_rows reduces the same power for each row."""
     dim = 2 ** (n - 2)
-    for x in range(1, dim + 1):
-        if group_op(a, x, n) == 1:
-            return x
-    raise ArithmeticError(f"no inverse for {a} at level {n}")
+    if not 1 <= a <= dim:
+        raise ValueError("group element out of range")
+    return quarter_fold(pow(2 * a - 1, dim - 1, 4 * dim), dim)[0] + 1
 
 
 def element_order(a: int, n: int) -> int:
@@ -190,10 +191,18 @@ def cayley_table(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def verify_group_axioms(n: int, table=None) -> dict[str, bool]:
-    """Closure, identity, commutativity, associativity, cyclicity of the
-    unsigned permutation law, checked exhaustively at level n.
+    """Closure, identity, commutativity, associativity and cyclicity of
+    the unsigned permutation law at level n, each read off table, which
+    is cayley_table(n) when the caller has not built it.
 
-    table is cayley_table(n) when the caller has already built it.
+    The walk g, g.g, (g.g).g, ... of the table's left powers of
+    g = find_generator(n) is cyclic when it covers all dim elements and
+    first returns to 1 at step dim. Associativity is Light's test
+    (Clifford & Preston, The Algebraic Theory of Semigroups I, 1961,
+    sec. 1.2): the a with (x.a).y = x.(a.y) for all x, y form a
+    submagma, so a covering walk and that identity for a = g certify the
+    whole table in O(dim^2). A walk that does not cover gives False,
+    never an uncertified True; the walk of a cayley_table always covers.
     """
     dim = 2 ** (n - 2)
     elems = range(1, dim + 1)
@@ -204,18 +213,20 @@ def verify_group_axioms(n: int, table=None) -> dict[str, bool]:
                    for b in elems)
     commutative = all(table[a - 1][b - 1] == table[b - 1][a - 1]
                       for a in elems for b in elems)
-    associative = all(
-        table[table[a - 1][b - 1] - 1][c - 1]
-        == table[a - 1][table[b - 1][c - 1] - 1]
-        for a in elems for b in elems for c in elems
-    )
-    cyclic = element_order(find_generator(n), n) == dim
+    g = find_generator(n)
+    walk = [g]
+    while closure and len(walk) < dim:
+        walk.append(table[walk[-1] - 1][g - 1])
+    covers = closure and sorted(walk) == list(elems)
+    associative = covers and all(
+        list(table[row[g - 1] - 1]) == [row[v - 1] for v in table[g - 1]]
+        for row in table)
     return {
         "closure": closure,
         "identity": identity,
         "commutative": commutative,
         "associative": associative,
-        "cyclic": cyclic,
+        "cyclic": covers and walk[-1] == 1,
     }
 
 
@@ -230,7 +241,7 @@ def verify_numeric(m: ScaledMatrix, r: int, ctx: EvalContext):
     is basis element i-1, so the left side reads the same table; only the
     even basis needs a second one, of odd-angle cosines.
     """
-    scale = ctx.power(ctx.two, -m.log2_denom)
+    scale = m.scale(ctx)
     vals = m.basis.values(ctx)
     if m.basis.kind == "even_cos":
         g_vals = odd_cos_basis(m.basis.n).values(ctx)

@@ -233,10 +233,18 @@ class TestGroup:
         assert doc["cayley"][0] == ["1", "2", "3", "4"]
         assert len(doc["cayley"]) == 4
 
+    def test_level_11_served(self, capsys):
+        code, doc, _ = run_json(capsys, "group", "--n", "11")
+        assert code == 0
+        assert all(doc["verdicts"].values())
+        assert len(doc["cayley"]) == 512
+        assert all(len(row) == 512 for row in doc["cayley"])
+
     def test_out_of_range(self, capsys):
-        code, _, err = run(capsys, "group", "--n", "11")
+        code, out, err = run(capsys, "group", "--n", "13")
         assert code == 2
-        assert "error:" in err
+        assert out == ""
+        assert err == "error: group supports n in [3, 12]\n"
 
     def test_failure_path(self, capsys, monkeypatch):
         broken = {"closure": True, "identity": True, "commutative": False,
@@ -344,8 +352,8 @@ class TestOutputCaps:
     def test_level_range_messages(self, capsys):
         _, _, err = run(capsys, "sums", "--s", "4", "--n", "13")
         assert err == "error: sums supports n in [3, 12]\n"
-        _, _, err = run(capsys, "group", "--n", "11")
-        assert err == "error: group supports n in [3, 10]\n"
+        _, _, err = run(capsys, "group", "--n", "13")
+        assert err == "error: group supports n in [3, 12]\n"
 
 
 def _binomial_most(capsys, n: str) -> int:

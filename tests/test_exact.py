@@ -12,7 +12,6 @@ from hypothesis import given, strategies as st
 from cospow.exact import (
     Basis,
     BasisVector,
-    DyadicAngle,
     EvalContext,
     IntPolynomial,
     ScaledMatrix,
@@ -172,14 +171,6 @@ class TestBases:
             even_cos_basis(2)
         with pytest.raises(IndexError):
             odd_cos_basis(4).element(4, EvalContext(64))
-
-    def test_dyadic_angle(self, ctx):
-        a = DyadicAngle(2, 4)
-        assert a.canonical
-        assert not DyadicAngle(5, 4).canonical
-        assert ctx.close(a.radians(ctx), 3 * ctx.pi / 16)
-        with pytest.raises(ValueError):
-            DyadicAngle(0, 4)
 
 
 class TestScaledMatrix:

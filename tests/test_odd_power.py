@@ -1,10 +1,12 @@
 """Odd-power matrices: dual construction, group law, spectral structure."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cospow.chebyshev import inverse_index
 from cospow.even_power import even_first_row, even_matrix
 from cospow.exact import (
     EvalContext,
@@ -231,11 +233,74 @@ def test_sine_variant(ctx):
         sine_basis_variant(s)
 
 
+def exhaustive_associative(table) -> bool:
+    """The reference route to associativity: every triple, O(dim^3)."""
+    dim = len(table)
+    return all(table[table[a][b] - 1][c] == table[a][table[b][c] - 1]
+               for a in range(dim) for b in range(dim) for c in range(dim))
+
+
+def swap_symmetric_pairs(table, a, b, c, d):
+    """table with the values at {(a, b), (b, a)} and {(c, d), (d, c)}
+    (0-based) exchanged, so a commutative table stays commutative."""
+    rows = [list(row) for row in table]
+    u, v = rows[a][b], rows[c][d]
+    rows[a][b] = rows[b][a] = v
+    rows[c][d] = rows[d][c] = u
+    return tuple(map(tuple, rows))
+
+
 class TestGroup:
     def test_axioms_small_levels(self):
-        for n in range(3, 7):
+        for n in range(2, 12):
             verdicts = verify_group_axioms(n)
             assert all(verdicts.values()), (n, verdicts)
+
+    def test_certificate_matches_exhaustive_reference(self):
+        for n in range(3, 9):
+            table = cayley_table(n)
+            assert exhaustive_associative(table), n
+            assert verify_group_axioms(n, table)["associative"], n
+
+    def test_certificate_on_perturbed_tables(self):
+        """Swapped symmetric cell pairs keep the table commutative. The
+        certificate never says True where the reference says False, and
+        it agrees with the reference wherever the generator's walk covers
+        the table; some such walks survive the swap, so Light's identity
+        itself rejects those tables. A walk that does not cover gives
+        False even on an associative table (n = 3 has one)."""
+        rng = random.Random(10)
+        caught_by_identity = 0
+        for n in range(3, 7):
+            dim = 2 ** (n - 2)
+            g = find_generator(n)
+            for trial in range(40):
+                cells = [rng.randrange(dim) for _ in range(4)]
+                if trial % 2:
+                    cells[1] = g - 1    # a cell of the generator's column
+                table = swap_symmetric_pairs(cayley_table(n), *cells)
+                verdicts = verify_group_axioms(n, table)
+                reference = exhaustive_associative(table)
+                assert verdicts["commutative"]
+                assert reference or not verdicts["associative"], (n, cells)
+                if verdicts["cyclic"]:
+                    assert verdicts["associative"] == reference, (n, cells)
+                caught_by_identity += verdicts["cyclic"] \
+                    and not verdicts["associative"]
+        assert caught_by_identity
+
+    def test_corrupted_generator_row_is_not_cyclic(self):
+        """cyclic reads the table it is given: with the generator's row
+        made the identity row, g.g = g and the walk never covers."""
+        for n in range(3, 8):
+            dim = 2 ** (n - 2)
+            g = find_generator(n)
+            rows = list(cayley_table(n))
+            rows[g - 1] = tuple(range(1, dim + 1))
+            verdicts = verify_group_axioms(n, tuple(rows))
+            assert verdicts["closure"]
+            assert not verdicts["cyclic"], n
+            assert not verdicts["associative"], n
 
     def test_identity_element(self):
         for n in (3, 4, 5):
@@ -251,6 +316,17 @@ class TestGroup:
                 inv = group_inverse(a, n)
                 assert group_op(a, inv, n) == 1
                 assert dim % element_order(a, n) == 0
+
+    def test_inverse_is_fold_of_inverse_index(self):
+        for n in range(3, 11):
+            basis = odd_cos_basis(n)
+            for a in range(1, 2 ** (n - 2) + 1):
+                inv = group_inverse(a, n)
+                assert inv == basis.fold(2 * inverse_index(a, n) - 1)[0] + 1
+                assert group_op(a, inv, n) == 1
+        for a in (0, 5):
+            with pytest.raises(ValueError):
+                group_inverse(a, 4)
 
     def test_generator_matches_search(self):
         """find_generator's closed answer against the O(dim^2) search for

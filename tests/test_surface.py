@@ -14,10 +14,12 @@ from cospow.negative_power import (
 from cospow.odd_power import matrix_gather, matrix_scatter
 
 # wrappers that only forwarded a call, unwrapped a field or copied a body,
-# and the restatements of the angle law that Basis.fold replaced
+# the restatements of the angle law that Basis.fold replaced, and names
+# no code called
 REMOVED = {
     exact: ("make_matrix", "int_mat_transpose", "poly_x", "poly_compose",
-            "pochhammer", "fold_odd_cos_index", "fold_even_cos_index"),
+            "pochhammer", "fold_odd_cos_index", "fold_even_cos_index",
+            "DyadicAngle"),
     odd_power: ("scatter_target", "perm_sign", "PermSign"),
     chebyshev: ("identity_poly", "OddChebyshev"),
     minpoly: ("MinPolyPair", "minpoly_pair"),
@@ -40,7 +42,8 @@ def test_removed_wrappers_are_gone():
             assert not hasattr(module, name), (module.__name__, name)
     for name in ("eval_exact", "eval_real", "eval_complex"):
         assert not hasattr(exact.IntPolynomial, name), name
-    assert not hasattr(exact.EvalContext, "angle")
+    for name in ("angle", "acos", "sqrt"):
+        assert not hasattr(exact.EvalContext, name), name
 
 
 @pytest.mark.parametrize("n", range(3, 8))
