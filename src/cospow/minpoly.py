@@ -14,11 +14,16 @@ is the closed one (constant term +1). At n = 2 the nested expression gives
 sign. nested_minpoly therefore requires n >= 3, and the halving recursion
 below uses the 2x^2 - 1 normalization at n = 2 so that the identity
 f_n(2x^2 - 1) = f_{n+1}(x) is exact for every n >= 2.
+
+The Newton power sums of 4cos^2 t_i below read the closed coefficients.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
+from itertools import count
+from operator import mul
 
 from .exact import (
     EvalContext,
@@ -29,26 +34,32 @@ from .exact import (
 )
 
 
-def closed_minpoly(n: int) -> IntPolynomial:
-    """Closed-form f_n, constant term +1, degree 2^{n-1}. Requires n >= 2.
+def _closed_coefficients(n: int):
+    """The even coefficients c_{n,0} = 1, c_{n,1}, ..., c_{n,2^{n-2}} of
+    closed_minpoly(n), streamed so a caller can stop early. n >= 2.
 
     The binomial b_m = C(h+m, h-m), h = 2^{n-2}, is stepped from b_{m-1}
     by the ratio (h+m)(h-m+1) / ((2m)(2m-1)) instead of being recomputed
     for every coefficient. Both that step and the division by h+m are
     known integralities, checked by exact_div.
     """
-    if n < 2:
-        raise ValueError("closed_minpoly requires n >= 2")
     half = 2 ** (n - 2)
-    coeffs = [0] * (2 ** (n - 1) + 1)
-    coeffs[0] = 1
+    yield 1
     b = 1
     for m in range(1, half + 1):
         b = exact_div(b * (half + m) * (half - m + 1), 2 * m * (2 * m - 1),
                       "closed_minpoly binomial step")
         q = exact_div(b << (n + 2 * m - 2), half + m,
                       "closed_minpoly coefficient")
-        coeffs[2 * m] = -q if m % 2 else q
+        yield -q if m % 2 else q
+
+
+def closed_minpoly(n: int) -> IntPolynomial:
+    """Closed-form f_n, constant term +1, degree 2^{n-1}. Requires n >= 2."""
+    if n < 2:
+        raise ValueError("closed_minpoly requires n >= 2")
+    coeffs = [0] * (2 ** (n - 1) + 1)
+    coeffs[::2] = _closed_coefficients(n)
     return IntPolynomial(coeffs)
 
 
@@ -65,6 +76,63 @@ def nested_minpoly(n: int) -> IntPolynomial:
         q = q * q - IntPolynomial([2])
     return IntPolynomial([exact_div(c, 2, "nested_minpoly halving")
                           for c in q.coeffs])
+
+
+def _two_cos_even_coefficients(n: int):
+    """h_m = +-2 c_{n,m}/4^m, m = 0..2^{n-2}, the coefficient of y^{2m}
+    in monic_two_cos_poly(n) (x = y/2, doubled), so h_0 = 2 for n >= 3.
+    The leading one is (-1)^{2^{n-2}}: the sign flips only at n = 2."""
+    sign = -1 if n == 2 else 1
+    for m, c in enumerate(_closed_coefficients(n)):
+        yield sign * exact_div(2 * c, 4**m, "monic_two_cos_poly")
+
+
+def monic_two_cos_poly(n: int) -> IntPolynomial:
+    """Monic integer polynomial with roots 2cos((2i-1)pi/2^n), n >= 2."""
+    if n < 2:
+        raise ValueError("monic_two_cos_poly requires n >= 2")
+    coeffs = [0] * (2 ** (n - 1) + 1)
+    coeffs[::2] = _two_cos_even_coefficients(n)
+    return IntPolynomial(coeffs)
+
+
+def _newton_step(cs: list[int], recent, m: int, dim: int) -> int:
+    """A(m), m >= 1, by Newton's identities on the averages
+    A(p) = P(p)/dim of the power sums P(p) of dim roots.
+
+    cs holds the signed elementary symmetric functions (-1)^{k+1} e_k of
+    the roots for k = 1..min(m, dim) at least; recent holds A(m-1),
+    A(m-2), ... most recent first, at least min(m, dim) of them, with
+    A(0) = 1. Newton's identity for P(m) ends in m e_m instead of
+    e_m P(0) while m <= dim; after dividing by dim that swap leaves the
+    correction (m - dim) cs_m / dim, an integer when A(m) is. Beyond dim
+    the step is the plain linear recurrence.
+    """
+    acc = sum(map(mul, cs, recent))
+    if m <= dim:
+        acc += exact_div((m - dim) * cs[m - 1], dim, "Newton step")
+    return acc
+
+
+def _newton_averages(cs: list[int], dim: int):
+    """A(0) = 1, A(1), ... by _newton_step, keeping only the last len(cs)
+    averages, the window the step reads."""
+    window = deque([1], maxlen=len(cs))
+    yield 1
+    for m in count(1):
+        avg = _newton_step(cs, window, m, dim)
+        window.appendleft(avg)
+        yield avg
+
+
+def _average_stream(level: int):
+    """Integer averages A(p) = (1/2^{level-2}) sum_i (2cos t_i)^{2p},
+    p = 0, 1, ..., over the level angles t_i, level >= 2, by Newton's
+    identities on the roots x_i = 4cos^2 t_i of the monic even part h of
+    monic_two_cos_poly(level), whose (-1)^{k+1} e_k are -h_{dim-k}.
+    Binomial sums would need C(2p, p) at p in the thousands."""
+    h = list(_two_cos_even_coefficients(level))
+    return _newton_averages([-c for c in reversed(h[:-1])], len(h) - 1)
 
 
 def verify_minpoly_roots(n: int, ctx: EvalContext):

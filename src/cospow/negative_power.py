@@ -1,26 +1,30 @@
-"""Reciprocal powers 1/cos and 1/sin^3, 1/sin^5 over the dyadic bases.
+"""Reciprocal powers 1/cos and 1/sin^3, 1/sin^5 over the dyadic bases,
+and the cosecant power sums S(s, n) = sum_i csc^s((2i-1)pi/2^n).
 
 The reciprocal of a dyadic cosine is again an integer combination of the
 same cosines divided by 2: the matrix for r = -1 has every entry +-1, its
-first row alternating. For 1/sin^3 and 1/sin^5 the entries grow
-polynomially in the column index, scaled by 2^3 resp. 2^5; those first
-rows are csc3_weight/2 and csc5_weight/24, the zeta(3) and zeta(5)
-weights. Like the odd positive powers, each matrix is its first row sent
-through odd_power's scatter or gather, and each family has both routes:
-the scatter folds every angle by exact.quarter_fold and signs it by the
-basis function (cosine for r = -1, sine for r = -3, -5), and the row
-polynomials stay integral on the extended range 1..2^{n-1} the gather
-reads.
+first row alternating. For 1/sin^3 and 1/sin^5 the first row is the
+weight vector of the odd cosecant sum S(-r, n) over 2^{-r-1}, scaled by
+2^3 resp. 2^5; the zeta(3) and zeta(5) sums read the same weights. Like
+the odd positive powers, each matrix is its first row sent through
+odd_power's scatter or gather, and each family has both routes: the
+scatter folds every angle by exact.quarter_fold and signs it by the
+basis function (cosine for r = -1, sine for r = -3, -5), and the gather
+reads the row on the extended range 1..2^{n-1}.
 
-The scalar sums sum_i csc^s((2i-1)pi/2^n) close in exact rationals for
-even s and in quadratic-through-sextic weight vectors against the
-cosecants themselves for odd s; S_closed_form packages both shapes.
+S(s, n) closes in an exact rational for even s and in an integer weight
+vector against the cosecants themselves for odd s; S_closed_form
+packages both shapes. Both come from one exact route, odd_csc_weights,
+which derives them from the level polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import accumulate, islice
+from operator import or_
 
 from .exact import (
     EvalContext,
@@ -29,6 +33,7 @@ from .exact import (
     odd_cos_basis,
     odd_sin_basis,
 )
+from .minpoly import _newton_averages, _two_cos_even_coefficients
 from .odd_power import gather, gather_rows, scatter
 
 
@@ -44,55 +49,75 @@ def matrix_neg1(n: int) -> ScaledMatrix:
     return gather(alternating, odd_cos_basis(n), -1)
 
 
-def csc3_weight(n: int, j: int) -> int:
-    """Weight on csc((2j-1)pi/2^n) in the zeta(3) sum: -j^2+(2^{n-1}+1)j-2^{n-2}."""
-    return -j * j + (2 ** (n - 1) + 1) * j - 2 ** (n - 2)
+def _even_power_sums(n: int, top: int) -> list[int]:
+    """S(2k, n), k = 0..top, n >= 3; see odd_csc_weights."""
+    dim = 2 ** (n - 2)
+    h = list(islice(_two_cos_even_coefficients(n), top + 1))
+    cs = [-exact_div(4**k * c, h[0], "reciprocal Newton coefficient")
+          for k, c in enumerate(h[1:], start=1)]
+    return [dim * a for a in islice(_newton_averages(cs, dim), top + 1)]
 
 
-def csc5_weight(n: int, j: int) -> int:
-    """Weight on csc((2j-1)pi/2^n) in the zeta(5) sum, a quartic in j."""
-    return (j**4 - 2 * (2 ** (n - 1) + 1) * j**3
-            + (3 * 2 ** (n - 1) - 1) * j**2
-            + 2 * (2 ** (n - 2) + 2 ** (3 * n - 4) + 1) * j
-            - 2 ** (n - 1) * (2 ** (2 * n - 3) + 1))
+def odd_csc_weights(s: int, n: int) -> list[int]:
+    """Integer weights w_1..w_{2^{n-2}} with S(s, n) = sum_j w_j
+    csc((2j-1)pi/2^n), odd s >= 3, n >= 3: the one exact route to every
+    cosecant closed form, derived from the level polynomial.
 
+    Even powers. x_i = 4cos^2 t_i, t_i = (2i-1)pi/2^n, i = 1..N = 2^{n-2},
+    are the roots of the even part h of monic_two_cos_poly(n), and
+    {sin^2 t_i} = {cos^2 t_i}, so S(2k, n) = sum_i (4/x_i)^k. The 4/x_i
+    are the roots of the reversed h scaled by 4, whose signed elementary
+    symmetric functions (-1)^{k+1} e_k are -4^k h_k/h_0; Newton's
+    identities on them give the power sums from h_0..h_k alone
+    (_even_power_sums).
 
-def row1_neg3(n: int, j: int) -> int:
-    """First-row entry j of the 1/sin^3 matrix: csc3_weight(n, j)/2."""
-    return exact_div(csc3_weight(n, j), 2, "row1_neg3")
-
-
-def row1_neg5(n: int, j: int) -> int:
-    """First-row entry j of the 1/sin^5 matrix: csc5_weight(n, j)/24.
-
-    Integral for n >= 4. At n = 3 the quartic over 24 gives 3/2 and 7/2,
-    so that one level is carried over 2^4 instead; see matrix_neg5.
+    Odd powers, s = 2m+1. The weights are the sine coefficients of csc^s
+    over the level, csc^s t_i = 2 sum_j w_j sin((2j-1)t_i) for every i
+    (the 1/sin^s matrix row; see reciprocal_first_row). The odd sines
+    are orthogonal there, sum_i sin((2j-1)t_i) sin((2k-1)t_i) =
+    (N/2) delta_jk, and csc t sin((2j-1)t) = 1 + 2 sum_{k=1}^{j-1} cos 2kt,
+    so with D_m(k) = sum_i csc^{2m} t_i cos 2kt_i
+        w_j = (D_m(0) + 2 sum_{k=1}^{j-1} D_m(k)) / N.
+    Since (1 - cos 2t) cos 2kt = cos 2kt - (cos 2(k+1)t + cos 2(k-1)t)/2
+    and 1 - cos 2t = 2 sin^2 t,
+        D_m(k+1) = 2 D_m(k) - D_m(k-1) - 4 D_{m-1}(k),
+        D_m(1) = D_m(0) - 2 D_{m-1}(0),
+    from D_m(0) = S(2m, n) and D_0(k) = N [k = 0], 0 <= k < N. That is
+    O(s N) integer steps, each division exact.
     """
-    return exact_div(csc5_weight(n, j), 24, "row1_neg5")
-
-
-def _row1_neg5_doubled(n: int, j: int) -> int:
-    # doubled entry for the n = 3 matrix over 2^4
-    return exact_div(csc5_weight(n, j), 12, "doubled row1_neg5")
+    dim = 2 ** (n - 2)
+    sums = _even_power_sums(n, (s - 1) // 2)
+    d = [dim] + [0] * (dim - 1)
+    for total in sums[1:]:
+        prev = d
+        d = [total, total - 2 * prev[0]]
+        for k in range(1, dim - 1):
+            d.append(2 * d[k] - d[k - 1] - 4 * prev[k])
+    return [exact_div(t, dim, "csc weight") for t in
+            accumulate((2 * x for x in d[1:dim]), initial=d[0])]
 
 
 def reciprocal_first_row(r: int, n: int, length: int) \
         -> tuple[list[int], int]:
     """Columns 1..length of the 1/sin^{-r} first row, r = -3 or -5, n >= 3,
     and the log2 denominator of its matrix: 2^{n-2} columns feed the
-    scatter, 2^{n-1} the gather. (r, n) = (-5, 3) takes the doubled row
-    over 2^4."""
+    scatter, 2^{n-1} the gather.
+
+    The row is w = odd_csc_weights(-r, n) over 2^e, e the smaller of -r-1
+    and the least 2-adic valuation of the w_j, so the matrix comes over
+    2^{e+1}: 2^{-r} except at (r, n) = (-5, 3). Columns past N = 2^{n-2}
+    mirror the first, as sin((4N+1-2j)t_i) = sin((2j-1)t_i).
+    """
     if n < 3:
         raise ValueError("reciprocal sine matrices require n >= 3")
-    if r == -3:
-        entry, log2_denom = row1_neg3, -3
-    elif r == -5 and n == 3:
-        entry, log2_denom = _row1_neg5_doubled, -4
-    elif r == -5:
-        entry, log2_denom = row1_neg5, -5
-    else:
+    if r not in (-3, -5):
         raise ValueError("r must be -3 or -5")
-    return [entry(n, j) for j in range(1, length + 1)], log2_denom
+    if not 0 <= length <= 2 ** (n - 1):
+        raise ValueError("a reciprocal first row has 2^(n-1) columns")
+    w = odd_csc_weights(-r, n)
+    low = reduce(or_, w)
+    e = min(-r - 1, (low & -low).bit_length() - 1)
+    return [x >> e for x in (w + w[::-1])[:length]], -e - 1
 
 
 def matrix_neg3(n: int) -> ScaledMatrix:
@@ -104,7 +129,7 @@ def matrix_neg3(n: int) -> ScaledMatrix:
 def matrix_neg5(n: int) -> ScaledMatrix:
     """1/sin^5((2i-1)pi/2^n) = 2^5 sum_j M[i,j] sin((2j-1)pi/2^n), n >= 4.
 
-    n = 3 is the one level where the quartic row over 24 is half-integral:
+    n = 3 is the one level where the row over 2^5 is half-integral:
     csc^5(pi/8) = 48 sin(pi/8) + 112 sin(3pi/8), so the 2x2 matrix comes
     back over 2^4 with entries ((3, 7), (-7, 3)) instead.
     """
@@ -114,8 +139,10 @@ def matrix_neg5(n: int) -> ScaledMatrix:
 
 def matrix_neg3_entry(i: int, j: int, n: int) -> int:
     """One entry of matrix_neg3 from the gather's row i alone, no scatter
-    pass and no other row."""
+    pass and no other row. i, j in 1..2^{n-2}."""
     row, _ = reciprocal_first_row(-3, n, 2 ** (n - 1))
+    if not (1 <= i <= len(row) // 2 and 1 <= j <= len(row) // 2):
+        raise ValueError("matrix_neg3 entries are indexed 1..2^(n-2)")
     return next(gather_rows(row, n, (i,)))[j - 1]
 
 
@@ -172,54 +199,18 @@ class CscPowerSum:
         return tot
 
 
-def _weight3(n: int, j: int) -> Fraction:
-    return Fraction(2 * csc3_weight(n, j))
-
-
-def _weight5(n: int, j: int) -> Fraction:
-    return Fraction(2 * csc5_weight(n, j), 3)
-
-
-def _weight7(n: int, j: int) -> Fraction:
-    return Fraction(
-        -4 * j**6 + 12 * (2 ** (n - 1) + 1) * j**5
-        - 10 * (3 * 2 ** (n - 1) - 2) * j**4
-        - 20 * (2 ** (3 * n - 3) + 2 ** n + 3) * j**3
-        + 2 * (15 * 2 ** (3 * n - 3) + 45 * 2 ** (n - 1) - 8) * j**2
-        + 4 * (3 * 2 ** (5 * n - 5) + 5 * 2 ** (3 * n - 3)
-               + 4 * 2 ** (n - 1) + 12) * j
-        - 3 * (2 ** (5 * n - 4) + 5 * 2 ** (3 * n - 3) + 2 ** (n + 2)),
-        45,
-    )
-
-
 def S_closed_form(s: int, n: int) -> CscPowerSum:
-    """Closed form of the cosecant power sum for s in [2, 8], n >= 3."""
+    """Closed form of the cosecant power sum for integer s in [2, 8],
+    n >= 3, read off odd_csc_weights and its even power sums."""
+    if not isinstance(s, int) or not 2 <= s <= 8:
+        raise ValueError("s must be an integer in [2, 8]")
     if n < 3:
         raise ValueError("S_closed_form requires n >= 3")
-    dim = 2 ** (n - 2)
-    if s == 2:
-        return CscPowerSum(s, n, scalar=Fraction(2 ** (2 * n - 3)))
-    if s == 4:
+    if s % 2 == 0:
         return CscPowerSum(s, n, scalar=Fraction(
-            2 ** (4 * n - 4) + 2 ** (2 * n - 1), 6))
-    if s == 6:
-        return CscPowerSum(s, n, scalar=Fraction(
-            2 ** (6 * n - 5) + 5 * 2 ** (4 * n - 4) + 2 ** (2 * n + 1), 30))
-    if s == 8:
-        return CscPowerSum(s, n, scalar=Fraction(
-            17 * 2 ** (8 * n - 8) + 56 * 2 ** (6 * n - 6)
-            + 98 * 2 ** (4 * n - 4) + 144 * 2 ** (2 * n - 2), 630))
-    if s == 3:
-        w = _weight3
-    elif s == 5:
-        w = _weight5
-    elif s == 7:
-        w = _weight7
-    else:
-        raise ValueError("s must be in [2, 8]")
+            _even_power_sums(n, s // 2)[-1]))
     return CscPowerSum(s, n, csc_weights=tuple(
-        w(n, j) for j in range(1, dim + 1)))
+        map(Fraction, odd_csc_weights(s, n))))
 
 
 def direct_csc_power_sum(s: int, n: int, ctx: EvalContext):

@@ -5,7 +5,8 @@ over the level-n angles t_i converges to zeta(s) as n grows; at s = 2 it
 is exactly pi^2/6 at every level. Expanding each sine power as a binomial
 series in cosines turns the same quantity into a series whose inner sums
 are the exact integer power averages of 2cos over level n-1. Weighted
-cosecant sums give zeta(3) and zeta(5) directly. Each finite level also
+cosecant sums give zeta(3) and zeta(5) directly, their weights read off
+negative_power.odd_csc_weights. Each finite level also
 carries exact identities: the binomial series at fixed n equals the
 weighted cosecant sum at the same n, and a factorial-weighted variant
 converges to a closed Bernoulli-number expression.
@@ -22,17 +23,15 @@ numbers; zeta(3) and zeta(5) frozen to 30 significant digits.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from operator import mul
 from typing import NamedTuple
 
-from .exact import EvalContext, IntPolynomial, exact_div, odd_sin_basis
-from .minpoly import closed_minpoly
-from .negative_power import csc3_weight, csc5_weight
+from .exact import EvalContext, exact_div, odd_sin_basis
+from .minpoly import _average_stream, monic_two_cos_poly  # noqa: F401
+from .negative_power import odd_csc_weights
 from .series import (RATIO_BITS, SeriesResult, as_fraction,
                      tail_is_negligible)
 
@@ -115,77 +114,6 @@ def reference_zeta(s, ctx: EvalContext):
 def _reference_error(value, s, ctx: EvalContext):
     ref = reference_zeta(s, ctx)
     return None if ref is None else ctx.fabs(value - ref)
-
-
-def monic_two_cos_poly(n: int) -> IntPolynomial:
-    """Monic integer polynomial with roots 2cos((2i-1)pi/2^n), n >= 2.
-
-    Substituting x = y/2 into the level-n minimal polynomial clears to an
-    integer polynomial whose leading coefficient is +-1; the sign is
-    normalized to +1.
-    """
-    f = closed_minpoly(n)
-    out = []
-    for k, c in enumerate(f.coeffs):
-        out.append(exact_div(2 * c, 2**k, "monic_two_cos_poly"))
-    if out[-1] < 0:
-        out = [-c for c in out]
-    return IntPolynomial(out)
-
-
-def _newton_coefficients(level: int) -> list[int]:
-    """Signed coefficients (-1)^{k+1} e_k, k = 1..2^{level-2}, of the Newton
-    step for the power sums of x_i = 4cos^2 t_i over the level angles.
-
-    The e_k are the elementary symmetric functions of the x_i, read off
-    the even part of monic_two_cos_poly(level).
-    """
-    dim = 2 ** (level - 2)
-    g = monic_two_cos_poly(level)
-    # even part: g has only even-degree terms, roots come in +- pairs
-    h = g.coeffs[::2]
-    if len(h) != dim + 1 or h[-1] != 1:
-        raise ArithmeticError("even part of the 2cos polynomial is not "
-                              "monic of degree 2^(level-2)")
-    return [-h[dim - k] for k in range(1, dim + 1)]
-
-
-def _newton_step(cs: list[int], recent, m: int) -> int:
-    """A(m), m >= 1, by Newton's identities on the averages.
-
-    recent holds A(m-1), A(m-2), ... most recent first, at least
-    min(m, dim) of them, with A(0) = 1. Newton's identity for the power
-    sums P(m) = dim A(m) ends in m e_m instead of e_m P(0) while
-    m <= dim; after dividing by dim that swap leaves the correction
-    (m - dim) cs_m / dim, an integer because A(m) is. Beyond dim the step
-    is the plain linear recurrence.
-    """
-    acc = sum(map(mul, cs, recent))
-    dim = len(cs)
-    if m <= dim:
-        acc += exact_div((m - dim) * cs[m - 1], dim, "Newton step")
-    return acc
-
-
-def _average_stream(level: int):
-    """Integer averages A(p) = (1/2^{level-2}) sum_i (2cos t_i)^{2p} for
-    p = 0, 1, ..., t_i over the canonical level angles.
-
-    Computed by Newton's identities on the even part of
-    monic_two_cos_poly(level): binomial sums would need C(2p, p) at p in
-    the thousands, while each Newton step is a short integer convolution.
-    A(0) = 1. Keeps only the last dim averages, the window the Newton step
-    reads.
-    """
-    cs = _newton_coefficients(level)
-    window = deque([1], maxlen=len(cs))
-    yield 1
-    m = 1
-    while True:
-        avg = _newton_step(cs, window, m)
-        window.appendleft(avg)
-        yield avg
-        m += 1
 
 
 class AvgPowers:
@@ -348,10 +276,19 @@ def zeta_binomial_series(s, n: int, max_terms: int,
     )
 
 
-def _weighted_csc_sum(weight, n: int, ctx: EvalContext):
+def _zeta_weights(s_odd: int, n: int) -> list[int]:
+    """The integer weights of the zeta(3) and zeta(5) cosecant sums: w_j/2
+    and 3 w_j/2 of odd_csc_weights(s_odd, n), the weights the prefactors
+    below are written for."""
+    scale = 1 if s_odd == 3 else 3
+    return [exact_div(scale * w, 2, "zeta weight")
+            for w in odd_csc_weights(s_odd, n)]
+
+
+def _weighted_csc_sum(weights: list[int], n: int, ctx: EvalContext):
     tot = ctx.zero
-    for j, sin in enumerate(odd_sin_basis(n).values(ctx), start=1):
-        tot += weight(n, j) / sin
+    for w, sin in zip(weights, odd_sin_basis(n).values(ctx)):
+        tot += w / sin
     return tot
 
 
@@ -360,7 +297,7 @@ def zeta3_weighted(n: int, ctx: EvalContext) -> ZetaApproxResult:
     if n < 3:
         raise ValueError("zeta3_weighted requires n >= 3")
     value = ctx.power(ctx.pi, 3) / (7 * 2 ** (3 * n - 4)) \
-        * _weighted_csc_sum(csc3_weight, n, ctx)
+        * _weighted_csc_sum(_zeta_weights(3, n), n, ctx)
     return ZetaApproxResult(value, n, 0, METHOD_WEIGHTED3,
                             _reference_error(value, 3, ctx))
 
@@ -370,7 +307,7 @@ def zeta5_weighted(n: int, ctx: EvalContext) -> ZetaApproxResult:
     if n < 3:
         raise ValueError("zeta5_weighted requires n >= 3")
     value = ctx.power(ctx.pi, 5) / (93 * 2 ** (5 * n - 6)) \
-        * _weighted_csc_sum(csc5_weight, n, ctx)
+        * _weighted_csc_sum(_zeta_weights(5, n), n, ctx)
     return ZetaApproxResult(value, n, 0, METHOD_WEIGHTED5,
                             _reference_error(value, 5, ctx))
 
@@ -396,17 +333,15 @@ def finite_level_identity(s_odd: int, n: int, max_terms: int,
     """
     if s_odd == 3:
         pref = ctx.power(ctx.two, n - ctx.to_real(Fraction(5, 2)))
-        weight = csc3_weight
     elif s_odd == 5:
         pref = 3 * ctx.power(ctx.two, n - ctx.to_real(Fraction(3, 2)))
-        weight = csc5_weight
     else:
         raise ValueError("finite_level_identity requires s in {3, 5}")
     if n < 3:
         raise ValueError("finite_level_identity requires n >= 3")
     res = _level_series(Fraction(s_odd, 2), n, max_terms, ctx)
     lhs = pref * (2 * res.value)
-    rhs = _weighted_csc_sum(weight, n, ctx)
+    rhs = _weighted_csc_sum(_zeta_weights(s_odd, n), n, ctx)
     return LevelIdentity(lhs, rhs, ctx.fabs(lhs - rhs),
                          res.terms_used, res.converged)
 

@@ -24,8 +24,7 @@ from cospow.negative_power import (
     matrix_neg3,
     matrix_neg3_entry,
     matrix_neg5,
-    row1_neg3,
-    row1_neg5,
+    reciprocal_first_row,
 )
 from cospow.series import (
     csc_power_series_result,
@@ -34,8 +33,7 @@ from cospow.series import (
     sec_power_series_result,
 )
 from cospow.zeta import (
-    csc3_weight,
-    csc5_weight,
+    _zeta_weights,
     finite_level_identity,
     zeta3_weighted,
     zeta5_weighted,
@@ -73,11 +71,11 @@ def _exact_outputs():
     for n in LEVELS:
         dim = 2 ** (n - 2)
         js = range(1, dim + 1)
-        out.append([csc3_weight(n, j) for j in js])
-        out.append([csc5_weight(n, j) for j in js])
-        out.append([row1_neg3(n, j) for j in js])
+        out.append(_zeta_weights(3, n))
+        out.append(_zeta_weights(5, n))
+        out.append(reciprocal_first_row(-3, n, dim)[0])
         if n >= 4:
-            out.append([row1_neg5(n, j) for j in js])
+            out.append(reciprocal_first_row(-5, n, dim)[0])
         for s in (3, 5, 7):
             out.append(S_closed_form(s, n).csc_weights)
         out.append(matrix_neg3(n).entries)

@@ -17,15 +17,105 @@ from cospow.negative_power import (
     matrix_neg3_gather,
     matrix_neg5,
     reciprocal_first_row,
-    row1_neg3,
-    row1_neg5,
 )
-from cospow.exact import odd_cos_basis, odd_sin_basis
+from cospow.exact import exact_div, odd_cos_basis, odd_sin_basis
 from cospow.odd_power import (
     gather,
     scatter,
     verify_numeric,
 )
+from cospow.zeta import _zeta_weights
+
+# The reference route: the closed forms as first typed in by hand, scalars
+# for even s and weight polynomials in the column j for odd s. The library
+# derives every one of them from the level polynomial instead
+# (negative_power.odd_csc_weights); test_trace_equals_reference_route
+# holds the two routes equal.
+
+def ref_csc3_weight(n, j):
+    """Weight on csc((2j-1)pi/2^n) in the zeta(3) sum."""
+    return -j * j + (2 ** (n - 1) + 1) * j - 2 ** (n - 2)
+
+
+def ref_csc5_weight(n, j):
+    """Weight on csc((2j-1)pi/2^n) in the zeta(5) sum, a quartic in j."""
+    return (j**4 - 2 * (2 ** (n - 1) + 1) * j**3
+            + (3 * 2 ** (n - 1) - 1) * j**2
+            + 2 * (2 ** (n - 2) + 2 ** (3 * n - 4) + 1) * j
+            - 2 ** (n - 1) * (2 ** (2 * n - 3) + 1))
+
+
+def ref_weight7(n, j):
+    return Fraction(
+        -4 * j**6 + 12 * (2 ** (n - 1) + 1) * j**5
+        - 10 * (3 * 2 ** (n - 1) - 2) * j**4
+        - 20 * (2 ** (3 * n - 3) + 2 ** n + 3) * j**3
+        + 2 * (15 * 2 ** (3 * n - 3) + 45 * 2 ** (n - 1) - 8) * j**2
+        + 4 * (3 * 2 ** (5 * n - 5) + 5 * 2 ** (3 * n - 3)
+               + 4 * 2 ** (n - 1) + 12) * j
+        - 3 * (2 ** (5 * n - 4) + 5 * 2 ** (3 * n - 3) + 2 ** (n + 2)),
+        45,
+    )
+
+
+def ref_closed_form(s, n):
+    """S(s, n) as the hand-typed CscPowerSum, s in [2, 8]."""
+    even = {
+        2: Fraction(2 ** (2 * n - 3)),
+        4: Fraction(2 ** (4 * n - 4) + 2 ** (2 * n - 1), 6),
+        6: Fraction(2 ** (6 * n - 5) + 5 * 2 ** (4 * n - 4)
+                    + 2 ** (2 * n + 1), 30),
+        8: Fraction(17 * 2 ** (8 * n - 8) + 56 * 2 ** (6 * n - 6)
+                    + 98 * 2 ** (4 * n - 4) + 144 * 2 ** (2 * n - 2), 630),
+    }
+    if s in even:
+        return CscPowerSum(s, n, scalar=even[s])
+    weight = {
+        3: lambda j: Fraction(2 * ref_csc3_weight(n, j)),
+        5: lambda j: Fraction(2 * ref_csc5_weight(n, j), 3),
+        7: lambda j: ref_weight7(n, j),
+    }[s]
+    return CscPowerSum(s, n, csc_weights=tuple(
+        weight(j) for j in range(1, 2 ** (n - 2) + 1)))
+
+
+def ref_row1_neg3(n, j):
+    """First-row entry j of the 1/sin^3 matrix: csc3_weight/2."""
+    return exact_div(ref_csc3_weight(n, j), 2, "row1_neg3")
+
+
+def ref_row1_neg5(n, j):
+    """First-row entry j of the 1/sin^5 matrix: csc5_weight/24, n >= 4.
+
+    At n = 3 the quartic over 24 gives 3/2 and 7/2, so that one level is
+    carried over 2^4 instead: the doubled entry csc5_weight/12."""
+    return exact_div(ref_csc5_weight(n, j), 12 if n == 3 else 24,
+                     "row1_neg5")
+
+
+def ref_reciprocal_first_row(r, n, length):
+    """The row polynomial at j = 1..length and its log2 denominator."""
+    entry = ref_row1_neg3 if r == -3 else ref_row1_neg5
+    log2_denom = -4 if (r, n) == (-5, 3) else r
+    return [entry(n, j) for j in range(1, length + 1)], log2_denom
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_trace_equals_reference_route(n):
+    """The derived closed forms equal the hand-typed ones exactly, repr
+    included: every S(s, n), s = 2..8, the 1/sin^3 and 1/sin^5 first rows
+    on the whole extended range 1..2^{n-1}, and the zeta(3), zeta(5)
+    weights."""
+    for s in range(2, 9):
+        assert repr(S_closed_form(s, n)) == repr(ref_closed_form(s, n)), s
+    for r in (-3, -5):
+        for length in (2 ** (n - 2), 2 ** (n - 1)):
+            assert reciprocal_first_row(r, n, length) \
+                == ref_reciprocal_first_row(r, n, length), (r, length)
+    js = range(1, 2 ** (n - 2) + 1)
+    assert _zeta_weights(3, n) == [ref_csc3_weight(n, j) for j in js]
+    assert _zeta_weights(5, n) == [ref_csc5_weight(n, j) for j in js]
+
 
 NEG1_N4 = (
     (1, -1, 1, -1),
@@ -86,15 +176,17 @@ def test_reciprocal_scatter_equals_gather(r, n):
 
 
 def test_extended_rows_integral():
-    """The -3 and -5 row polynomials divide exactly on the whole extended
-    range 1..2^{n-1} the gather reads, not just on the first row; the
-    exact_div guards raise otherwise."""
+    """The -3 and -5 rows are integers on the whole extended range
+    1..2^{n-1} the gather reads, not just on the first row, and no row
+    runs past it."""
     for n in range(3, 12):
         ext3, _ = reciprocal_first_row(-3, n, 2 ** (n - 1))
         ext5, log2_denom = reciprocal_first_row(-5, n, 2 ** (n - 1))
         assert len(ext3) == len(ext5) == 2 ** (n - 1)
         assert all(type(v) is int for v in ext3 + ext5)
         assert log2_denom == (-4 if n == 3 else -5)
+    with pytest.raises(ValueError):
+        reciprocal_first_row(-3, 4, 9)
 
 
 def test_neg1_entries_all_unit():
@@ -125,12 +217,12 @@ def test_frozen_neg5_rows():
 
 
 def test_row_polynomials_divide_exactly():
-    # the quadratic is /2, the quartic /24; any remainder trips the asserts
+    # the reference rows: the quadratic is /2, the quartic /24 (/12 at
+    # n = 3) on the extended range; any remainder trips exact_div
     for n in range(3, 10):
-        for j in range(1, 2 ** (n - 2) + 1):
-            row1_neg3(n, j)
-            if n >= 4:
-                row1_neg5(n, j)
+        for j in range(1, 2 ** (n - 1) + 1):
+            ref_row1_neg3(n, j)
+            ref_row1_neg5(n, j)
 
 
 def test_neg5_half_integral_level():
@@ -173,6 +265,14 @@ def test_neg3_entry_spot_values():
     assert matrix_neg3_entry(1, 1, 4) == 2
     assert matrix_neg3_entry(4, 3, 4) == -5
     assert matrix_neg3_entry(2, 4, 5) == matrix_neg3(5).entries[1][3]
+
+
+def test_neg3_entry_rejects_out_of_range():
+    """Row and column run over 1..2^{n-2}; outside that the extended row
+    would hand back some other entry."""
+    for i, j in ((1, 0), (0, 1), (5, 1), (1, -1), (1, 5)):
+        with pytest.raises(ValueError):
+            matrix_neg3_entry(i, j, 4)
 
 
 def test_rejects_small_n():
@@ -234,6 +334,9 @@ class TestPowerSums:
             S_closed_form(1, 4)
         with pytest.raises(ValueError):
             S_closed_form(3, 2)
+        for s in (3.0, Fraction(4), True):
+            with pytest.raises(ValueError):
+                S_closed_form(s, 4)
 
     def test_against_direct_sums(self, ctx):
         for s in range(2, 9):
@@ -252,13 +355,12 @@ class TestPowerSums:
             w5 = S_closed_form(5, n).csc_weights
             m5 = matrix_neg5(n)
             half_scale = 2 ** (-m5.log2_denom - 1)
+            row3, _ = reciprocal_first_row(-3, n, 2 ** (n - 2))
             for j in range(1, 2 ** (n - 2) + 1):
-                assert w3[j - 1] == 4 * row1_neg3(n, j)
+                assert w3[j - 1] == 4 * row3[j - 1]
                 assert w5[j - 1] == half_scale * m5.entries[0][j - 1]
             if n >= 4:
                 assert half_scale == 16
-                assert m5.entries[0] == tuple(
-                    row1_neg5(n, j) for j in range(1, 2 ** (n - 2) + 1))
 
     def test_numeric_method_on_scalar(self, ctx):
         v = CscPowerSum(2, 4, scalar=Fraction(32)).numeric(ctx)

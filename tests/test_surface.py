@@ -3,7 +3,8 @@
 import pytest
 
 import cospow
-from cospow import chebyshev, exact, minpoly, odd_power, series
+from cospow import (chebyshev, exact, minpoly, negative_power, odd_power,
+                    series, zeta)
 from cospow.even_power import even_matrix
 from cospow.negative_power import (
     matrix_neg1,
@@ -14,8 +15,9 @@ from cospow.negative_power import (
 from cospow.odd_power import matrix_gather, matrix_scatter
 
 # wrappers that only forwarded a call, unwrapped a field or copied a body,
-# the restatements of the angle law that Basis.fold replaced, and names
-# no code called
+# the restatements of the angle law that Basis.fold replaced, names no
+# code called, and the hand-typed cosecant closed forms that
+# negative_power.odd_csc_weights derives
 REMOVED = {
     exact: ("make_matrix", "int_mat_transpose", "poly_x", "poly_compose",
             "pochhammer", "fold_odd_cos_index", "fold_even_cos_index",
@@ -23,6 +25,10 @@ REMOVED = {
     odd_power: ("scatter_target", "perm_sign", "PermSign"),
     chebyshev: ("identity_poly", "OddChebyshev"),
     minpoly: ("MinPolyPair", "minpoly_pair"),
+    negative_power: ("csc3_weight", "csc5_weight", "row1_neg3", "row1_neg5",
+                     "_row1_neg5_doubled", "_weight3", "_weight5",
+                     "_weight7"),
+    zeta: ("csc3_weight", "csc5_weight"),
     series: ("sec_power_series", "csc_power_series",
              "csc_power_cos2_series", "jordan_bounds_check", "STOP_RUN"),
 }

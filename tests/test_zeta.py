@@ -19,8 +19,6 @@ from cospow.zeta import (
     bernoulli_closed_value,
     bernoulli_limit_check,
     bernoulli_numbers,
-    csc3_weight,
-    csc5_weight,
     finite_level_identity,
     monic_two_cos_poly,
     odd_power_vanishing_residual,
@@ -28,6 +26,7 @@ from cospow.zeta import (
     reference_zeta,
     _average_stream,
     _tail_ratio_above,
+    _zeta_weights,
     zeta3_weighted,
     zeta5_weighted,
     zeta_binomial_series,
@@ -293,15 +292,16 @@ class TestCertifiedStop:
 
 class TestWeighted:
     def test_weight_polynomials_vs_matrix_rows(self):
-        from cospow.negative_power import matrix_neg5, row1_neg3, row1_neg5
+        from cospow.negative_power import matrix_neg3, matrix_neg5
 
         for n in (3, 4, 5, 6):
-            for j in range(1, 2 ** (n - 2) + 1):
-                assert csc3_weight(n, j) == 2 * row1_neg3(n, j)
-                if n >= 4:
-                    assert csc5_weight(n, j) == 24 * row1_neg5(n, j)
+            assert _zeta_weights(3, n) \
+                == [2 * x for x in matrix_neg3(n).entries[0]]
+            if n >= 4:
+                assert _zeta_weights(5, n) \
+                    == [24 * x for x in matrix_neg5(n).entries[0]]
         # the half-integral level ties to the doubled matrix instead
-        assert tuple(csc5_weight(3, j) for j in (1, 2)) == (36, 84)
+        assert _zeta_weights(5, 3) == [36, 84]
         assert matrix_neg5(3).entries[0] == (3, 7)
 
     def test_rearrangement_of_sine_sum(self, ctx):
