@@ -181,7 +181,10 @@ MAX_MATRIX_R = 4096
 # r = 63 is 3 MB of JSON, n = 12, r = 4095 1.2 GB); `verify` prints none
 MAX_MATRIX_PRINT = 2**26
 # largest level `minpoly` serves: at n = 15 the closed coefficients pass
-# Python's 4300-digit limit on int-to-str conversion
+# Python's 4300-digit limit on int-to-str conversion. On a 2-vCPU Xeon
+# `minpoly --n 14 --form both` took 12.7 s wall and 108 MB (n = 13: 1.3 s),
+# nearly all of it the nested route's squarings; that is about the
+# 12 s of `verify --n 12 --r 4095`, the heaviest request `verify` serves
 MAX_MINPOLY_N = 14
 # zeta: the sine sums take 2^{n-2} terms, and each binomial-series term
 # a Newton step over 2^{n-3} integers. The reference value of an even s

@@ -66,16 +66,24 @@ def closed_minpoly(n: int) -> IntPolynomial:
 def nested_minpoly(n: int) -> IntPolynomial:
     """Nested square-and-subtract form of f_n. Requires n >= 3.
 
+    Every iterate is even in x, so q is kept as a polynomial in y = x^2:
+    each square is then a product of half the length, which
+    poly_mul_coeffs takes by Kronecker substitution once q is long. The
+    halved coefficients go onto the even powers of x at the end. The
+    route never reads the closed form.
+
     n = 2 is excluded: the nested expression there is 2x^2 - 1, which is
     the negative of the canonical closed form (see the module docstring).
     """
     if n < 3:
         raise ValueError("nested_minpoly requires n >= 3")
-    q = IntPolynomial([-2, 0, 4])  # (2x)^2 - 2
+    q = IntPolynomial([-2, 4])  # (2x)^2 - 2 with y = x^2
     for _ in range(n - 2):
         q = q * q - IntPolynomial([2])
-    return IntPolynomial([exact_div(c, 2, "nested_minpoly halving")
-                          for c in q.coeffs])
+    coeffs = [0] * (2 * len(q.coeffs) - 1)
+    coeffs[::2] = [exact_div(c, 2, "nested_minpoly halving")
+                   for c in q.coeffs]
+    return IntPolynomial(coeffs)
 
 
 def _two_cos_even_coefficients(n: int):

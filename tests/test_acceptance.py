@@ -59,11 +59,11 @@ def test_criterion_01_minimal_polynomial(ctx):
     assert f5.coeffs[::2] == (1, -128, 2688, -21504, 84480, -180224,
                               212992, -131072, 32768)
     assert f5.coeffs[1::2] == (0,) * 8
-    for n in range(3, 11):
+    for n in range(3, 13):
         assert nested_minpoly(n) == closed_minpoly(n), n
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
-    report(1, elapsed, "level-5 coefficients frozen; nested = closed, n in [3,10]")
+    report(1, elapsed, "level-5 coefficients frozen; nested = closed, n in [3,12]")
 
 
 def test_criterion_02_odd_matrices():

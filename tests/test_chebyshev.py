@@ -23,9 +23,9 @@ from cospow.exact import (
     EvalContext,
     IntPolynomial,
     odd_cos_basis,
-    poly_mod_reduce,
 )
 from cospow.minpoly import closed_minpoly
+from reference import poly_mod_reduce
 
 
 def test_first_three_polys():

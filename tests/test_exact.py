@@ -7,9 +7,10 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cospow.exact import (
+    _KRONECKER_MIN_LEN,
     Basis,
     BasisVector,
     EvalContext,
@@ -23,8 +24,26 @@ from cospow.exact import (
     int_mat_mul,
     odd_cos_basis,
     odd_sin_basis,
-    poly_mod_reduce,
+    poly_mul_coeffs,
 )
+from reference import poly_mod_reduce, schoolbook_product
+
+# +-(2^(8j-1) - 1): the largest magnitudes a j-byte signed slot holds
+_SLOT_EDGES = [s * (2 ** (8 * j - 1) - 1) for j in range(1, 10) for s in (1, -1)]
+
+
+@st.composite
+def _factors(draw):
+    """A coefficient list of up to twice the Kronecker cutoff, with
+    optional zero padding at both ends; a third are all-negative."""
+    coeff = st.one_of(st.integers(-3, 3), st.integers(-2**80, 2**80),
+                      st.sampled_from(_SLOT_EDGES))
+    n = draw(st.integers(0, 2 * _KRONECKER_MIN_LEN))
+    cs = draw(st.lists(coeff, min_size=n, max_size=n))
+    if draw(st.integers(0, 2)) == 0:
+        cs = [-abs(c) for c in cs]
+    pad = st.integers(0, 3)
+    return [0] * draw(pad) + cs + [0] * draw(pad)
 
 
 class TestFloorMod:
@@ -247,6 +266,48 @@ class TestIntPolynomial:
         p = IntPolynomial([1])
         with pytest.raises(AttributeError):
             p.coeffs = (2,)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_product_matches_schoolbook(self, data):
+        """Lengths on both sides of the Kronecker cutoff, with small,
+        large and slot-edge coefficients, all-negative factors and leading
+        and trailing zeros."""
+        a, b = data.draw(_factors()), data.draw(_factors())
+        assert poly_mul_coeffs(a, b) == schoolbook_product(a, b)
+        assert poly_mul_coeffs(a, a) == schoolbook_product(a, a)
+
+    def test_product_edge_shapes(self):
+        cut = _KRONECKER_MIN_LEN
+        mixed = [(-1) ** k * (k * k + 1) for k in range(600)]
+        for a, b in [([], [1, 2]), ([3], []), ([], []), ([-7], [5]),
+                     ([0, 0, 2], [0, -3, 0]), (mixed, [2, 0, -1]),
+                     (mixed, mixed[:cut]), (mixed[:cut - 1], mixed),
+                     ([0] * cut, mixed[:cut]), (mixed[:cut], [0] * 40),
+                     ([-1] * 40, [-(2**300)] * cut)]:
+            for x, y in ((a, b), (b, a)):
+                assert poly_mul_coeffs(x, y) == schoolbook_product(x, y)
+
+    def test_product_at_slot_edge(self):
+        """Every product digit is a sum of at most L terms of size at most
+        max|a| max|b|; with L = the cutoff and both factors constant at
+        +-m, that bound is reached, and m is picked so the bound fills all
+        but the top bit of a whole number of bytes."""
+        for k in range(2, 9):
+            m = math.isqrt((2 ** (8 * k - 1) - 1) // _KRONECKER_MIN_LEN)
+            assert (_KRONECKER_MIN_LEN * m * m).bit_length() == 8 * k - 1
+            for sa, sb in ((1, 1), (-1, -1), (1, -1)):
+                a = [sa * m] * _KRONECKER_MIN_LEN
+                b = [sb * m] * _KRONECKER_MIN_LEN
+                out = poly_mul_coeffs(a, b)
+                assert out == schoolbook_product(a, b)
+                assert max(map(abs, out)) == _KRONECKER_MIN_LEN * m * m
+
+    def test_squaring(self):
+        q = IntPolynomial([(-3) ** k + k for k in range(2 * _KRONECKER_MIN_LEN)])
+        assert q * q == IntPolynomial(schoolbook_product(q.coeffs, q.coeffs))
+        cs = q.coeffs
+        assert poly_mul_coeffs(cs, cs) == schoolbook_product(cs, list(cs))
 
     def test_mod_reduce(self):
         # x^4 mod (x^2 - 2) = 4

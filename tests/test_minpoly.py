@@ -1,5 +1,7 @@
 """Two routes to the level-n minimal polynomial, plus the summation lemma."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,10 @@ from cospow.minpoly import (
 
 # frozen even-slot coefficients of f_5 (degree 16, ascending x^0, x^2, ...)
 F5_EVEN = (1, -128, 2688, -21504, 84480, -180224, 212992, -131072, 32768)
+
+# sha256 of ",".join(format(c, "x") for c in f_13.coeffs)
+N13_DIGEST = ("f21a7d4449030d2a6c3e4afd77157436"
+              "feacd4044633bc6468583ceb7bb37b9b")
 
 
 def test_closed_n2():
@@ -32,9 +38,18 @@ def test_closed_n5_frozen():
 
 
 def test_nested_equals_closed():
-    for n in range(3, 11):
+    for n in range(3, 13):
         assert nested_minpoly(n) == closed_minpoly(n), \
             f"forms disagree at n={n}"
+
+
+def test_nested_n13_digest():
+    """Both routes at n = 13 against the sha256 of the hex coefficients,
+    recorded once."""
+    for f in (nested_minpoly(13), closed_minpoly(13)):
+        digest = hashlib.sha256(
+            ",".join(format(c, "x") for c in f.coeffs).encode()).hexdigest()
+        assert digest == N13_DIGEST
 
 
 def test_nested_rejects_n2():
