@@ -164,27 +164,27 @@ def _matrix_payload(m: ScaledMatrix, r: int) -> dict:
         "basis": m.basis.kind,
         "log2_denom": m.log2_denom,
         "scale": scale,
-        "entries": [list(row) for row in m.entries],
+        "entries": m.entries,
     }
 
 
 # largest level `matrix`, `verify` and `group` serve: the dense matrix and
 # the Cayley table have 4^{n-2} entries, a million at n = 12
 MAX_MATRIX_N = 12
-# largest |r| `matrix` and `verify` serve: an odd r costs about r/2^n
-# rounds of r-bit binomials per first-row entry, and entries carry up to
-# r bits. At 4096 `verify --n 12` takes ~13 s and every entry prints
-# within Python's 4300-digit limit on int-to-str conversion (r = 16385
-# breaks it)
+# largest |r| `matrix` and `verify` serve: a first row costs r/2 steps
+# of r-bit binomials, and entries carry up to r bits. At 4096 `verify
+# --n 12` takes ~13 s, nearly all of it the numeric oracle, and every
+# entry prints within Python's 4300-digit limit on int-to-str conversion
+# (r = 16385 breaks it)
 MAX_MATRIX_R = 4096
 # largest 4^{n-2} |r| `matrix` prints: entries carry up to ~|r| bits (n = 11,
 # r = 63 is 3 MB of JSON, n = 12, r = 4095 1.2 GB); `verify` prints none
 MAX_MATRIX_PRINT = 2**26
 # largest level `minpoly` serves: at n = 15 the closed coefficients pass
 # Python's 4300-digit limit on int-to-str conversion. On a 2-vCPU Xeon
-# `minpoly --n 14 --form both` took 12.7 s wall and 108 MB (n = 13: 1.3 s),
-# nearly all of it the nested route's squarings; that is about the
-# 12 s of `verify --n 12 --r 4095`, the heaviest request `verify` serves
+# `minpoly --n 14 --form both` took 6.4 s wall and 102 MB (n = 13: 0.6 s),
+# two thirds of it the nested route's squarings; that is half the ~13 s
+# of `verify --n 12 --r 4095`, the heaviest request `verify` serves
 MAX_MINPOLY_N = 14
 # zeta: the sine sums take 2^{n-2} terms, and each binomial-series term
 # a Newton step over 2^{n-3} integers. The reference value of an even s
@@ -252,9 +252,9 @@ def cmd_minpoly(args) -> int:
             "the nested form starts at n = 3; n = 2 has only the closed form")
     payload: dict = {"n": n, "form": args.form}
     if args.form in ("closed", "both"):
-        payload["closed"] = list(closed_minpoly(n).coeffs)
+        payload["closed"] = closed_minpoly(n).coeffs
     if args.form in ("nested", "both"):
-        payload["nested"] = list(nested_minpoly(n).coeffs)
+        payload["nested"] = nested_minpoly(n).coeffs
     if args.form == "both":
         payload["equal"] = payload["closed"] == payload["nested"]
     _emit(payload, args)
@@ -381,7 +381,7 @@ def cmd_group(args) -> int:
         "order": 2 ** (args.n - 2),
         "generator": find_generator(args.n),
         "verdicts": verdicts,
-        "cayley": [list(row) for row in table],
+        "cayley": table,
     }
     _emit(payload, args)
     return 0 if all(verdicts.values()) else 1

@@ -1,13 +1,14 @@
 """Even cosine powers over the basis {1} u {cos(j pi/2^{n-1})}.
 
 cos^r at a level-n dyadic angle, r even, lives in the span of the constant
-and the halved-level cosines. Row 1 (the angle pi/2^n) is an alternating
-binomial sum whose constant entry carries an exact factor 1/2; every other
-row is odd_power's scatter of it, the basis automorphism cos(j pi/2^{n-1})
--> cos(j(2i-1) pi/2^{n-1}) followed by exact.quarter_fold. The fold never
-lands on cos(pi/2) = 0 for in-range source indices (the 2-adic valuation
-of j(2i-1) equals that of j, which is too small), and the constant column
-stays put, so each row is a signed permutation of row 1.
+and the halved-level cosines. Row 1 (the angle pi/2^n) is the binomial
+expansion folded by exact.quarter_fold, the middle binomial halved onto
+the constant; every other row is odd_power's scatter of it, the basis
+automorphism cos(j pi/2^{n-1}) -> cos(j(2i-1) pi/2^{n-1}) followed by
+exact.quarter_fold. The fold never lands on cos(pi/2) = 0 for in-range
+source indices (the 2-adic valuation of j(2i-1) equals that of j, which
+is too small), and the constant column stays put, so each row is a
+signed permutation of row 1.
 
 Also here: the general-N scalar power sum of cos^{2p}(k pi/N) (an exact
 rational), and the integer-valued averages of (2 cos)^{2p} over a dyadic
@@ -21,10 +22,9 @@ from fractions import Fraction
 from .exact import (
     EvalContext,
     ScaledMatrix,
-    _wrapped_binomial,
+    _folded_binomial_row,
     binom_int,
     even_cos_basis,
-    exact_div,
 )
 from .odd_power import scatter
 
@@ -47,11 +47,7 @@ def even_first_row(r: int, n: int) -> tuple[int, ...]:
     dim = 2 ** (n - 2)
     if r == 0:
         return (1,) + (0,) * (dim - 1)
-    # the constant entry is half the bracket; the bracket is always even
-    row = [exact_div(_wrapped_binomial(r, n, 0, 0), 2,
-                     "even_first_row constant")]
-    row += [_wrapped_binomial(r, n, j, j) for j in range(1, dim)]
-    return tuple(row)
+    return tuple(_folded_binomial_row(r, dim))
 
 
 def even_matrix(r: int, n: int) -> ScaledMatrix:
@@ -89,8 +85,8 @@ def merca_numeric_lhs(bign: int, p: int, ctx: EvalContext):
 
 def integer_power_average(p: int, n: int) -> int:
     """The exact integer equal to sum_i (2 cos((2i-1)pi/2^n))^{2p} / 2^{n-2}:
-
-        sum_k (-1)^k [C(2p, p - k 2^{n-1}) - C(2p, p - (k+1) 2^{n-1})]
+    twice the constant column of the folded expansion of cos^{2p}, since
+    the other even-basis columns average to 0 over the level.
 
     Requires p >= 1, n >= 2. That the average of 2^{n-2} algebraic numbers
     is an integer at all is the point; the tests confirm it numerically.
@@ -99,4 +95,4 @@ def integer_power_average(p: int, n: int) -> int:
         raise ValueError("integer_power_average requires p >= 1")
     if n < 2:
         raise ValueError("integer_power_average requires n >= 2")
-    return _wrapped_binomial(2 * p, n, 0, 0)
+    return 2 * _folded_binomial_row(2 * p, 2 ** (n - 2))[0]

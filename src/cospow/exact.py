@@ -1,10 +1,12 @@
 """Exact integer and rational arithmetic kernel plus the numeric oracle.
 
-Everything downstream is built from the pieces here: binomial machinery,
-the declared bases with quarter_fold, the one law that folds a dyadic
-angle back into the first quadrant, dense integer polynomials with their
+Everything downstream is built from the pieces here: binomial machinery;
+quarter_fold, the one law that folds a dyadic angle back into the first
+quadrant; the first row of every positive cosine power, its binomial
+expansion folded by that law; the declared bases, whose positions and
+signs come from the same law; dense integer polynomials with their
 one product (a double loop when a factor is short, one big-integer
-multiply by Kronecker substitution when both are long), and EvalContext,
+multiply by Kronecker substitution when both are long); and EvalContext,
 an arbitrary-precision evaluation environment wrapping an isolated mpmath
 context.
 
@@ -51,26 +53,6 @@ def binom_int(r: int, k: int) -> int:
     return math.comb(r, k)
 
 
-def _wrapped_binomial(r: int, n: int, a: int, b: int) -> int:
-    """The binomial row of r wrapped around level n with alternating signs:
-
-        sum_{k>=0} (-1)^k [C(r, h - k 2^{n-1} - a) - C(r, h - (k+1) 2^{n-1} + b)]
-
-    with h = floor(r/2), for r >= 0 and 0 <= a, b <= 2^{n-1}. Every first
-    row of a cosine power is this sum: odd r at column j takes
-    (a, b) = (j-1, j), even r takes (j, j) and half of (0, 0) for the
-    constant, and (0, 0) at r = 2p is the level average of (2cos)^{2p}.
-    The loop stops once both lower indices are negative.
-    """
-    step = 2 ** (n - 1)
-    h = r // 2
-    tot = 0
-    for k in range(max(h - a, h + b - step) // step + 1):
-        tot += (-1) ** k * (binom_int(r, h - k * step - a)
-                            - binom_int(r, h - (k + 1) * step + b))
-    return tot
-
-
 def binom_real(a, k: int, ctx: "EvalContext"):
     """Generalized binomial coefficient C(a, k) = prod_{t<k} (a-t) / k!.
 
@@ -108,6 +90,30 @@ def quarter_fold(h: int, dim: int) -> tuple[int, int]:
     """
     s, rem = divmod(h, 2 * dim)
     return (2 * dim - rem if s & 1 else rem) >> 1, s
+
+
+def _folded_binomial_row(r: int, dim: int) -> list[int]:
+    """2^{r-1} cos^r(pi/2^n), 2^n = 4 dim, r >= 1, folded onto a basis
+    of dim columns: the expansion
+
+        2^{r-1} cos^r t = sum_{k < r/2} C(r, k) cos((r-2k)t)
+                          + [r even] C(r, r/2)/2
+
+    with each cos((r-2k)pi/2^n) put by quarter_fold on its column and
+    signed by the cosine's rule. Odd r lands on the odd-cosine columns;
+    even r on the even basis, where column 0 is the constant (the middle
+    binomial's half lands there) and a fold onto cos(pi/2) = 0 drops out.
+    C(r, k) is stepped from C(r, k-1), one exact division per term.
+    """
+    row = [0] * (dim + 1)
+    c = 1
+    for k in range((r + 1) // 2):
+        col, s = quarter_fold(r - 2 * k, dim)
+        row[col] += -c if (s + 1) & 2 else c
+        c = exact_div(c * (r - k), k + 1, "binomial step")
+    if r % 2 == 0:
+        row[0] += exact_div(c, 2, "middle binomial")
+    return row[:dim]
 
 
 @dataclass(frozen=True)

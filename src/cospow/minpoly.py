@@ -66,23 +66,24 @@ def closed_minpoly(n: int) -> IntPolynomial:
 def nested_minpoly(n: int) -> IntPolynomial:
     """Nested square-and-subtract form of f_n. Requires n >= 3.
 
-    Every iterate is even in x, so q is kept as a polynomial in y = x^2:
-    each square is then a product of half the length, which
-    poly_mul_coeffs takes by Kronecker substitution once q is long. The
-    halved coefficients go onto the even powers of x at the end. The
-    route never reads the closed form.
+    Every iterate is a polynomial in w = (2x)^2 = 4x^2, so q is kept in w
+    from q = w - 2: each square is then a product of half the length,
+    which poly_mul_coeffs takes by Kronecker substitution once q is long,
+    and the coefficients stay small, since the factor 4^m of x^{2m} comes
+    in only at the end, when coefficient m is shifted left by 2m and
+    halved onto x^{2m}. The route never reads the closed form.
 
     n = 2 is excluded: the nested expression there is 2x^2 - 1, which is
     the negative of the canonical closed form (see the module docstring).
     """
     if n < 3:
         raise ValueError("nested_minpoly requires n >= 3")
-    q = IntPolynomial([-2, 4])  # (2x)^2 - 2 with y = x^2
+    q = IntPolynomial([-2, 1])  # (2x)^2 - 2 with w = 4x^2
     for _ in range(n - 2):
         q = q * q - IntPolynomial([2])
     coeffs = [0] * (2 * len(q.coeffs) - 1)
-    coeffs[::2] = [exact_div(c, 2, "nested_minpoly halving")
-                   for c in q.coeffs]
+    coeffs[::2] = [exact_div(c << 2 * m, 2, "nested_minpoly halving")
+                   for m, c in enumerate(q.coeffs)]
     return IntPolynomial(coeffs)
 
 

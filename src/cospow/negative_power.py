@@ -7,10 +7,10 @@ first row alternating. For 1/sin^3 and 1/sin^5 the first row is the
 weight vector of the odd cosecant sum S(-r, n) over 2^{-r-1}, scaled by
 2^3 resp. 2^5; the zeta(3) and zeta(5) sums read the same weights. Like
 the odd positive powers, each matrix is its first row sent through
-odd_power's scatter or gather, and each family has both routes: the
-scatter folds every angle by exact.quarter_fold and signs it by the
-basis function (cosine for r = -1, sine for r = -3, -5), and the gather
-reads the row on the extended range 1..2^{n-1}.
+odd_power's scatter or gather, and each family has both routes from the
+same first row: the scatter folds every angle by exact.quarter_fold and
+signs it by the basis function (cosine for r = -1, sine for r = -3, -5),
+and the gather looks each entry up by a modular inverse.
 
 S(s, n) closes in an exact rational for even s and in an integer weight
 vector against the cosecants themselves for odd s; S_closed_form
@@ -40,12 +40,12 @@ from .odd_power import gather, gather_rows, scatter
 def matrix_neg1(n: int) -> ScaledMatrix:
     """Sign matrix with 1/cos((2i-1)pi/2^n) = 2 sum_j M[i,j] cos((2j-1)pi/2^n).
 
-    The gather of the alternating row, +1 at odd and -1 at even extended
-    columns. Requires n >= 3.
+    The gather of the alternating row, +1 at odd and -1 at even columns.
+    Requires n >= 3.
     """
     if n < 3:
         raise ValueError("matrix_neg1 requires n >= 3")
-    alternating = [1 if p % 2 else -1 for p in range(1, 2 ** (n - 1) + 1)]
+    alternating = [1 if p % 2 else -1 for p in range(1, 2 ** (n - 2) + 1)]
     return gather(alternating, odd_cos_basis(n), -1)
 
 
@@ -97,32 +97,27 @@ def odd_csc_weights(s: int, n: int) -> list[int]:
             accumulate((2 * x for x in d[1:dim]), initial=d[0])]
 
 
-def reciprocal_first_row(r: int, n: int, length: int) \
-        -> tuple[list[int], int]:
-    """Columns 1..length of the 1/sin^{-r} first row, r = -3 or -5, n >= 3,
-    and the log2 denominator of its matrix: 2^{n-2} columns feed the
-    scatter, 2^{n-1} the gather.
+def reciprocal_first_row(r: int, n: int) -> tuple[list[int], int]:
+    """The 1/sin^{-r} first row, r = -3 or -5, n >= 3, and the log2
+    denominator of its matrix; the scatter and the gather both read it.
 
     The row is w = odd_csc_weights(-r, n) over 2^e, e the smaller of -r-1
     and the least 2-adic valuation of the w_j, so the matrix comes over
-    2^{e+1}: 2^{-r} except at (r, n) = (-5, 3). Columns past N = 2^{n-2}
-    mirror the first, as sin((4N+1-2j)t_i) = sin((2j-1)t_i).
+    2^{e+1}: 2^{-r} except at (r, n) = (-5, 3).
     """
     if n < 3:
         raise ValueError("reciprocal sine matrices require n >= 3")
     if r not in (-3, -5):
         raise ValueError("r must be -3 or -5")
-    if not 0 <= length <= 2 ** (n - 1):
-        raise ValueError("a reciprocal first row has 2^(n-1) columns")
     w = odd_csc_weights(-r, n)
     low = reduce(or_, w)
     e = min(-r - 1, (low & -low).bit_length() - 1)
-    return [x >> e for x in (w + w[::-1])[:length]], -e - 1
+    return [x >> e for x in w], -e - 1
 
 
 def matrix_neg3(n: int) -> ScaledMatrix:
     """1/sin^3((2i-1)pi/2^n) = 2^3 sum_j M[i,j] sin((2j-1)pi/2^n), n >= 3."""
-    row, log2_denom = reciprocal_first_row(-3, n, 2 ** (n - 2))
+    row, log2_denom = reciprocal_first_row(-3, n)
     return scatter(row, odd_sin_basis(n), log2_denom)
 
 
@@ -133,22 +128,22 @@ def matrix_neg5(n: int) -> ScaledMatrix:
     csc^5(pi/8) = 48 sin(pi/8) + 112 sin(3pi/8), so the 2x2 matrix comes
     back over 2^4 with entries ((3, 7), (-7, 3)) instead.
     """
-    row, log2_denom = reciprocal_first_row(-5, n, 2 ** (n - 2))
+    row, log2_denom = reciprocal_first_row(-5, n)
     return scatter(row, odd_sin_basis(n), log2_denom)
 
 
 def matrix_neg3_entry(i: int, j: int, n: int) -> int:
     """One entry of matrix_neg3 from the gather's row i alone, no scatter
     pass and no other row. i, j in 1..2^{n-2}."""
-    row, _ = reciprocal_first_row(-3, n, 2 ** (n - 1))
-    if not (1 <= i <= len(row) // 2 and 1 <= j <= len(row) // 2):
+    row, _ = reciprocal_first_row(-3, n)
+    if not (1 <= i <= len(row) and 1 <= j <= len(row)):
         raise ValueError("matrix_neg3 entries are indexed 1..2^(n-2)")
-    return next(gather_rows(row, n, (i,)))[j - 1]
+    return next(gather_rows(row, odd_sin_basis(n), (i,)))[j - 1]
 
 
 def matrix_neg3_gather(n: int) -> ScaledMatrix:
-    """matrix_neg3 rebuilt by the gather of the extended first row."""
-    row, log2_denom = reciprocal_first_row(-3, n, 2 ** (n - 1))
+    """matrix_neg3 rebuilt by the gather of its first row."""
+    row, log2_denom = reciprocal_first_row(-3, n)
     return gather(row, odd_sin_basis(n), log2_denom)
 
 
@@ -167,7 +162,7 @@ def first_row_sum_identity(r: int, n: int, ctx: EvalContext):
     2^{|r|} everywhere except the half-integral (r, n) = (-5, 3) level.
     r in {-3, -5}.
     """
-    row, log2_denom = reciprocal_first_row(r, n, 2 ** (n - 2))
+    row, log2_denom = reciprocal_first_row(r, n)
     lhs = ctx.zero
     rhs = ctx.zero
     for entry, sin in zip(row, odd_sin_basis(n).values(ctx)):

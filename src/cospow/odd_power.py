@@ -4,19 +4,20 @@ For odd r >= 1 there is a 2^{n-2} x 2^{n-2} integer matrix M with
 
     cos^r((2i-1)pi/2^n) = (1/2^{r-1}) sum_k M[i,k] cos((2k-1)pi/2^n).
 
-Row 1 comes from an alternating binomial sum; every later row is a signed
-permutation of row 1. The even powers (even_power) and the reciprocal
-powers (negative_power) share that shape, so every matrix in the package
-is built from its first row, by one of two routes:
+Row 1 is the binomial expansion of cos^r folded onto the basis by
+exact.quarter_fold; every later row is a signed permutation of row 1.
+The even powers (even_power) and the reciprocal powers (negative_power)
+share that shape, so every matrix in the package is built from its
+first row of 2^{n-2} entries, by one of two routes:
 
   * scatter: row i multiplies the angle of each row-1 column by 2i-1 and
     deposits the entry where exact.quarter_fold puts the product, with the
     sign of the basis function (cosines and sines flip at different fold
     counts). It serves all three bases;
   * gather: compute each entry in place from a modular inverse power,
-    looking it up in the first row extended to the index range
-    1..2^{n-1}, where it needs no folding at all. It serves the odd bases,
-    and its sign does not depend on the basis.
+    looking it up in the first row extended once, by its half-turn
+    mirror, to every odd angle below 2 pi, where the lookup needs no
+    folding at all. It serves the odd bases.
 
 The two routes must agree entrywise on every odd-basis family, which is
 the core self-check of the package; the tests also hold the fold to an
@@ -36,7 +37,7 @@ from .exact import (
     BasisVector,
     EvalContext,
     ScaledMatrix,
-    _wrapped_binomial,
+    _folded_binomial_row,
     int_mat_mul,
     odd_cos_basis,
     quarter_fold,
@@ -49,21 +50,22 @@ def _check_odd_r(r: int):
 
 
 def first_row_entry(r: int, n: int, j: int) -> int:
-    """Row-1 entry at (possibly extended) column j, 1 <= j <= 2^{n-1}.
-
-    The alternating sum is antisymmetric under j -> 2^{n-1} - j + 1, which
-    is what lets the gather construction skip explicit folding.
-    """
-    _check_odd_r(r)
-    return _wrapped_binomial(r, n, j - 1, j)
+    """Row-1 entry at (possibly extended) column j, 1 <= j <= 2^{n-1}:
+    the coefficient of cos((2j-1)pi/2^n), which for j > 2^{n-2} is the
+    negated entry at column 2^{n-1} - j + 1 (cos(pi - t) = -cos t)."""
+    if n < 2 or not 1 <= j <= 2 ** (n - 1):
+        raise ValueError("first_row_entry needs n >= 2 and 1 <= j <= 2^(n-1)")
+    col, sign = odd_cos_basis(n).fold(2 * j - 1)
+    return sign * first_row(r, n)[col]
 
 
 def first_row(r: int, n: int) -> tuple[int, ...]:
     """Coefficients of cos^r(pi/2^n) over the odd-cosine basis, times
     2^{r-1}. Requires odd r >= 1 and n >= 2."""
+    _check_odd_r(r)
     if n < 2:
         raise ValueError("first_row requires n >= 2")
-    return tuple(first_row_entry(r, n, j) for j in range(1, 2 ** (n - 2) + 1))
+    return tuple(_folded_binomial_row(r, 2 ** (n - 2)))
 
 
 def scatter(first_row, basis: Basis, log2_denom: int) -> ScaledMatrix:
@@ -88,58 +90,52 @@ def scatter(first_row, basis: Basis, log2_denom: int) -> ScaledMatrix:
     return ScaledMatrix(tuple(map(tuple, rows)), log2_denom, basis)
 
 
-def gather_rows(extended_row, n: int, rows):
-    """Rows i in `rows` of the gathered matrix, one list each; extended_row
-    [p-1] is column p of the first row for 1 <= p <= 2^{n-1}.
+def gather_rows(first_row, basis: Basis, rows):
+    """Rows i in `rows` of the gathered matrix over an odd basis, one list
+    each, from the same first row the scatter reads.
 
-    (2i-1)^{2^{n-2}-1} inverts 2i-1 modulo 2^{n-1} (Euler); the full
-    product X = (i+j-1)(2i-1)^{2^{n-2}-1} is reduced modulo 2^n so the
-    parity of floor(X/2^{n-1}) survives as bit n-1 of the residue. The
-    huge power is never materialized, and the inverse is reduced once per
-    row. The entry is the extended row at X mod 2^{n-1}, which is never 0,
-    negated when X >= 2^{n-1}; with the negated row appended to the row
-    that is the single lookup signed[X-1].
+    The first row is extended once to every odd angle below 2 pi:
+    signed[X-1] is the coefficient of g((2X-1)pi/2^n), 1 <= X <= 2^n, g
+    the basis function. Past the quarter turn that is the half-turn
+    mirror of the row, g(pi - t) = sign * g(t) with the sign basis.fold
+    gives for pi - t, t the last column's angle (negated on the cosine
+    bases, plain on the sine basis); past the half turn it is the
+    negation of both.
+
+    (2i-1)^{2^{n-2}-1} inverts 2i-1 modulo 2^{n-1} (Euler), so the entry
+    (i, j) is signed[X-1] with X = (i+j-1)(2i-1)^{2^{n-2}-1} mod 2^n,
+    which is never 0 or 2^{n-1}. The huge power is never materialized,
+    and the inverse is reduced once per row.
     """
-    dim = 2 ** (n - 2)
+    dim = basis.dim
     modulus = 4 * dim
-    signed = [*extended_row, *[-v for v in extended_row]]
+    _, sign = basis.fold(2 * dim + 1)
+    extended = [*first_row, *(sign * v for v in reversed(first_row))]
+    signed = [*extended, *(-v for v in extended)]
     for i in rows:
         inv = pow(2 * i - 1, dim - 1, modulus)
         yield [signed[k * inv % modulus - 1] for k in range(i, i + dim)]
 
 
-def gather(extended_row, basis: Basis, log2_denom: int) -> ScaledMatrix:
-    """The matrix over an odd basis built by gather_rows from the first row
-    extended to columns 1..2^{n-1}."""
-    n = basis.n
+def gather(first_row, basis: Basis, log2_denom: int) -> ScaledMatrix:
+    """The matrix over an odd basis built by gather_rows from its first
+    row."""
     if basis.kind == "even_cos":
         raise ValueError("gather needs an odd basis")
-    if len(extended_row) != 2 ** (n - 1):
-        raise ValueError("gather needs an extended row of length 2^(n-1)")
-    rows = gather_rows(extended_row, n, range(1, basis.dim + 1))
+    if len(first_row) != basis.dim:
+        raise ValueError("gather needs a first row of length 2^(n-2)")
+    rows = gather_rows(first_row, basis, range(1, basis.dim + 1))
     return ScaledMatrix(tuple(map(tuple, rows)), log2_denom, basis)
 
 
 def matrix_scatter(r: int, n: int) -> ScaledMatrix:
     """Build M by scattering row 1 through the permutation/sign law."""
-    _check_odd_r(r)
-    if n < 2:
-        raise ValueError("matrix_scatter requires n >= 2")
     return scatter(first_row(r, n), odd_cos_basis(n), r - 1)
 
 
 def matrix_gather(r: int, n: int) -> ScaledMatrix:
-    """Build M entry by entry from the modular inverse power.
-
-    The first row is extended by first_row_entry, whose alternating sum is
-    antisymmetric on 1..2^{n-1}; the extended row is a local built once per
-    call, nothing is cached across calls.
-    """
-    _check_odd_r(r)
-    if n < 2:
-        raise ValueError("matrix_gather requires n >= 2")
-    ext = [first_row_entry(r, n, p) for p in range(1, 2 ** (n - 1) + 1)]
-    return gather(ext, odd_cos_basis(n), r - 1)
+    """Build M entry by entry from the modular inverse power."""
+    return gather(first_row(r, n), odd_cos_basis(n), r - 1)
 
 
 # the permutation law as a group on {1..2^{n-2}}

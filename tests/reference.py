@@ -2,6 +2,7 @@
 package's faster routes are checked against."""
 
 from fractions import Fraction
+from operator import add
 
 from cospow.exact import IntPolynomial
 
@@ -38,3 +39,36 @@ def poly_mod_reduce(p: IntPolynomial, f: IntPolynomial) -> tuple[Fraction, ...]:
         while rem and rem[-1] == 0:
             rem.pop()
     return tuple(rem)
+
+
+def binomial_rows():
+    """C(r, 0), ..., C(r, r) for r = 0, 1, 2, ... by Pascal's rule,
+    additions only."""
+    row = [1]
+    while True:
+        yield row
+        row = [1, *map(add, row, row[1:]), 1]
+
+
+def wrapped_binomial(row, n: int, a: int, b: int) -> int:
+    """The binomial row C(r, 0..r), r = len(row) - 1, wrapped around
+    level n with alternating signs:
+
+        sum_{k>=0} (-1)^k [C(r, h - k 2^{n-1} - a) - C(r, h - (k+1) 2^{n-1} + b)]
+
+    with h = floor(r/2), for 0 <= a, b <= 2^{n-1}. Every first row of a
+    cosine power is this sum: odd r at column j takes (a, b) = (j-1, j)
+    on the extended range 1 <= j <= 2^{n-1}, even r takes (j, j) and half
+    of (0, 0) for the constant, and (0, 0) at r = 2p is the level average
+    of (2cos)^{2p}. The loop stops once both lower indices are negative.
+    """
+    def binom(k):
+        return row[k] if k >= 0 else 0
+
+    step = 2 ** (n - 1)
+    h = (len(row) - 1) // 2
+    tot = 0
+    for k in range(max(h - a, h + b - step) // step + 1):
+        tot += (-1) ** k * (binom(h - k * step - a)
+                            - binom(h - (k + 1) * step + b))
+    return tot

@@ -1,9 +1,11 @@
 """Even powers over the halved-level basis, plus the two power-sum families."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference import binomial_rows, wrapped_binomial
 
 from cospow.even_power import (
     even_first_row,
@@ -117,7 +119,7 @@ def test_rejects_bad_r():
 
 
 def test_no_wraparound_binomial_form():
-    """For 2^{n-2} >= (r+1)/2 the alternating sum has one surviving term:
+    """For 2^{n-2} >= (r+1)/2 no binomial folds past the quarter turn:
     entry 0 is C(r, r/2)/2 and entry j is C(r, r/2 - j)."""
     for n in (4, 5, 6):
         for r in range(2, 2 ** (n - 1) - 1, 2):
@@ -127,6 +129,27 @@ def test_no_wraparound_binomial_form():
             assert fr[0] * 2 == binom_int(r, r // 2)
             for j in range(1, len(fr)):
                 assert fr[j] == binom_int(r, r // 2 - j)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_even_first_row_equals_reference_route(n):
+    """The folded binomial row equals the reference route's alternating
+    wrapped sum, half of it on the constant, at every even r up to
+    2^(n+2) + 2."""
+    js = range(1, 2 ** (n - 2))
+    for r, row in enumerate(islice(binomial_rows(), 2 ** (n + 2) + 3)):
+        if r and r % 2 == 0:
+            const, *rest = even_first_row(r, n)
+            assert 2 * const == wrapped_binomial(row, n, 0, 0), r
+            assert rest == [wrapped_binomial(row, n, j, j) for j in js], r
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_integer_power_average_equals_reference_route(n):
+    rows = islice(binomial_rows(), 2, 600, 2)
+    for p, row in enumerate(rows, start=1):
+        assert integer_power_average(p, n) \
+            == wrapped_binomial(row, n, 0, 0), p
 
 
 def test_first_row_nonnegative_decreasing():

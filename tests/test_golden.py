@@ -73,9 +73,9 @@ def _exact_outputs():
         js = range(1, dim + 1)
         out.append(_zeta_weights(3, n))
         out.append(_zeta_weights(5, n))
-        out.append(reciprocal_first_row(-3, n, dim)[0])
+        out.append(reciprocal_first_row(-3, n)[0])
         if n >= 4:
-            out.append(reciprocal_first_row(-5, n, dim)[0])
+            out.append(reciprocal_first_row(-5, n)[0])
         for s in (3, 5, 7):
             out.append(S_closed_form(s, n).csc_weights)
         out.append(matrix_neg3(n).entries)

@@ -100,18 +100,28 @@ def ref_reciprocal_first_row(r, n, length):
     return [entry(n, j) for j in range(1, length + 1)], log2_denom
 
 
+def sine_mirror(row, n):
+    """The first row on the extended range 1..2^{n-1} as the gather folds
+    it out: column j is the entry odd_sin_basis(n).fold(2j-1) names, with
+    its sign (sin(pi - t) = sin t, so the mirror is plain)."""
+    return [sign * row[col] for col, sign
+            in map(odd_sin_basis(n).fold, range(1, 2 ** n, 2))]
+
+
 @pytest.mark.parametrize("n", range(3, 13))
 def test_trace_equals_reference_route(n):
     """The derived closed forms equal the hand-typed ones exactly, repr
-    included: every S(s, n), s = 2..8, the 1/sin^3 and 1/sin^5 first rows
-    on the whole extended range 1..2^{n-1}, and the zeta(3), zeta(5)
-    weights."""
+    included: every S(s, n), s = 2..8, the 1/sin^3 and 1/sin^5 first rows,
+    and through their mirror the reference rows on the whole extended
+    range 1..2^{n-1}, and the zeta(3), zeta(5) weights."""
     for s in range(2, 9):
         assert repr(S_closed_form(s, n)) == repr(ref_closed_form(s, n)), s
     for r in (-3, -5):
-        for length in (2 ** (n - 2), 2 ** (n - 1)):
-            assert reciprocal_first_row(r, n, length) \
-                == ref_reciprocal_first_row(r, n, length), (r, length)
+        row, log2_denom = reciprocal_first_row(r, n)
+        assert (row, log2_denom) \
+            == ref_reciprocal_first_row(r, n, 2 ** (n - 2)), r
+        assert (sine_mirror(row, n), log2_denom) \
+            == ref_reciprocal_first_row(r, n, 2 ** (n - 1)), r
     js = range(1, 2 ** (n - 2) + 1)
     assert _zeta_weights(3, n) == [ref_csc3_weight(n, j) for j in js]
     assert _zeta_weights(5, n) == [ref_csc5_weight(n, j) for j in js]
@@ -168,25 +178,28 @@ def test_neg1_scatter_equals_gather(n):
 @pytest.mark.parametrize("n", range(3, 10))
 def test_reciprocal_scatter_equals_gather(r, n):
     """matrix_neg3 and matrix_neg5 are scatters over the odd sines; the
-    gather of the first row extended to 1..2^{n-1} gives the same matrix,
-    the doubled row over 2^4 included at (r, n) = (-5, 3)."""
-    ext, log2_denom = reciprocal_first_row(r, n, 2 ** (n - 1))
+    gather of the same first row gives the same matrix, the doubled row
+    over 2^4 included at (r, n) = (-5, 3)."""
+    row, log2_denom = reciprocal_first_row(r, n)
     scattered = matrix_neg3(n) if r == -3 else matrix_neg5(n)
-    assert gather(ext, odd_sin_basis(n), log2_denom) == scattered
+    assert gather(row, odd_sin_basis(n), log2_denom) == scattered
 
 
 def test_extended_rows_integral():
-    """The -3 and -5 rows are integers on the whole extended range
-    1..2^{n-1} the gather reads, not just on the first row, and no row
-    runs past it."""
+    """The -3 and -5 rows are integers, one per column, and their mirror,
+    the row on the whole extended range 1..2^{n-1} the gather reads, is
+    the reference row polynomial there."""
     for n in range(3, 12):
-        ext3, _ = reciprocal_first_row(-3, n, 2 ** (n - 1))
-        ext5, log2_denom = reciprocal_first_row(-5, n, 2 ** (n - 1))
-        assert len(ext3) == len(ext5) == 2 ** (n - 1)
-        assert all(type(v) is int for v in ext3 + ext5)
+        row3, _ = reciprocal_first_row(-3, n)
+        row5, log2_denom = reciprocal_first_row(-5, n)
+        assert len(row3) == len(row5) == 2 ** (n - 2)
+        assert all(type(v) is int for v in row3 + row5)
         assert log2_denom == (-4 if n == 3 else -5)
+        for r, row in ((-3, row3), (-5, row5)):
+            assert sine_mirror(row, n) \
+                == ref_reciprocal_first_row(r, n, 2 ** (n - 1))[0], (r, n)
     with pytest.raises(ValueError):
-        reciprocal_first_row(-3, 4, 9)
+        reciprocal_first_row(-1, 4)
 
 
 def test_neg1_entries_all_unit():
@@ -355,7 +368,7 @@ class TestPowerSums:
             w5 = S_closed_form(5, n).csc_weights
             m5 = matrix_neg5(n)
             half_scale = 2 ** (-m5.log2_denom - 1)
-            row3, _ = reciprocal_first_row(-3, n, 2 ** (n - 2))
+            row3, _ = reciprocal_first_row(-3, n)
             for j in range(1, 2 ** (n - 2) + 1):
                 assert w3[j - 1] == 4 * row3[j - 1]
                 assert w5[j - 1] == half_scale * m5.entries[0][j - 1]

@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference import binomial_rows, wrapped_binomial
 
 from cospow.chebyshev import inverse_index
 from cospow.even_power import even_first_row, even_matrix
@@ -13,12 +15,14 @@ from cospow.exact import (
     ScaledMatrix,
     even_cos_basis,
     odd_cos_basis,
+    odd_sin_basis,
 )
 from cospow.negative_power import (
     cosine_basis_variant,
     matrix_neg1,
     matrix_neg3,
     matrix_neg5,
+    reciprocal_first_row,
 )
 from cospow.odd_power import (
     all_angles_power_sum,
@@ -103,8 +107,8 @@ def test_scatter_equals_gather_sweep():
 @given(st.integers(2, 8).flatmap(lambda n: st.tuples(
     st.integers(0, 2 ** (n + 1) - 1).map(lambda k: 2 * k + 1), st.just(n))))
 def test_scatter_equals_gather_property(rn):
-    # odd r up to 2^{n+2}: large r reaches the wrap-around terms (k >= 1)
-    # of first_row_entry in gather's extended row
+    # odd r up to 2^{n+2}: large r folds its binomials around the circle
+    # more than once
     r, n = rn
     assert matrix_scatter(r, n) == matrix_gather(r, n)
 
@@ -112,26 +116,80 @@ def test_scatter_equals_gather_property(rn):
 def test_routes_reject_bad_rows_and_bases(ctx):
     with pytest.raises(ValueError):
         scatter(first_row(7, 5)[:-1], odd_cos_basis(5), 6)
+    # both routes read the same row of 2^(n-2) columns
+    for row in (first_row(7, 5)[:-1], first_row(7, 5) * 2):
+        with pytest.raises(ValueError):
+            gather(row, odd_cos_basis(5), 6)
+    # the gather has no even-basis form
     with pytest.raises(ValueError):
-        gather(first_row(7, 5), odd_cos_basis(5), 6)
-    # gather never folds, so it has no even-basis form
-    ext = [first_row_entry(7, 5, p) for p in range(1, 17)]
-    with pytest.raises(ValueError):
-        gather(ext, even_cos_basis(5), 6)
+        gather(even_first_row(6, 5), even_cos_basis(5), 5)
     # the scatter serves the even basis as well
     m = scatter(even_first_row(6, 5), even_cos_basis(5), 5)
     assert m.basis == even_cos_basis(5)
     assert verify_numeric(m, 6, ctx) < ctx.power(ctx.two, -128)
 
 
+@pytest.mark.parametrize("n", range(3, 10))
+def test_same_row_scatter_equals_gather(n):
+    """scatter and gather of one first row give one matrix, for odd r
+    (wrap-around included) over the cosines, the alternating r = -1 row
+    over the cosines and the r = -3, -5 rows over the sines."""
+    dim = 2 ** (n - 2)
+    cases = [(first_row(r, n), odd_cos_basis(n))
+             for r in (1, 3, 2 * dim - 1, 4 * dim + 1, 16 * dim - 1)]
+    cases.append(([1 if p % 2 else -1 for p in range(1, dim + 1)],
+                  odd_cos_basis(n)))
+    cases += [(reciprocal_first_row(r, n)[0], odd_sin_basis(n))
+              for r in (-3, -5)]
+    for row, basis in cases:
+        assert scatter(row, basis, 0) == gather(row, basis, 0), (row, basis)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_first_row_equals_reference_route(n):
+    """The folded binomial row equals the alternating wrapped sum of the
+    reference route at every odd r up to 2^(n+2) + 1."""
+    dim = 2 ** (n - 2)
+    for r, row in enumerate(islice(binomial_rows(), 2 ** (n + 2) + 2)):
+        if r % 2:
+            assert first_row(r, n) == tuple(
+                wrapped_binomial(row, n, j - 1, j)
+                for j in range(1, dim + 1)), r
+
+
+def test_rows_equal_reference_route_n12():
+    """The largest rows the CLI serves, r = 4094 and 4095 at n = 12, equal
+    the reference route's wrapped sums."""
+    rows = islice(binomial_rows(), 4094, None)
+    row = next(rows)
+    const, *rest = even_first_row(4094, 12)
+    assert 2 * const == wrapped_binomial(row, 12, 0, 0)
+    assert rest == [wrapped_binomial(row, 12, j, j) for j in range(1, 1024)]
+    row = next(rows)
+    assert first_row(4095, 12) == tuple(
+        wrapped_binomial(row, 12, j - 1, j) for j in range(1, 1025))
+
+
 def test_first_row_antisymmetry():
-    """Extended row-1 formula is antisymmetric about the fold point."""
-    for r in (1, 7, 15, 21):
-        for n in (3, 4, 5):
+    """first_row_entry equals the reference route's wrapped sum on the
+    extended range 1..2^{n-1}, which is antisymmetric about the fold
+    point."""
+    rows = list(islice(binomial_rows(), 66))
+    for r in (1, 7, 15, 21, 65):
+        for n in (2, 3, 4, 5):
             top = 2 ** (n - 1)
             for j in range(1, top + 1):
+                assert first_row_entry(r, n, j) \
+                    == wrapped_binomial(rows[r], n, j - 1, j), (r, n, j)
                 assert (first_row_entry(r, n, j)
                         == -first_row_entry(r, n, top - j + 1))
+
+
+def test_first_row_entry_rejects_out_of_range():
+    for r, n, j in ((3, 4, 0), (3, 4, 9), (3, 4, 100), (3, 4, -7),
+                    (3, 1, 1), (4, 4, 1)):
+        with pytest.raises(ValueError):
+            first_row_entry(r, n, j)
 
 
 def test_level_two_collapses_to_power_of_two():

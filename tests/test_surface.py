@@ -17,12 +17,12 @@ from cospow.odd_power import matrix_gather, matrix_scatter
 # wrappers that only forwarded a call, unwrapped a field or copied a body,
 # the restatements of the angle law that Basis.fold replaced, names no
 # code called, the hand-typed cosecant closed forms that
-# negative_power.odd_csc_weights derives, and poly_mod_reduce, a reference
-# route that only the tests call
+# negative_power.odd_csc_weights derives, and poly_mod_reduce and
+# _wrapped_binomial, reference routes that only the tests call
 REMOVED = {
     exact: ("make_matrix", "int_mat_transpose", "poly_x", "poly_compose",
             "pochhammer", "fold_odd_cos_index", "fold_even_cos_index",
-            "DyadicAngle", "poly_mod_reduce"),
+            "DyadicAngle", "poly_mod_reduce", "_wrapped_binomial"),
     odd_power: ("scatter_target", "perm_sign", "PermSign"),
     chebyshev: ("identity_poly", "OddChebyshev"),
     minpoly: ("MinPolyPair", "minpoly_pair"),
