@@ -3,12 +3,11 @@
 cos^r at a level-n dyadic angle, r even, lives in the span of the constant
 and the halved-level cosines. Row 1 (the angle pi/2^n) is the binomial
 expansion folded by exact.quarter_fold, the middle binomial halved onto
-the constant; every other row is odd_power's scatter of it, the basis
-automorphism cos(j pi/2^{n-1}) -> cos(j(2i-1) pi/2^{n-1}) followed by
-exact.quarter_fold. The fold never lands on cos(pi/2) = 0 for in-range
-source indices (the 2-adic valuation of j(2i-1) equals that of j, which
-is too small), and the constant column stays put, so each row is a
-signed permutation of row 1.
+the constant; every other row is odd_power's scatter of it through the
+even basis's turn, cos(j pi/2^{n-1}) -> cos(j(2i-1) pi/2^{n-1}), which
+never reaches the turn's gap at cos(pi/2) = 0 (j(2i-1) has the 2-adic
+valuation of j, below n-2) and keeps the constant column put, so each
+row is a signed permutation of row 1.
 
 Also here: the general-N scalar power sum of cos^{2p}(k pi/N) (an exact
 rational), and the integer-valued averages of (2 cos)^{2p} over a dyadic

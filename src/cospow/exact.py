@@ -3,12 +3,12 @@
 Everything downstream is built from the pieces here: binomial machinery;
 quarter_fold, the one law that folds a dyadic angle back into the first
 quadrant; the first row of every positive cosine power, its binomial
-expansion folded by that law; the declared bases, whose positions and
-signs come from the same law; dense integer polynomials with their
-one product (a double loop when a factor is short, one big-integer
-multiply by Kronecker substitution when both are long); and EvalContext,
-an arbitrary-precision evaluation environment wrapping an isolated mpmath
-context.
+expansion folded by that law; the declared bases, which fold by the same
+law one angle (Basis.fold) or a whole turn at once (Basis.turn); dense
+integer polynomials with their one product (a double loop when a factor
+is short, one big-integer multiply by Kronecker substitution when both
+are long); and EvalContext, an arbitrary-precision evaluation
+environment wrapping an isolated mpmath context.
 
 Conventions used throughout the package:
   * "mod" always means the least nonnegative residue and "floor" always
@@ -155,17 +155,11 @@ class Basis:
             return ctx.one
         return ctx.cos(ctx.pi * k / 2 ** (self.n - 1))
 
-    @property
-    def phase(self) -> int:
-        """1 on the cosine bases, 0 on the sine basis: quarter_fold's s
-        negates the basis function exactly when (s + phase) & 2."""
-        return int(self.kind != "odd_sin")
-
     def fold(self, t: int) -> tuple[int, int]:
         """(column, sign) with g(t*pi/2^m) = sign * element(column), g the
         basis function. 2^m is 2^n on the odd bases, which fold odd t only,
         and 2^{n-1} on the even basis, where a fold onto cos(pi/2) = 0
-        raises ZeroBasisElementError."""
+        raises ZeroBasisElementError; the sign is quarter_fold's rule for g."""
         if self.kind == "even_cos":
             k, s = quarter_fold(2 * t, self.dim)
             if k == self.dim:
@@ -175,7 +169,19 @@ class Basis:
             raise ValueError(f"the {self.kind} basis folds odd t only")
         else:
             k, s = quarter_fold(t, self.dim)
-        return k, -1 if (s + self.phase) & 2 else 1
+        return k, -1 if (s + (self.kind != "odd_sin")) & 2 else 1
+
+    def turn(self) -> list:
+        """fold(t) at every t of one full turn, t < 8 dim on the odd bases
+        and t < 4 dim on the even one, None where fold has no column: the
+        table a caller reads at t mod len(turn) in place of folding."""
+        turn = []
+        for t in range((4 if self.kind == "even_cos" else 8) * self.dim):
+            try:
+                turn.append(self.fold(t))
+            except ValueError:
+                turn.append(None)
+        return turn
 
     def values(self, ctx: "EvalContext") -> list:
         """Numeric values of all dim basis elements, in column order: one

@@ -8,9 +8,9 @@ weight vector of the odd cosecant sum S(-r, n) over 2^{-r-1}, scaled by
 2^3 resp. 2^5; the zeta(3) and zeta(5) sums read the same weights. Like
 the odd positive powers, each matrix is its first row sent through
 odd_power's scatter or gather, and each family has both routes from the
-same first row: the scatter folds every angle by exact.quarter_fold and
-signs it by the basis function (cosine for r = -1, sine for r = -3, -5),
-and the gather looks each entry up by a modular inverse.
+same first row: the scatter reads every column and sign off the turn of
+the cosine basis (r = -1) or the sine basis (r = -3, -5), and the gather
+looks each entry up by a modular inverse.
 
 S(s, n) closes in an exact rational for even s and in an integer weight
 vector against the cosecants themselves for odd s; S_closed_form
@@ -85,6 +85,8 @@ def odd_csc_weights(s: int, n: int) -> list[int]:
     from D_m(0) = S(2m, n) and D_0(k) = N [k = 0], 0 <= k < N. That is
     O(s N) integer steps, each division exact.
     """
+    if not isinstance(s, int) or s < 3 or s % 2 == 0 or n < 3:
+        raise ValueError("odd_csc_weights requires odd s >= 3 and n >= 3")
     dim = 2 ** (n - 2)
     sums = _even_power_sums(n, (s - 1) // 2)
     d = [dim] + [0] * (dim - 1)
@@ -122,11 +124,10 @@ def matrix_neg3(n: int) -> ScaledMatrix:
 
 
 def matrix_neg5(n: int) -> ScaledMatrix:
-    """1/sin^5((2i-1)pi/2^n) = 2^5 sum_j M[i,j] sin((2j-1)pi/2^n), n >= 4.
-
-    n = 3 is the one level where the row over 2^5 is half-integral:
-    csc^5(pi/8) = 48 sin(pi/8) + 112 sin(3pi/8), so the 2x2 matrix comes
-    back over 2^4 with entries ((3, 7), (-7, 3)) instead.
+    """1/sin^5((2i-1)pi/2^n) = 2^5 sum_j M[i,j] sin((2j-1)pi/2^n), n >= 3,
+    with 2^4 for 2^5 at n = 3, where the row over 2^5 is half-integral:
+    csc^5(pi/8) = 48 sin(pi/8) + 112 sin(3pi/8), so the 2x2 matrix is
+    ((3, 7), (-7, 3)) over 2^4.
     """
     row, log2_denom = reciprocal_first_row(-5, n)
     return scatter(row, odd_sin_basis(n), log2_denom)

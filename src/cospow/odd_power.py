@@ -11,13 +11,11 @@ share that shape, so every matrix in the package is built from its
 first row of 2^{n-2} entries, by one of two routes:
 
   * scatter: row i multiplies the angle of each row-1 column by 2i-1 and
-    deposits the entry where exact.quarter_fold puts the product, with the
-    sign of the basis function (cosines and sines flip at different fold
-    counts). It serves all three bases;
+    reads the column and sign of the product off the basis's table of
+    one turn, exact.Basis.turn. It serves all three bases;
   * gather: compute each entry in place from a modular inverse power,
     looking it up in the first row extended once, by its half-turn
-    mirror, to every odd angle below 2 pi, where the lookup needs no
-    folding at all. It serves the odd bases.
+    mirror, to every odd angle below 2 pi. It serves the odd bases.
 
 The two routes must agree entrywise on every odd-basis family, which is
 the core self-check of the package; the tests also hold the fold to an
@@ -40,7 +38,6 @@ from .exact import (
     _folded_binomial_row,
     int_mat_mul,
     odd_cos_basis,
-    quarter_fold,
 )
 
 
@@ -55,8 +52,7 @@ def first_row_entry(r: int, n: int, j: int) -> int:
     negated entry at column 2^{n-1} - j + 1 (cos(pi - t) = -cos t)."""
     if n < 2 or not 1 <= j <= 2 ** (n - 1):
         raise ValueError("first_row_entry needs n >= 2 and 1 <= j <= 2^(n-1)")
-    col, sign = odd_cos_basis(n).fold(2 * j - 1)
-    return sign * first_row(r, n)[col]
+    return _signed_turn(first_row(r, n), odd_cos_basis(n))[j - 1]
 
 
 def first_row(r: int, n: int) -> tuple[int, ...]:
@@ -69,49 +65,47 @@ def first_row(r: int, n: int) -> tuple[int, ...]:
 
 
 def scatter(first_row, basis: Basis, log2_denom: int) -> ScaledMatrix:
-    """The matrix whose row i is row 1 sent through the angle law: the
-    angle of column j times 2i-1 folds by quarter_fold onto a column, with
-    the sign of the basis function. Column j (0-based) sits at
-    (2j+1)pi/2^n on the odd bases and at 2j pi/2^n on the even one, so the
-    numerators of row i start at (2i-1)h0, h0 = 1 resp. 0, and step by
-    2(2i-1)."""
+    """The matrix whose row i is row 1 sent through the angle law. Column
+    j (0-based) sits at t = 2j+1 on the odd bases and at t = j on the even
+    one, and row i puts it at the column and sign that basis.turn() holds
+    at t(2i-1) mod len(turn)."""
     dim = basis.dim
     if len(first_row) != dim:
         raise ValueError("scatter needs a first row of length 2^(n-2)")
-    h0 = int(basis.kind != "even_cos")
-    phase = basis.phase
+    turn = basis.turn()
+    ts = range(1, 2 * dim, 2) if basis.kind != "even_cos" else range(dim)
+    negated = [-v for v in first_row]  # built once, shared by every row
     rows = []
     for odd in range(1, 2 * dim, 2):
         row = [0] * dim
-        for h, v in zip(range(odd * h0, odd * 2 * dim, 2 * odd), first_row):
-            k, s = quarter_fold(h, dim)
-            row[k] = -v if (s + phase) & 2 else v
+        for t, v, minus_v in zip(ts, first_row, negated):
+            k, sign = turn[t * odd % len(turn)]
+            row[k] = v if sign > 0 else minus_v
         rows.append(row)
     return ScaledMatrix(tuple(map(tuple, rows)), log2_denom, basis)
 
 
+def _signed_turn(first_row, basis: Basis) -> list:
+    """The first row over an odd basis extended to every odd angle below
+    2 pi: entry X-1 is the coefficient of g((2X-1)pi/2^n), 1 <= X <= 2^n,
+    g the basis function. Past the quarter turn it is the row's half-turn
+    mirror, g(pi - t) = sign * g(t) with basis.fold's sign for pi - t,
+    t the last column's angle; past the half turn, the negation of both."""
+    _, sign = basis.fold(2 * basis.dim + 1)
+    extended = [*first_row, *(sign * v for v in reversed(first_row))]
+    return [*extended, *(-v for v in extended)]
+
+
 def gather_rows(first_row, basis: Basis, rows):
     """Rows i in `rows` of the gathered matrix over an odd basis, one list
-    each, from the same first row the scatter reads.
-
-    The first row is extended once to every odd angle below 2 pi:
-    signed[X-1] is the coefficient of g((2X-1)pi/2^n), 1 <= X <= 2^n, g
-    the basis function. Past the quarter turn that is the half-turn
-    mirror of the row, g(pi - t) = sign * g(t) with the sign basis.fold
-    gives for pi - t, t the last column's angle (negated on the cosine
-    bases, plain on the sine basis); past the half turn it is the
-    negation of both.
-
-    (2i-1)^{2^{n-2}-1} inverts 2i-1 modulo 2^{n-1} (Euler), so the entry
-    (i, j) is signed[X-1] with X = (i+j-1)(2i-1)^{2^{n-2}-1} mod 2^n,
-    which is never 0 or 2^{n-1}. The huge power is never materialized,
-    and the inverse is reduced once per row.
-    """
+    each, from the same first row the scatter reads: entry (i, j) is
+    _signed_turn(first_row, basis)[X-1], X = (i+j-1)(2i-1)^{2^{n-2}-1}
+    mod 2^n, never 0 or 2^{n-1}, since that power inverts 2i-1 modulo
+    2^{n-1} (Euler). The power is never materialized, and the inverse is
+    reduced once per row."""
     dim = basis.dim
     modulus = 4 * dim
-    _, sign = basis.fold(2 * dim + 1)
-    extended = [*first_row, *(sign * v for v in reversed(first_row))]
-    signed = [*extended, *(-v for v in extended)]
+    signed = _signed_turn(first_row, basis)
     for i in rows:
         inv = pow(2 * i - 1, dim - 1, modulus)
         yield [signed[k * inv % modulus - 1] for k in range(i, i + dim)]
@@ -142,19 +136,19 @@ def matrix_gather(r: int, n: int) -> ScaledMatrix:
 
 def group_op(a: int, b: int, n: int) -> int:
     """The composition index: a then b lands on group_op(a, b, n)."""
-    dim = 2 ** (n - 2)
-    if not (1 <= a <= dim and 1 <= b <= dim):
+    basis = odd_cos_basis(n)
+    if not (1 <= a <= basis.dim and 1 <= b <= basis.dim):
         raise ValueError("group elements out of range")
-    return quarter_fold((2 * a - 1) * (2 * b - 1), dim)[0] + 1
+    return basis.fold((2 * a - 1) * (2 * b - 1))[0] + 1
 
 
 def group_inverse(a: int, n: int) -> int:
     """The fold of (2a-1)^{2^{n-2}-1}, which inverts 2a-1 modulo 2^n
     (Euler); gather_rows reduces the same power for each row."""
-    dim = 2 ** (n - 2)
-    if not 1 <= a <= dim:
+    basis = odd_cos_basis(n)
+    if not 1 <= a <= basis.dim:
         raise ValueError("group element out of range")
-    return quarter_fold(pow(2 * a - 1, dim - 1, 4 * dim), dim)[0] + 1
+    return basis.fold(pow(2 * a - 1, basis.dim - 1, 4 * basis.dim))[0] + 1
 
 
 def element_order(a: int, n: int) -> int:
@@ -179,12 +173,12 @@ def find_generator(n: int) -> int:
 
 
 def cayley_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """group_op over all pairs, each row the folds of one odd number's
-    products with the odd numbers 1, 3, ..., 2^{n-1} - 1."""
-    dim = 2 ** (n - 2)
-    odds = range(1, 2 * dim, 2)
-    return tuple(tuple(quarter_fold(a * b, dim)[0] + 1 for b in odds)
-                 for a in odds)
+    """group_op over all pairs, each row one odd number's products with
+    the odd numbers 1, 3, ..., 2^{n-1} - 1 read off the odd-cosine turn."""
+    turn = odd_cos_basis(n).turn()
+    cols = [fold and fold[0] + 1 for fold in turn]
+    odds = range(1, len(turn) // 4, 2)
+    return tuple(tuple(cols[a * b % len(turn)] for b in odds) for a in odds)
 
 
 def verify_group_axioms(n: int, table=None) -> dict[str, bool]:
@@ -201,7 +195,7 @@ def verify_group_axioms(n: int, table=None) -> dict[str, bool]:
     whole table in O(dim^2). A walk that does not cover gives False,
     never an uncertified True; the walk of a cayley_table always covers.
     """
-    dim = 2 ** (n - 2)
+    dim = odd_cos_basis(n).dim
     elems = range(1, dim + 1)
     if table is None:
         table = cayley_table(n)

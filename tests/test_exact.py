@@ -166,6 +166,40 @@ class TestFolding:
         assert ctx.close(ctx.cos(ctx.pi * t / 2 ** (n - 1)),
                          sign * b.element(k, ctx))
 
+    @pytest.mark.parametrize("kind", ("odd_cos", "even_cos", "odd_sin"))
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_turn_is_fold_over_one_turn(self, kind, n):
+        """turn() holds fold(t) at every t of one full turn, the period of
+        the fold, and None exactly where fold raises."""
+        b = Basis(kind, n)
+        turn = b.turn()
+        assert len(turn) == (4 if kind == "even_cos" else 8) * b.dim
+        for t, folded in enumerate(turn):
+            if folded is None:
+                with pytest.raises(ValueError):
+                    b.fold(t)
+            else:
+                assert folded == b.fold(t) == b.fold(t + len(turn)), t
+
+    @pytest.mark.parametrize("kind", ("odd_cos", "even_cos", "odd_sin"))
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_turn_numeric(self, kind, n):
+        """g(t*pi/2^m) = sign * element(column) at 256 bits over one full
+        turn; where the turn has no column, t is even on the odd bases and
+        the cosine vanishes on the even one."""
+        ctx = EvalContext(256)
+        b = Basis(kind, n)
+        g = ctx.sin if kind == "odd_sin" else ctx.cos
+        m = n - 1 if kind == "even_cos" else n
+        vals = b.values(ctx)
+        for t, folded in enumerate(b.turn()):
+            x = g(ctx.pi * t / 2 ** m)
+            if folded is None:
+                assert ctx.close(x, 0) if kind == "even_cos" else t % 2 == 0
+            else:
+                k, sign = folded
+                assert ctx.close(x, sign * vals[k]), (kind, n, t)
+
 
 class TestBases:
     def test_dimensions(self):

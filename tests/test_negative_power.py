@@ -16,6 +16,7 @@ from cospow.negative_power import (
     matrix_neg3_entry,
     matrix_neg3_gather,
     matrix_neg5,
+    odd_csc_weights,
     reciprocal_first_row,
 )
 from cospow.exact import exact_div, odd_cos_basis, odd_sin_basis
@@ -350,6 +351,14 @@ class TestPowerSums:
         for s in (3.0, Fraction(4), True):
             with pytest.raises(ValueError):
                 S_closed_form(s, 4)
+
+    def test_odd_csc_weights_rejects_other_input(self):
+        """Only odd integer s >= 3 at n >= 3: an even s had returned the
+        weights of s - 1, and s in {-1, 0, 2} all ones."""
+        for s, n in ((4, 3), (6, 4), (8, 5), (2, 3), (0, 3), (-1, 3),
+                     (1, 4), (3.0, 3), (Fraction(5), 4), (3, 2), (5, 1)):
+            with pytest.raises(ValueError):
+                odd_csc_weights(s, n)
 
     def test_against_direct_sums(self, ctx):
         for s in range(2, 9):

@@ -25,6 +25,7 @@ from cospow.negative_power import (
     reciprocal_first_row,
 )
 from cospow.odd_power import (
+    _signed_turn,
     all_angles_power_sum,
     cayley_table,
     commutes,
@@ -131,18 +132,31 @@ def test_routes_reject_bad_rows_and_bases(ctx):
 
 @pytest.mark.parametrize("n", range(3, 10))
 def test_same_row_scatter_equals_gather(n):
-    """scatter and gather of one first row give one matrix, for odd r
-    (wrap-around included) over the cosines, the alternating r = -1 row
-    over the cosines and the r = -3, -5 rows over the sines."""
+    """scatter and gather of one first row give one matrix: the rows of
+    every odd r up to 2^(n+1) + 1 and of 2^(n+2) - 1 (wrap-around
+    included) over both odd bases, the alternating r = -1 row over the
+    cosines and the r = -3, -5 rows over the sines."""
     dim = 2 ** (n - 2)
-    cases = [(first_row(r, n), odd_cos_basis(n))
-             for r in (1, 3, 2 * dim - 1, 4 * dim + 1, 16 * dim - 1)]
+    cases = [(first_row(r, n), basis)
+             for r in (*range(1, 8 * dim + 2, 2), 16 * dim - 1)
+             for basis in (odd_cos_basis(n), odd_sin_basis(n))]
     cases.append(([1 if p % 2 else -1 for p in range(1, dim + 1)],
                   odd_cos_basis(n)))
     cases += [(reciprocal_first_row(r, n)[0], odd_sin_basis(n))
               for r in (-3, -5)]
     for row, basis in cases:
         assert scatter(row, basis, 0) == gather(row, basis, 0), (row, basis)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_gather_extension_is_the_turn(n):
+    """The gather's half-turn extension of a row holds at X - 1 the entry
+    and sign that the scatter's turn names for 2X - 1, so the two routes
+    state one fold; a row of distinct entries shows every position."""
+    row = list(range(1, 2 ** (n - 2) + 1))
+    for basis in (odd_cos_basis(n), odd_sin_basis(n)):
+        assert _signed_turn(row, basis) == [
+            sign * row[k] for k, sign in basis.turn()[1::2]], basis
 
 
 @pytest.mark.parametrize("n", range(2, 10))
@@ -414,6 +428,15 @@ class TestGroup:
         for a, b in ((0, 1), (1, 5), (5, 5)):
             with pytest.raises(ValueError):
                 group_op(a, b, 4)
+
+    def test_table_and_axioms_reject_levels_below_two(self):
+        for n in (1, 0, -2):
+            with pytest.raises(ValueError):
+                cayley_table(n)
+            with pytest.raises(ValueError):
+                verify_group_axioms(n)
+            with pytest.raises(ValueError):
+                verify_group_axioms(n, ((1,),))
 
     def test_cayley_rows_are_permutations(self):
         for n in (4, 5):

@@ -3,8 +3,8 @@
 import pytest
 
 import cospow
-from cospow import (chebyshev, exact, minpoly, negative_power, odd_power,
-                    series, zeta)
+from cospow import (chebyshev, cli, even_power, exact, minpoly,
+                    negative_power, odd_power, series, zeta)
 from cospow.even_power import even_matrix
 from cospow.negative_power import (
     matrix_neg1,
@@ -15,14 +15,16 @@ from cospow.negative_power import (
 from cospow.odd_power import matrix_gather, matrix_scatter
 
 # wrappers that only forwarded a call, unwrapped a field or copied a body,
-# the restatements of the angle law that Basis.fold replaced, names no
-# code called, the hand-typed cosecant closed forms that
-# negative_power.odd_csc_weights derives, and poly_mod_reduce and
-# _wrapped_binomial, reference routes that only the tests call
+# the restatements of the angle law that Basis.fold replaced (Basis.phase
+# among them, now inside fold), names no code called, the hand-typed
+# cosecant closed forms that negative_power.odd_csc_weights derives, and
+# poly_mod_reduce and _wrapped_binomial, reference routes that only the
+# tests call
 REMOVED = {
     exact: ("make_matrix", "int_mat_transpose", "poly_x", "poly_compose",
             "pochhammer", "fold_odd_cos_index", "fold_even_cos_index",
             "DyadicAngle", "poly_mod_reduce", "_wrapped_binomial"),
+    exact.Basis: ("phase",),
     odd_power: ("scatter_target", "perm_sign", "PermSign"),
     chebyshev: ("identity_poly", "OddChebyshev"),
     minpoly: ("MinPolyPair", "minpoly_pair"),
@@ -51,6 +53,15 @@ def test_removed_wrappers_are_gone():
         assert not hasattr(exact.IntPolynomial, name), name
     for name in ("angle", "acos", "sqrt"):
         assert not hasattr(exact.EvalContext, name), name
+
+
+def test_fold_and_sign_rules_stay_in_exact():
+    """Every module past exact reads positions and signs through
+    exact.Basis (fold or turn); none imports quarter_fold to restate the
+    fold or its sign rule."""
+    for module in (chebyshev, minpoly, odd_power, even_power,
+                   negative_power, series, zeta, cli):
+        assert not hasattr(module, "quarter_fold"), module.__name__
 
 
 @pytest.mark.parametrize("n", range(3, 8))
