@@ -199,11 +199,16 @@ MAX_ZETA_S = 100
 # --r 1 did not finish in 40 s
 MAX_PRECISION = 2048
 # largest T^2 dim (dim + 64), dim = 2^{n-3}, that `zeta --method binomial`
-# serves for --max-terms T: term p's Newton step multiplies the last dim
-# averages, of about 2p bits, by coefficients of up to about 3 dim bits,
-# and the time fits that product. At 2^42 it took 5-8 s at each of n = 6,
-# 7, 9, 11, 12, at 256 and at 2048 bits (2-vCPU Xeon, Python 3.11);
-# 10000 terms at n = 12 took 41 s
+# serves for --max-terms T. The bound was fitted when every term's Newton
+# step multiplied dim exact averages of about 2p bits; the step now
+# multiplies dim values of about min(2p, precision + 3 dim) bits (a
+# fixed-point word takes over once it is the cheaper operand) by
+# coefficients of up to about 3 dim bits, so time grows about linearly
+# in T at low levels and the bound is loose there. The heaviest admitted
+# request at s = 3 took under 1 s at n <= 6, 0.3-2.8 s at n = 7..10,
+# 2.9 s and 5.7 s at n = 11 and 6.8 s and 8.4 s at n = 12, at 256 and at
+# 2048 bits (2-vCPU Xeon, Python 3.11). The value is kept, so the set of
+# served requests is unchanged
 MAX_BINOMIAL_WORK = 2**42
 # largest level `sums` serves: s = 8 at n = 12 takes 0.3 s
 MAX_SUMS_N = 12

@@ -175,11 +175,15 @@ class Basis:
         """fold(t) at every t of one full turn, t < 8 dim on the odd bases
         and t < 4 dim on the even one, None where fold has no column: the
         table a caller reads at t mod len(turn) in place of folding."""
+        if self.kind != "even_cos":
+            # the odd bases fold odd t only
+            return [None if t % 2 == 0 else self.fold(t)
+                    for t in range(8 * self.dim)]
         turn = []
-        for t in range((4 if self.kind == "even_cos" else 8) * self.dim):
+        for t in range(4 * self.dim):
             try:
                 turn.append(self.fold(t))
-            except ValueError:
+            except ZeroBasisElementError:
                 turn.append(None)
         return turn
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from itertools import count
-from operator import mul
+from operator import itemgetter, mul
 
 from .exact import (
     EvalContext,
@@ -123,25 +123,40 @@ def _newton_step(cs: list[int], recent, m: int, dim: int) -> int:
     return acc
 
 
-def _newton_averages(cs: list[int], dim: int):
-    """A(0) = 1, A(1), ... by _newton_step, keeping only the last len(cs)
-    averages, the window the step reads."""
+def _newton_windows(cs: list[int], dim: int):
+    """The window after each of A(0) = 1, A(1), ... by _newton_step: the
+    last len(cs) averages, most recent first, the ones the next step
+    reads. One deque, updated in place."""
     window = deque([1], maxlen=len(cs))
-    yield 1
+    yield window
     for m in count(1):
-        avg = _newton_step(cs, window, m, dim)
-        window.appendleft(avg)
-        yield avg
+        window.appendleft(_newton_step(cs, window, m, dim))
+        yield window
+
+
+def _newton_averages(cs: list[int], dim: int):
+    """A(0) = 1, A(1), ... by _newton_step, read off _newton_windows."""
+    return map(itemgetter(0), _newton_windows(cs, dim))
+
+
+def _level_recurrence(level: int) -> list[int]:
+    """The signed elementary symmetric functions (-1)^{k+1} e_k,
+    k = 1..2^{level-2}, of the roots x_i = 4cos^2 t_i of the monic even
+    part h of monic_two_cos_poly(level): -h_{dim-k}. level >= 2."""
+    h = list(_two_cos_even_coefficients(level))
+    return [-c for c in reversed(h[:-1])]
 
 
 def _average_stream(level: int):
     """Integer averages A(p) = (1/2^{level-2}) sum_i (2cos t_i)^{2p},
     p = 0, 1, ..., over the level angles t_i, level >= 2, by Newton's
-    identities on the roots x_i = 4cos^2 t_i of the monic even part h of
-    monic_two_cos_poly(level), whose (-1)^{k+1} e_k are -h_{dim-k}.
-    Binomial sums would need C(2p, p) at p in the thousands."""
-    h = list(_two_cos_even_coefficients(level))
-    return _newton_averages([-c for c in reversed(h[:-1])], len(h) - 1)
+    identities on the roots x_i = 4cos^2 t_i. A(p) has about 2p bits, so
+    the zeta level series reads it exactly only while it is narrow and
+    carries the scaled A(p)/4^p in fixed point beyond (zeta._average_floors);
+    the binomial fold even_power.integer_power_average gives one A(p)
+    alone."""
+    cs = _level_recurrence(level)
+    return _newton_averages(cs, len(cs))
 
 
 def verify_minpoly_roots(n: int, ctx: EvalContext):

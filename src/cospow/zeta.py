@@ -12,8 +12,10 @@ weighted cosecant sum at the same n, and a factorial-weighted variant
 converges to a closed Bernoulli-number expression.
 
 The three series routes share one kernel, _level_series: it streams the
-power averages, sums in integers scaled by a power of two, and stops on a
-certified geometric tail bound, so a converged series is within
+top bits of the power averages, exact while they are narrow and then
+from a fixed-point recurrence with a certified error bound
+(_average_floors), sums in integers scaled by a power of two, and stops
+on a certified geometric tail bound, so a converged series is within
 tolerance (relative) of its limit.
 
 References for error reporting: even zeta values exactly via Bernoulli
@@ -23,14 +25,18 @@ numbers; zeta(3) and zeta(5) frozen to 30 significant digits.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import count, islice
+from operator import mul
 from typing import NamedTuple
 
+from .even_power import integer_power_average
 from .exact import EvalContext, exact_div, odd_sin_basis
-from .minpoly import _average_stream, monic_two_cos_poly  # noqa: F401
+from .minpoly import _average_stream, _level_recurrence, _newton_windows
+from .minpoly import monic_two_cos_poly  # noqa: F401
 from .negative_power import odd_csc_weights
 from .series import (RATIO_BITS, SeriesResult, as_fraction,
                      tail_is_negligible)
@@ -157,6 +163,83 @@ def _tail_ratio_above(n: int) -> int:
     return -(-(r.numerator << RATIO_BITS) // r.denominator)
 
 
+# guard bits between the certified error of the fixed-point averages and
+# the floors read off them: a floor the error bound cannot settle, taken
+# exactly instead, comes about once in 2^FLOOR_GUARD terms
+FLOOR_GUARD = 64
+
+
+def _coefficient_bits_above(a: Fraction, bits: int, max_terms: int) -> int:
+    """The bit length of c_p 2^bits at most, over p < max_terms.
+
+    c_p = (a)_{2p}/(2p)! never grows for a <= 1 and never shrinks for
+    a >= 1, so its largest value is c_0 = 1 or c_{max_terms-1}, read off
+    lgamma with two bits of slack. Only the width of the fixed-point word
+    depends on it, never a value: a floor it leaves undecided is taken
+    exactly."""
+    last = 2 * (max_terms - 1)
+    if a <= 1 or last == 0:
+        return bits + 1
+    x = float(a)
+    lg = math.lgamma(x + last) - math.lgamma(x) - math.lgamma(last + 1)
+    return bits + 3 + math.ceil(lg / math.log(2))
+
+
+def _average_floors(level: int, coef_bits: int):
+    """floor(A(p)/2^cut), p = 0, 1, ..., for the averages A(p) of
+    _average_stream(level) and the cut sent in for each p (send None
+    first to start): bit for bit the exact stream's floors.
+
+    The exact averages, about 2p bits, are read while they are narrow.
+    Past the Newton correction (p > dim) the scaled averages
+    B(p) = A(p)/4^p = avg_i c_i^p, c_i = cos^2 t_i, follow the same
+    recurrence B(m) = sum_k (cs_k/4^k) B(m-k), with exact dyadic
+    coefficients. Carried as floor(B(p) 2^F) in a word of
+    F = coef_bits + 3 dim + FLOOR_GUARD bits, a step is one floor of
+    sum_k (cs_k 4^{dim-k}) B(m-k) 2^F / 4^dim. The switch comes once that
+    step multiplies fewer operand bits than the exact one (F times the
+    bits of the scaled coefficients against 2p times those of cs_k) and
+    cut clears the trailing zero bits of A(p), about p/dim, by
+    FLOOR_GUARD: an interval never settles a floor that sits on an
+    integer.
+
+    The impulse response of the scaled recurrence, the complete
+    homogeneous symmetric polynomials of the c_i, is positive and sums
+    to prod 1/(1-c_i) = 1/prod sin^2 t_i = 2^{2 dim - 1}. A step's floor
+    injects less than one unit and a seed, floored from an exact
+    average, less than prod (1+c_i) < 2^dim, so every fixed-point value
+    is within 2^{3 dim - 1} units of B(p) 2^F, however large p grows. A
+    floor is read off that interval when both its ends give the same
+    one; otherwise it comes from even_power.integer_power_average.
+    """
+    cs = _level_recurrence(level)
+    dim = len(cs)
+    word = coef_bits + 3 * dim + FLOOR_GUARD
+    steps = [c << 2 * (dim - k) for k, c in enumerate(cs, 1)]
+    exact_bits = sum(c.bit_length() for c in cs)
+    fixed_bits = word * sum(c.bit_length() for c in steps)
+    cut = yield
+    for p, window in enumerate(_newton_windows(cs, dim)):
+        if p > dim and 2 * p * exact_bits > fixed_bits \
+                and dim * (cut - FLOOR_GUARD) > p:
+            break
+        cut = yield window[0] >> cut
+    fixed = deque([(x << word) >> 2 * (p - j) for j, x in enumerate(window)],
+                  maxlen=dim)
+    two_dim, err = 2 * dim, 1 << (3 * dim - 1)
+    cut = yield window[0] >> cut
+    for p in count(p + 1):
+        b = sum(map(mul, steps, fixed)) >> two_dim
+        fixed.appendleft(b)
+        sh = word - 2 * p + cut
+        if sh > 0:
+            low = (b - err) >> sh
+            if low == (b + err) >> sh:
+                cut = yield low
+                continue
+        cut = yield integer_power_average(p, level) >> cut
+
+
 def _level_series(a: Fraction, n: int, max_terms: int,
                   ctx: EvalContext) -> SeriesResult:
     """The level series sum_{p>=0} c_p 4^{-p} A_{n-1}(p), c_p = (a)_{2p}/(2p)!.
@@ -167,7 +250,9 @@ def _level_series(a: Fraction, n: int, max_terms: int,
     (j-1)! c_p. The sum is kept in integers scaled by 2^W, W =
     precision_bits + a guard of 2 bits per bit of max_terms (the
     coefficient's relative rounding grows at most like p^{3/2}), and
-    converted to mpf once.
+    converted to mpf once. Of A(p), about 2p bits, only the top bits
+    that reach the term are read, floor(A(p)/2^cut), from
+    _average_floors, whose fixed-point tail never carries A(p) whole.
 
     The stop is certified. A(p+1) <= 4 cos^2(pi/2^{n-1}) A(p), since
     4cos^2 t_i is largest at the first level-(n-1) angle, and the
@@ -188,15 +273,24 @@ def _level_series(a: Fraction, n: int, max_terms: int,
     bits = prec + 2 * max_terms.bit_length() + 8
     tol_num, tol_den = as_fraction(ctx.tolerance, ctx).as_integer_ratio()
     r_num = _tail_ratio_above(n)
+    # q >= r and gap <= den (2^RATIO_BITS - r_num), so the stop needs
+    # upper tol_den r_num <= total tol_num (2^RATIO_BITS - r_num), upper =
+    # term + term_err, which bit lengths rule out while upper is at least
+    # screen bits longer than total: a pre-screen that never skips a stop
+    screen = (tol_num * ((1 << RATIO_BITS) - r_num)).bit_length() \
+        - (tol_den * r_num).bit_length() + 2
+    floors = _average_floors(n - 1,
+                             _coefficient_bits_above(a, bits, max_terms))
+    next(floors)
     # coef is c_p 2^W rounded down, at most coef_err below it
     coef, coef_err = 1 << bits, 0
     total = rounding = used = 0
     converged = False
-    for p, avg in enumerate(_average_stream(n - 1)):
-        # only the top bits of avg matter: cut its low bits, losing less
+    for p in count():
+        # only the top bits of A(p) matter: cut its low bits, losing less
         # than one unit of the term
         cut = max(2 * p - coef.bit_length(), 0)
-        top = avg >> cut
+        top = floors.send(cut)
         shift = 2 * p - cut
         term = (coef * top) >> shift
         term_err = ((coef_err * (top + 1)) >> shift) + 3
@@ -206,12 +300,14 @@ def _level_series(a: Fraction, n: int, max_terms: int,
         x = u + 2 * p * v
         num = x * (x + v)
         den = vv * (2 * p + 1) * (2 * p + 2)
+        upper = term + term_err
         # q = r_num max(num, den) / (2^RATIO_BITS den)
-        if tail_is_negligible(term + term_err,
-                              r_num * (num if num > den else den),
-                              den << RATIO_BITS,
-                              rounding + (total >> (prec - 8)), total,
-                              tol_num, tol_den):
+        if upper.bit_length() - total.bit_length() < screen \
+                and tail_is_negligible(upper,
+                                       r_num * (num if num > den else den),
+                                       den << RATIO_BITS,
+                                       rounding + (total >> (prec - 8)),
+                                       total, tol_num, tol_den):
             converged = True
             break
         if used >= max_terms:

@@ -5,6 +5,10 @@ from fractions import Fraction
 from operator import add
 
 from cospow.exact import IntPolynomial
+from cospow.minpoly import _average_stream
+from cospow.series import (RATIO_BITS, SeriesResult, as_fraction,
+                           tail_is_negligible)
+from cospow.zeta import _tail_ratio_above
 
 
 def schoolbook_product(a, b) -> list[int]:
@@ -72,3 +76,46 @@ def wrapped_binomial(row, n: int, a: int, b: int) -> int:
         tot += (-1) ** k * (binom(h - k * step - a)
                             - binom(h - (k + 1) * step + b))
     return tot
+
+
+def exact_level_series(a: Fraction, n: int, max_terms: int, ctx):
+    """zeta._level_series as it read before the certified fixed-point
+    tail: every exact average A_{n-1}(p) of the Newton stream, at its full
+    2p bits, cut to its top bits term by term. Same coefficients, same
+    certified stop, so the result must match the kernel's bit for bit."""
+    if max_terms < 1:
+        raise ValueError("max_terms must be >= 1")
+    u, v = a.numerator, a.denominator
+    vv = v * v
+    prec = ctx.precision_bits
+    bits = prec + 2 * max_terms.bit_length() + 8
+    tol_num, tol_den = as_fraction(ctx.tolerance, ctx).as_integer_ratio()
+    r_num = _tail_ratio_above(n)
+    coef, coef_err = 1 << bits, 0
+    total = rounding = used = 0
+    converged = False
+    for p, avg in enumerate(_average_stream(n - 1)):
+        cut = max(2 * p - coef.bit_length(), 0)
+        top = avg >> cut
+        shift = 2 * p - cut
+        term = (coef * top) >> shift
+        term_err = ((coef_err * (top + 1)) >> shift) + 3
+        total += term
+        rounding += term_err
+        used = p + 1
+        x = u + 2 * p * v
+        num = x * (x + v)
+        den = vv * (2 * p + 1) * (2 * p + 2)
+        if tail_is_negligible(term + term_err,
+                              r_num * (num if num > den else den),
+                              den << RATIO_BITS,
+                              rounding + (total >> (prec - 8)), total,
+                              tol_num, tol_den):
+            converged = True
+            break
+        if used >= max_terms:
+            break
+        coef = coef * num // den
+        coef_err = coef_err * num // den + 2
+    value = ctx.to_real(total) * ctx.power(ctx.two, -bits)
+    return SeriesResult(value, used, converged)

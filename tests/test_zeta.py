@@ -1,13 +1,17 @@
 """Zeta approximations: references, power averages, series, level identities."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cospow import zeta
 from cospow.even_power import integer_power_average
-from cospow.exact import EvalContext
+from cospow.exact import EvalContext, odd_sin_basis
 from cospow.zeta import (
     METHOD_BINOMIAL,
     METHOD_SINE_SUM,
@@ -24,7 +28,9 @@ from cospow.zeta import (
     odd_power_vanishing_residual,
     reference_even_zeta,
     reference_zeta,
+    _average_floors,
     _average_stream,
+    _level_series,
     _tail_ratio_above,
     _zeta_weights,
     zeta3_weighted,
@@ -32,6 +38,7 @@ from cospow.zeta import (
     zeta_binomial_series,
     zeta_sine_sum,
 )
+from reference import exact_level_series
 
 
 class TestReferences:
@@ -288,6 +295,106 @@ class TestCertifiedStop:
             assert r <= bound < r + hi.to_real(1e-10), n
             assert math.cos(math.pi / 2 ** (n - 1)) ** 2 \
                 == pytest.approx(float(bound), abs=1e-10)
+
+
+def _same_result(got, want) -> bool:
+    """Two SeriesResults agree bit for bit: the value's mantissa and
+    exponent, the terms used and the stop."""
+    return (got.value.man_exp, got.terms_used, got.converged) \
+        == (want.value.man_exp, want.terms_used, want.converged)
+
+
+def _floor_budget(n: int, prec: int) -> int:
+    """The exact reference route costs about dim p^2 bit operations: run
+    it to the certified stop where that is cheap, else for a budget it
+    exhausts, with the fixed-point tail still well past its switch."""
+    return 10000 if n <= 5 or (n, prec) == (6, 64) else 1500
+
+
+SERIES_AS = (Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2),
+             Fraction(5, 2), Fraction(7, 2))
+
+
+class TestCertifiedFloors:
+    """The fixed-point tail of the power averages must give the exact
+    stream's floors, so the level series equals the exact route's bit
+    for bit."""
+
+    @pytest.mark.parametrize("prec", (64, 128, 256, 512))
+    @pytest.mark.parametrize("n", (3, 4, 5, 6, 7))
+    def test_matches_exact_route(self, n, prec):
+        ctx = EvalContext(prec)
+        budget = _floor_budget(n, prec)
+        for a in SERIES_AS:
+            res = _level_series(a, n, budget, ctx)
+            assert _same_result(res, exact_level_series(a, n, budget, ctx)), a
+            if res.converged and res.terms_used > 1:
+                # one term short of the stop: both routes exhaust there
+                short = res.terms_used - 1
+                got = _level_series(a, n, short, ctx)
+                assert not got.converged and got.terms_used == short
+                assert _same_result(
+                    got, exact_level_series(a, n, short, ctx)), a
+
+    def test_unsettled_floors_take_the_exact_route(self, monkeypatch):
+        """Past the switch at level 3, a cut inside A(p)'s trailing zeros
+        puts the floor exactly on an integer, which no error interval
+        settles, and a cut of 0 leaves no fixed-point bits to read; both
+        must come from the exact route, and give the exact floor."""
+        taken = []
+
+        def exact(p, level):
+            taken.append(p)
+            return integer_power_average(p, level)
+
+        monkeypatch.setattr(zeta, "integer_power_average", exact)
+        coef_bits = 200
+        floors = _average_floors(3, coef_bits)
+        next(floors)
+        for p, avg in enumerate(_average_stream(3)):
+            if p == 400:
+                break
+            cut = max(2 * p - coef_bits, 0)
+            if p in (350, 351):
+                cut = (avg & -avg).bit_length() - 1
+            elif p == 352:
+                cut = 0
+            assert floors.send(cut) == avg >> cut, p
+        assert taken == [350, 351, 352]
+
+    def test_error_bound_constant(self):
+        """The fixed-point error bound rests on prod sin^2 t_i = 2/4^dim
+        over the level angles: the impulse response of the scaled
+        recurrence sums to 2^{2 dim - 1}."""
+        ctx = EvalContext(256)
+        for level in range(3, 10):
+            prod = ctx.one
+            for sin in odd_sin_basis(level).values(ctx):
+                prod *= sin * sin
+            want = ctx.power(ctx.two, 1 - 2 * 2 ** (level - 2))
+            assert ctx.fabs(prod - want) <= ctx.power(ctx.two, -240) * want
+
+    def test_level_identity_exact_under_optimize(self, monkeypatch):
+        """python -O strips asserts; the certified floors use none, so the
+        level identity run there equals the exact route's."""
+        code = ("from cospow.exact import EvalContext\n"
+                "from cospow.zeta import finite_level_identity\n"
+                "if __debug__:\n"
+                "    raise SystemExit(2)\n"
+                "li = finite_level_identity(3, 6, 10000, EvalContext(256))\n"
+                "print(repr((li.lhs.man_exp, li.terms_used, "
+                "li.converged)))\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        monkeypatch.setattr(zeta, "_level_series", exact_level_series)
+        li = finite_level_identity(3, 6, 10000, EvalContext(256))
+        assert proc.stdout.strip() \
+            == repr((li.lhs.man_exp, li.terms_used, li.converged))
 
 
 class TestWeighted:
