@@ -1,10 +1,13 @@
 """End-to-end CLI checks: schemas, exit codes, formats, negative controls."""
 
+import contextlib
 import hashlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cospow import cli
 
@@ -655,3 +658,157 @@ class TestByteIdentity:
     def test_group(self, capsys):
         for n, want in GROUP_DIGESTS.items():
             assert _digest(capsys, "group", "--n", str(n)) == want, n
+
+
+# one argv per distinct error line, recorded before the served ranges moved
+# into one table; the multi-fault argv pin which check each command makes
+# first
+ERROR_LINES = [
+    ("minpoly --n 15", "minpoly supports n in [2, 14]"),
+    ("minpoly --n 1", "minpoly supports n in [2, 14]"),
+    ("minpoly --n 2 --form nested",
+     "the nested form starts at n = 3; n = 2 has only the closed form"),
+    ("matrix --n 13 --r 1", "matrices are served for n <= 12"),
+    ("matrix --n 3 --r 4097", "matrices are served for |r| <= 4096"),
+    ("matrix --n 3 --r -4097", "matrices are served for |r| <= 4096"),
+    ("matrix --n 1 --r 3", "odd powers require n >= 2"),
+    ("matrix --n 3 --r 2 --basis sin",
+     "even powers expand over the even cosine basis only"),
+    ("matrix --n 2 --r 2", "even powers require n >= 3"),
+    ("matrix --n 2 --r -1", "reciprocal powers require n >= 3"),
+    ("matrix --n 3 --r 0", "unsupported power r=0: need odd r >= 1, even "
+                           "r >= 2, or r in {-1, -3, -5}"),
+    ("matrix --n 12 --r 65", "matrix serves 4^(n-2)*|r| <= 67108864; verify "
+                             "checks larger matrices without printing them"),
+    ("verify --n 3 --r 1 --precision 2049",
+     "--precision is served up to 2048 bits"),
+    ("verify --n 3 --r 1 --precision 63",
+     "EvalContext requires precision_bits >= 64"),
+    ("zeta --s 1 --n 5", "zeta requires finite s > 1"),
+    ("zeta --s=nan --n 5", "zeta requires finite s > 1"),
+    ("zeta --s 101 --n 5", "zeta supports s <= 100"),
+    ("zeta --s 3 --n 2", "zeta supports n in [3, 12]"),
+    ("zeta --s 3 --n 5 --max-terms 0", "zeta requires --max-terms >= 1"),
+    ("zeta --s 3 --n 12 --method binomial",
+     "zeta --method binomial at n = 12 serves --max-terms <= 3861"),
+    ("zeta --s 3 --n 11 --method binomial",
+     "zeta --method binomial at n = 11 serves --max-terms <= 7327"),
+    ("zeta --s 4 --n 5 --method weighted3",
+     "method weighted3 is the s = 3 sum"),
+    ("zeta --s 3 --n 5 --method weighted5",
+     "method weighted5 is the s = 5 sum"),
+    ("sums --s 1 --n 5", "sums supports s in [2, 8]"),
+    ("sums --s 9 --n 5", "sums supports s in [2, 8]"),
+    ("sums --s 3 --n 13", "sums supports n in [3, 12]"),
+    ("sums --s 3 --n 5 --precision 10",
+     "EvalContext requires precision_bits >= 64"),
+    ("group --n 2", "group supports n in [3, 12]"),
+    ("group --n 13", "group supports n in [3, 12]"),
+    # the print bound comes before |r| below n = 13
+    ("matrix --n 0 --r 100000001",
+     "matrix serves 4^(n-2)*|r| <= 67108864; verify checks larger matrices "
+     "without printing them"),
+    ("matrix --n 4 --r 100000001",
+     "matrix serves 4^(n-2)*|r| <= 67108864; verify checks larger matrices "
+     "without printing them"),
+    ("matrix --n 13 --r 100000001", "matrices are served for n <= 12"),
+    # verify checks precision first; zeta and sums check it last
+    ("verify --n 99 --r 99999 --precision 99999",
+     "--precision is served up to 2048 bits"),
+    ("verify --n 99 --r 99999", "matrices are served for n <= 12"),
+    ("verify --n 2 --r 2 --basis sin --precision 32",
+     "EvalContext requires precision_bits >= 64"),
+    ("zeta --s 3 --n 5 --precision 2049",
+     "--precision is served up to 2048 bits"),
+    ("zeta --s=inf --n 5", "zeta requires finite s > 1"),
+    ("zeta --s=inf --n 99 --precision 99999", "zeta requires finite s > 1"),
+    ("zeta --s 999 --n 99 --precision 99999 --max-terms 0",
+     "zeta supports s <= 100"),
+    ("zeta --s 3 --n 99 --precision 99999 --max-terms 0",
+     "zeta supports n in [3, 12]"),
+    ("zeta --s 3 --n 5 --precision 99999 --max-terms 0",
+     "zeta requires --max-terms >= 1"),
+    ("zeta --s 3 --n 12 --method binomial --precision 99999",
+     "zeta --method binomial at n = 12 serves --max-terms <= 3861"),
+    ("zeta --s 4 --n 5 --method weighted3 --precision 63",
+     "EvalContext requires precision_bits >= 64"),
+    ("sums --s 99 --n 99 --precision 99999", "sums supports s in [2, 8]"),
+    ("sums --s 3 --n 99 --precision 99999", "sums supports n in [3, 12]"),
+    ("minpoly --n 99 --form nested", "minpoly supports n in [2, 14]"),
+]
+
+
+@pytest.mark.parametrize("argv,line", ERROR_LINES)
+def test_error_line(capsys, argv, line):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out, err) == (2, "", f"error: {line}\n")
+
+
+# cheap sizes on both sides of every served range: n <= 7, |r| <= 70,
+# precision <= 256 bits and --max-terms <= 2000 when served, and values
+# past each cap that must be turned away before any work. Each argument is
+# drawn in range five times in six, so most requests get past the checks.
+CHECKED = {
+    "n": (st.integers(3, 7),
+          st.integers(-2, 2) | st.sampled_from([15, 40])),
+    "r": (st.integers(1, 70) | st.sampled_from([-1, -3, -5]),
+          st.integers(-70, 0) | st.sampled_from([4097, 10**8])),
+    "precision": (st.integers(64, 256),
+                  st.integers(-8, 63) | st.sampled_from([2049, 10**6])),
+    "max-terms": (st.integers(1, 2000), st.integers(-2, 0)),
+    "zeta s": (st.sampled_from([3.0, 5.0, 100.0]) | st.floats(1.01, 12.0),
+               st.sampled_from([float("nan"), float("inf"), float("-inf"),
+                                -1.0, 1.0, 100.5, 1e308])),
+    "sums s": (st.integers(2, 8), st.sampled_from([-1, 0, 1, 9, 10])),
+}
+ARGUMENTS = {
+    "minpoly": ("n",),
+    "matrix": ("n", "r"),
+    "verify": ("n", "r", "precision"),
+    "zeta": ("zeta s", "n", "max-terms", "precision"),
+    "sums": ("sums s", "n", "precision"),
+    "group": ("n",),
+}
+CHOICES = {
+    "minpoly": {"form": ("closed", "nested", "both")},
+    "matrix": {"basis": ("cos", "sin")},
+    "verify": {"basis": ("cos", "sin")},
+    "zeta": {"method": ("sine-sum", "binomial", "weighted3", "weighted5")},
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(ARGUMENTS)))
+    argv = [command]
+    for name in ARGUMENTS[command]:
+        served, outside = CHECKED[name]
+        value = draw(outside if draw(st.integers(0, 5)) == 0 else served)
+        argv.append(f"--{name.split()[-1]}={value!r}")
+    for name, choices in CHOICES.get(command, {}).items():
+        argv.append(f"--{name}={draw(st.sampled_from(choices))}")
+    return argv
+
+
+def _no_constant(name):
+    raise AssertionError(f"JSON carries {name}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(argvs())
+def test_argv_contract(argv):
+    """Any request exits 0, 1 or 2; stderr is empty or one error line with
+    no traceback, and stdout is JSON without NaN or an infinity. Exit 1 is
+    allowed: verify at 64 bits can fail on a correct matrix."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1 \
+            and err.endswith("\n"), (argv, err)
+    else:
+        assert err == "", argv
+        json.loads(out, parse_constant=_no_constant)
