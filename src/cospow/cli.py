@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 from .even_power import even_matrix
 from .exact import EvalContext, ScaledMatrix
@@ -52,21 +53,15 @@ class ArgumentProblem(Exception):
 
 
 def _context(args) -> EvalContext:
-    if args.precision > MAX_PRECISION:
-        raise ArgumentProblem(
-            f"--precision is served up to {MAX_PRECISION} bits")
+    _check(args.command, precision=args.precision)
     try:
         return EvalContext(args.precision)
     except ValueError as exc:
         raise ArgumentProblem(str(exc)) from None
 
 
-def _digits(ctx: EvalContext) -> int:
-    return max(17, ctx.precision_bits * 301 // 1000)
-
-
 def _real_str(x, ctx: EvalContext) -> str:
-    return ctx.nstr(x, _digits(ctx))
+    return ctx.nstr(x, max(17, ctx.precision_bits * 301 // 1000))
 
 
 # serialization: ints become decimal strings (bool checked first: it is an
@@ -75,9 +70,7 @@ def _real_str(x, ctx: EvalContext) -> str:
 def _jsonable(x):
     if isinstance(x, bool):
         return x
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, Fraction):
+    if isinstance(x, (int, Fraction)):
         return str(x)
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
@@ -89,9 +82,7 @@ def _jsonable(x):
 def _flat_str(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
-    if x is None:
-        return ""
-    return str(x)
+    return "" if x is None else str(x)
 
 
 def _walk(payload: dict):
@@ -153,89 +144,106 @@ def _emit(payload: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _matrix_payload(m: ScaledMatrix, r: int) -> dict:
-    if m.log2_denom >= 0:
-        scale = f"1/2^{m.log2_denom}"
-    else:
-        scale = f"2^{-m.log2_denom}"
-    return {
-        "n": m.basis.n,
-        "r": r,
-        "basis": m.basis.kind,
-        "log2_denom": m.log2_denom,
-        "scale": scale,
-        "entries": m.entries,
-    }
+class Served(NamedTuple):
+    """Served range lo..hi of a checked value and the error line for a value
+    outside it. _check tests the bounds the line names; code that reads the
+    cell tests the others (a relational check, or EvalContext)."""
+    lo: float
+    hi: float
+    error: str = "{command} supports {name} in [{lo}, {hi}]"
+
+    def span(self) -> str:
+        return f"in [{self.lo}, {self.hi}]"
 
 
-# largest level `matrix`, `verify` and `group` serve: the dense matrix and
-# the Cayley table have 4^{n-2} entries, a million at n = 12
-MAX_MATRIX_N = 12
-# largest |r| `matrix` and `verify` serve: a first row costs r/2 steps
-# of r-bit binomials, and entries carry up to r bits. At 4096 `verify
-# --n 12` takes ~13 s, nearly all of it the numeric oracle, and every
-# entry prints within Python's 4300-digit limit on int-to-str conversion
-# (r = 16385 breaks it)
-MAX_MATRIX_R = 4096
-# largest 4^{n-2} |r| `matrix` prints: entries carry up to ~|r| bits (n = 11,
-# r = 63 is 3 MB of JSON, n = 12, r = 4095 1.2 GB); `verify` prints none
-MAX_MATRIX_PRINT = 2**26
-# largest level `minpoly` serves: at n = 15 the closed coefficients pass
-# Python's 4300-digit limit on int-to-str conversion. On a 2-vCPU Xeon
-# `minpoly --n 14 --form both` took 6.4 s wall and 102 MB (n = 13: 0.6 s),
-# two thirds of it the nested route's squarings; that is half the ~13 s
-# of `verify --n 12 --r 4095`, the heaviest request `verify` serves
-MAX_MINPOLY_N = 14
-# zeta: the sine sums take 2^{n-2} terms, and each binomial-series term
-# a Newton step over 2^{n-3} integers. The reference value of an even s
-# needs the Bernoulli numbers up to B_s, quadratic in s (s = 1000 takes
-# ~10 s), so s is capped as well
-MAX_ZETA_N = 12
-MAX_ZETA_S = 100
-# largest --precision `verify`, `zeta` and `sums` serve. On a 2-vCPU Xeon
-# the heaviest admitted request, verify --n 12 --r 4095, took 11.5 s at
-# 256 bits, 25.7 s at 2048 and 40 s at 4096; sums and zeta at n = 12 took
-# under 0.5 s at 2048 and 18 s at 16384. At 2^20 bits even verify --n 3
-# --r 1 did not finish in 40 s
-MAX_PRECISION = 2048
-# largest T^2 dim (dim + 64), dim = 2^{n-3}, that `zeta --method binomial`
-# serves for --max-terms T. The bound was fitted when every term's Newton
-# step multiplied dim exact averages of about 2p bits; the step now
-# multiplies dim values of about min(2p, precision + 3 dim) bits (a
-# fixed-point word takes over once it is the cheaper operand) by
-# coefficients of up to about 3 dim bits, so time grows about linearly
-# in T at low levels and the bound is loose there. The heaviest admitted
-# request at s = 3 took under 1 s at n <= 6, 0.3-2.8 s at n = 7..10,
-# 2.9 s and 5.7 s at n = 11 and 6.8 s and 8.4 s at n = 12, at 256 and at
-# 2048 bits (2-vCPU Xeon, Python 3.11). The value is kept, so the set of
-# served requests is unchanged
-MAX_BINOMIAL_WORK = 2**42
-# largest level `sums` serves: s = 8 at n = 12 takes 0.3 s
-MAX_SUMS_N = 12
+# `matrix` and `verify` serve odd powers from n = 2, the first level (dim =
+# 2^{n-2} = 1). Largest level `matrix`, `verify` and `group` serve: the dense
+# matrix and the Cayley table have 4^{n-2} entries, a million at n = 12
+_MATRIX_N = Served(2, 12, "matrices are served for n <= {hi}")
+# the even basis, the reciprocal matrices, the nested form, the group, zeta
+# and sums start a level up. zeta: the sine sums take 2^{n-2} terms, and
+# each binomial-series term a Newton step over 2^{n-3} integers. Largest
+# level `sums` serves: s = 8 at n = 12 takes 0.3 s
+_LEVELS = Served(3, _MATRIX_N.hi)
+# largest |r| `matrix` and `verify` serve: a first row costs r/2 steps of
+# r-bit binomials, and entries carry up to r bits. At 4096 `verify --n 12`
+# takes ~13 s, nearly all of it the numeric oracle, and every entry prints
+# within Python's 4300-digit limit on int-to-str conversion (r = 16385
+# breaks it)
+_POWERS = Served(1, 4096, "matrices are served for |r| <= {hi}")
+# largest --precision `verify`, `zeta` and `sums` serve. On a 2-vCPU Xeon the
+# heaviest admitted request, verify --n 12 --r 4095, took 11.5 s at 256 bits,
+# 25.7 s at 2048 and 40 s at 4096; sums and zeta at n = 12 took under 0.5 s
+# at 2048 and 18 s at 16384. At 2^20 bits even verify --n 3 --r 1 did not
+# finish in 40 s. EvalContext turns away fewer than 64 bits
+_PRECISION = Served(64, 2048, "--precision is served up to {hi} bits")
+# per command, each checked value's served range or, as a plain number, a
+# bound that code compares with several arguments
+SERVED = {
+    # largest level `minpoly` serves: at n = 15 the closed coefficients pass
+    # Python's 4300-digit limit on int-to-str conversion. On a 2-vCPU Xeon
+    # `minpoly --n 14 --form both` took 6.4 s wall and 102 MB (n = 13:
+    # 0.6 s), two thirds of it the nested route's squarings; that is half the
+    # ~13 s of `verify --n 12 --r 4095`, the heaviest request `verify` serves
+    "minpoly": {"n": Served(_MATRIX_N.lo, 14)},
+    # printed: largest 4^{n-2} |r| `matrix` prints: entries carry up to ~|r|
+    # bits (n = 11, r = 63 is 3 MB of JSON, n = 12, r = 4095 1.2 GB);
+    # `verify` prints none
+    "matrix": {"n": _MATRIX_N, "r": _POWERS, "printed": Served(
+        0, 2**26, "matrix serves 4^(n-2)*|r| <= {hi}; verify checks larger "
+        "matrices without printing them")},
+    "verify": {"precision": _PRECISION, "n": _MATRIX_N, "r": _POWERS},
+    # s: the reference value of an even s needs the Bernoulli numbers up to
+    # B_s, quadratic in s (s = 1000 takes ~10 s), so s is capped as well.
+    # work: largest T^2 dim (dim + 64), dim = 2^{n-3}, that `zeta --method
+    # binomial` serves for --max-terms T. The bound was fitted when every
+    # term's Newton step multiplied dim exact averages of about 2p bits; the
+    # step now multiplies dim values of about min(2p, precision + 3 dim) bits
+    # (a fixed-point word takes over once it is the cheaper operand) by
+    # coefficients of up to about 3 dim bits, so time grows about linearly in
+    # T at low levels and the bound is loose there. The heaviest admitted
+    # request at s = 3 took under 1 s at n <= 6, 0.3-2.8 s at n = 7..10,
+    # 2.9 s and 5.7 s at n = 11 and 6.8 s and 8.4 s at n = 12, at 256 and at
+    # 2048 bits (2-vCPU Xeon, Python 3.11). The value is kept, so the set of
+    # served requests is unchanged
+    "zeta": {"s": Served(1, 100, "zeta supports s <= {hi}"), "n": _LEVELS,
+             "max_terms": Served(1, math.inf,
+                                 "zeta requires --max-terms >= {lo}"),
+             "precision": _PRECISION, "work": 2**42,
+             METHOD_WEIGHTED3: 3, METHOD_WEIGHTED5: 5},
+    "sums": {"s": Served(2, 8), "n": _LEVELS, "precision": _PRECISION},
+    "group": {"n": _LEVELS},
+}
+
+
+def _check(command: str, **values) -> None:
+    """Turn away the first value outside its served range, in the order
+    given, which fixes the error line of a request with several faults."""
+    for name, value in values.items():
+        lo, hi, error = SERVED[command][name]
+        if "{lo}" in error and value < lo or "{hi}" in error and value > hi:
+            raise ArgumentProblem(
+                error.format(command=command, name=name, lo=lo, hi=hi))
 
 
 def _build_matrix(r: int, n: int, basis: str) -> ScaledMatrix:
-    """Dispatch on r's parity and sign; basis 'sin' means the odd-sine
-    presentation where one exists."""
-    if n > MAX_MATRIX_N:
-        raise ArgumentProblem(f"matrices are served for n <= {MAX_MATRIX_N}")
-    if abs(r) > MAX_MATRIX_R:
-        raise ArgumentProblem(
-            f"matrices are served for |r| <= {MAX_MATRIX_R}")
+    """Dispatch on r's parity and sign (n and |r| are in range); basis 'sin'
+    means the odd-sine presentation where one exists."""
     if r >= 1 and r % 2 == 1:
-        if n < 2:
-            raise ArgumentProblem("odd powers require n >= 2")
+        if n < _MATRIX_N.lo:
+            raise ArgumentProblem(f"odd powers require n >= {_MATRIX_N.lo}")
         m = matrix_scatter(r, n)
     elif r >= 2 and r % 2 == 0:
         if basis == "sin":
             raise ArgumentProblem(
                 "even powers expand over the even cosine basis only")
-        if n < 3:
-            raise ArgumentProblem("even powers require n >= 3")
+        if n < _LEVELS.lo:
+            raise ArgumentProblem(f"even powers require n >= {_LEVELS.lo}")
         return even_matrix(r, n)
     elif r in (-1, -3, -5):
-        if n < 3:
-            raise ArgumentProblem("reciprocal powers require n >= 3")
+        if n < _LEVELS.lo:
+            raise ArgumentProblem(
+                f"reciprocal powers require n >= {_LEVELS.lo}")
         m = {-1: matrix_neg1, -3: matrix_neg3, -5: matrix_neg5}[r](n)
     else:
         raise ArgumentProblem(
@@ -250,11 +258,11 @@ def _build_matrix(r: int, n: int, basis: str) -> ScaledMatrix:
 
 def cmd_minpoly(args) -> int:
     n = args.n
-    if not 2 <= n <= MAX_MINPOLY_N:
-        raise ArgumentProblem(f"minpoly supports n in [2, {MAX_MINPOLY_N}]")
-    if args.form in ("nested", "both") and n < 3:
+    _check("minpoly", n=n)
+    if args.form in ("nested", "both") and n < _LEVELS.lo:
         raise ArgumentProblem(
-            "the nested form starts at n = 3; n = 2 has only the closed form")
+            f"the nested form starts at n = {_LEVELS.lo}; n = {n} has only "
+            "the closed form")
     payload: dict = {"n": n, "form": args.form}
     if args.form in ("closed", "both"):
         payload["closed"] = closed_minpoly(n).coeffs
@@ -267,25 +275,24 @@ def cmd_minpoly(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    # checked before the build; _build_matrix rejects n > MAX_MATRIX_N
-    if args.n <= MAX_MATRIX_N \
-            and 4 ** max(args.n - 2, 0) * abs(args.r) > MAX_MATRIX_PRINT:
-        raise ArgumentProblem(
-            f"matrix serves 4^(n-2)*|r| <= {MAX_MATRIX_PRINT}; "
-            "verify checks larger matrices without printing them")
+    _check("matrix", n=args.n)
+    _check("matrix", printed=4 ** max(args.n - 2, 0) * abs(args.r),
+           r=abs(args.r))
     m = _build_matrix(args.r, args.n, args.basis)
-    _emit(_matrix_payload(m, args.r), args)
+    d = m.log2_denom
+    _emit({"n": m.basis.n, "r": args.r, "basis": m.basis.kind,
+           "log2_denom": d, "scale": f"1/2^{d}" if d >= 0 else f"2^{-d}",
+           "entries": m.entries}, args)
     return 0
 
 
 def cmd_verify(args) -> int:
     ctx = _context(args)
+    _check("verify", n=args.n, r=abs(args.r))
     m = _build_matrix(args.r, args.n, args.basis)
     if args.inject_error:
-        rows = [list(row) for row in m.entries]
-        rows[0][0] += 1
-        m = ScaledMatrix(tuple(tuple(row) for row in rows),
-                         m.log2_denom, m.basis)
+        first = (m.entries[0][0] + 1, *m.entries[0][1:])
+        m = ScaledMatrix((first, *m.entries[1:]), m.log2_denom, m.basis)
     residual = verify_numeric(m, args.r, ctx)
     ok = residual < ctx.tolerance
     payload = {
@@ -303,17 +310,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_zeta(args) -> int:
-    if not (math.isfinite(args.s) and args.s > 1):
-        raise ArgumentProblem("zeta requires finite s > 1")
-    if args.s > MAX_ZETA_S:
-        raise ArgumentProblem(f"zeta supports s <= {MAX_ZETA_S}")
-    if not 3 <= args.n <= MAX_ZETA_N:
-        raise ArgumentProblem(f"zeta supports n in [3, {MAX_ZETA_N}]")
-    if args.max_terms < 1:
-        raise ArgumentProblem("zeta requires --max-terms >= 1")
+    served = SERVED["zeta"]
+    if not (math.isfinite(args.s) and args.s > served["s"].lo):
+        raise ArgumentProblem(f"zeta requires finite s > {served['s'].lo}")
+    _check("zeta", s=args.s, n=args.n, max_terms=args.max_terms)
     if args.method == METHOD_BINOMIAL:
         dim = 2 ** (args.n - 3)
-        most = math.isqrt(MAX_BINOMIAL_WORK // (dim * (dim + 64)))
+        most = math.isqrt(served["work"] // (dim * (dim + 64)))
         if args.max_terms > most:
             raise ArgumentProblem(
                 f"zeta --method binomial at n = {args.n} serves "
@@ -324,14 +327,12 @@ def cmd_zeta(args) -> int:
         res = zeta_sine_sum(s, args.n, ctx)
     elif args.method == METHOD_BINOMIAL:
         res = zeta_binomial_series(s, args.n, args.max_terms, ctx)
-    elif args.method == METHOD_WEIGHTED3:
-        if s != 3:
-            raise ArgumentProblem("method weighted3 is the s = 3 sum")
-        res = zeta3_weighted(args.n, ctx)
     else:
-        if s != 5:
-            raise ArgumentProblem("method weighted5 is the s = 5 sum")
-        res = zeta5_weighted(args.n, ctx)
+        if s != served[args.method]:
+            raise ArgumentProblem(f"method {args.method} is the s = "
+                                  f"{served[args.method]} sum")
+        res = {METHOD_WEIGHTED3: zeta3_weighted,
+               METHOD_WEIGHTED5: zeta5_weighted}[args.method](args.n, ctx)
     payload = {
         "method": res.method,
         "s": s,
@@ -349,10 +350,7 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_sums(args) -> int:
-    if not 2 <= args.s <= 8:
-        raise ArgumentProblem("sums supports s in [2, 8]")
-    if not 3 <= args.n <= MAX_SUMS_N:
-        raise ArgumentProblem(f"sums supports n in [3, {MAX_SUMS_N}]")
+    _check("sums", s=args.s, n=args.n)
     ctx = _context(args)
     closed = S_closed_form(args.s, args.n)
     closed_numeric = closed.numeric(ctx)
@@ -377,8 +375,7 @@ def cmd_sums(args) -> int:
 
 
 def cmd_group(args) -> int:
-    if not 3 <= args.n <= MAX_MATRIX_N:
-        raise ArgumentProblem(f"group supports n in [3, {MAX_MATRIX_N}]")
+    _check("group", n=args.n)
     table = cayley_table(args.n)
     verdicts = verify_group_axioms(args.n, table)
     payload = {
@@ -399,8 +396,8 @@ def _add_common(sub, precision: bool = False):
                      help="write output to FILE instead of stdout")
     if precision:
         sub.add_argument("--precision", type=int, default=256, metavar="BITS",
-                         help="working precision in bits, 64 to "
-                              f"{MAX_PRECISION} (default 256; tolerance "
+                         help=f"working precision in bits, {_PRECISION.lo} "
+                              f"to {_PRECISION.hi} (default 256; tolerance "
                               "is 2^-BITS/2)")
 
 
@@ -415,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("minpoly", help="minimal polynomial of cos(pi/2^n) "
                                         "conjugates")
     p.add_argument("--n", type=int, required=True,
-                   help=f"level n in [2, {MAX_MINPOLY_N}]")
+                   help=f"level n {SERVED['minpoly']['n'].span()}")
     p.add_argument("--form", choices=("nested", "closed", "both"),
                    default="closed")
     _add_common(p)
@@ -424,10 +421,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("matrix", help="exact change-of-basis matrix for "
                                        "cos^r (or 1/sin^|r|)")
     p.add_argument("--n", type=int, required=True,
-                   help=f"level n <= {MAX_MATRIX_N}")
+                   help=f"level n <= {_MATRIX_N.hi}")
     p.add_argument("--r", type=int, required=True,
                    help="power: odd >= 1, even >= 2, or -1/-3/-5; "
-                        f"|r| <= {MAX_MATRIX_R}")
+                        f"|r| <= {_POWERS.hi}")
     p.add_argument("--basis", choices=("cos", "sin"), default="cos")
     _add_common(p)
     p.set_defaults(handler=cmd_matrix)
@@ -435,41 +432,44 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify", help="numeric residual of a matrix at "
                                        "high precision")
     p.add_argument("--n", type=int, required=True,
-                   help=f"level n <= {MAX_MATRIX_N}")
+                   help=f"level n <= {_MATRIX_N.hi}")
     p.add_argument("--r", type=int, required=True,
-                   help=f"power, as for matrix; |r| <= {MAX_MATRIX_R}")
+                   help=f"power, as for matrix; |r| <= {_POWERS.hi}")
     p.add_argument("--basis", choices=("cos", "sin"), default="cos")
     p.add_argument("--inject-error", action="store_true",
                    help="corrupt one entry first (negative-control hook)")
     _add_common(p, precision=True)
     p.set_defaults(handler=cmd_verify)
 
+    zeta = SERVED["zeta"]
     p = subs.add_parser("zeta", help="zeta(s) approximation at level n")
     p.add_argument("--s", type=float, required=True,
-                   help=f"exponent 1 < s <= {MAX_ZETA_S}")
+                   help=f"exponent {zeta['s'].lo} < s <= {zeta['s'].hi}")
     p.add_argument("--n", type=int, required=True,
-                   help=f"level n in [3, {MAX_ZETA_N}]")
+                   help=f"level n {zeta['n'].span()}")
     p.add_argument("--method", choices=(METHOD_SINE_SUM, METHOD_BINOMIAL,
                                         METHOD_WEIGHTED3, METHOD_WEIGHTED5),
                    default=METHOD_SINE_SUM)
     p.add_argument("--max-terms", type=int, default=10000,
-                   help="series term budget, >= 1 (default 10000); the "
-                        "binomial method caps it by level")
+                   help=f"series term budget, >= {zeta['max_terms'].lo} "
+                        "(default 10000); the binomial method caps it by "
+                        "level")
     _add_common(p, precision=True)
     p.set_defaults(handler=cmd_zeta)
 
     p = subs.add_parser("sums", help="cosecant power sum S(s, n): closed "
                                      "form vs direct numeric")
-    p.add_argument("--s", type=int, required=True, help="power s in [2, 8]")
+    p.add_argument("--s", type=int, required=True,
+                   help=f"power s {SERVED['sums']['s'].span()}")
     p.add_argument("--n", type=int, required=True,
-                   help=f"level n in [3, {MAX_SUMS_N}]")
+                   help=f"level n {SERVED['sums']['n'].span()}")
     _add_common(p, precision=True)
     p.set_defaults(handler=cmd_sums)
 
     p = subs.add_parser("group", help="Cayley table and axioms of the "
                                       "angle-multiplication group")
     p.add_argument("--n", type=int, required=True,
-                   help=f"level n in [3, {MAX_MATRIX_N}]")
+                   help=f"level n {SERVED['group']['n'].span()}")
     _add_common(p)
     p.set_defaults(handler=cmd_group)
 
@@ -477,8 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except ArgumentProblem as exc:

@@ -228,9 +228,6 @@ class ScaledMatrix:
     def dim(self) -> int:
         return self.basis.dim
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def scale(self, ctx: "EvalContext"):
         return ctx.power(ctx.two, -self.log2_denom)
 
@@ -503,5 +500,3 @@ class EvalContext:
         t = self.tolerance if tol is None else self.to_real(tol)
         return self.fabs(x - y) < t
 
-
-DEFAULT_CONTEXT = EvalContext(256)

@@ -36,7 +36,6 @@ from typing import NamedTuple
 from .even_power import integer_power_average
 from .exact import EvalContext, exact_div, odd_sin_basis
 from .minpoly import _average_stream, _level_recurrence, _newton_windows
-from .minpoly import monic_two_cos_poly  # noqa: F401
 from .negative_power import odd_csc_weights
 from .series import (RATIO_BITS, SeriesResult, as_fraction,
                      tail_is_negligible)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cospow import cli
+from cospow.exact import EvalContext
 
 
 def run(capsys, *argv):
@@ -311,10 +312,10 @@ class TestOutputCaps:
         assert "error:" in err
 
     def test_minpoly_serves_its_cap(self, capsys):
-        code, doc, _ = run_json(capsys, "minpoly", "--n",
-                                str(cli.MAX_MINPOLY_N))
+        most = cli.SERVED["minpoly"]["n"].hi
+        code, doc, _ = run_json(capsys, "minpoly", "--n", str(most))
         assert code == 0
-        assert len(doc["closed"]) == 2 ** (cli.MAX_MINPOLY_N - 1) + 1
+        assert len(doc["closed"]) == 2 ** (most - 1) + 1
 
     @pytest.mark.parametrize("n,r", [("12", "4095"), ("12", "65")])
     def test_matrix_print_cap(self, capsys, n, r):
@@ -328,7 +329,7 @@ class TestOutputCaps:
 
     def test_matrix_print_cap_admits_the_served_sizes(self, capsys):
         # the largest matrix the benchmark requests
-        assert 4 ** 9 * 63 <= cli.MAX_MATRIX_PRINT
+        assert 4 ** 9 * 63 <= cli.SERVED["matrix"]["printed"].hi
         code, doc, _ = run_json(capsys, "matrix", "--n", "10", "--r", "63")
         assert code == 0
         assert len(doc["entries"]) == 2 ** 8
@@ -338,7 +339,8 @@ class TestOutputCaps:
                                       ("sums", "--s", "3", "--n", "5")])
     def test_precision_cap(self, capsys, argv):
         # verify --n 3 --r 1 at 2^20 bits ran past 40 s
-        for bits in ("1000000", str(cli.MAX_PRECISION + 1)):
+        most = cli.SERVED[argv[0]]["precision"].hi
+        for bits in ("1000000", str(most + 1)):
             start = time.perf_counter()
             code, out, err = run(capsys, *argv, "--precision", bits)
             assert time.perf_counter() - start < 1
@@ -348,9 +350,16 @@ class TestOutputCaps:
 
     def test_precision_cap_is_served(self, capsys):
         code, doc, _ = run_json(capsys, "verify", "--n", "3", "--r", "1",
-                                "--precision", str(cli.MAX_PRECISION))
+                                "--precision",
+                                str(cli.SERVED["verify"]["precision"].hi))
         assert code == 0
         assert doc["ok"] is True
+
+    def test_precision_floor_is_evalcontexts(self):
+        lowest = cli.SERVED["verify"]["precision"].lo
+        assert EvalContext(lowest).precision_bits == lowest
+        with pytest.raises(ValueError):
+            EvalContext(lowest - 1)
 
     def test_level_range_messages(self, capsys):
         _, _, err = run(capsys, "sums", "--s", "4", "--n", "13")

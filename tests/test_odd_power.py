@@ -231,7 +231,7 @@ def verify_numeric_per_entry(m, r, ctx):
         theta = ctx.pi * (2 * i - 1) / 2**n
         lhs = ctx.power(fn(theta), r)
         rhs = ctx.zero
-        for k, entry in enumerate(m.row(i - 1)):
+        for k, entry in enumerate(m.entries[i - 1]):
             if entry:
                 rhs += entry * m.basis.element(k, ctx)
         worst = max(worst, ctx.fabs(lhs - scale * rhs))

@@ -19,19 +19,22 @@ from cospow.odd_power import matrix_gather, matrix_scatter
 # among them, now inside fold), names no code called, the hand-typed
 # cosecant closed forms that negative_power.odd_csc_weights derives, and
 # poly_mod_reduce and _wrapped_binomial, reference routes that only the
-# tests call
+# tests call; DEFAULT_CONTEXT, ScaledMatrix.row and zeta's re-export of
+# monic_two_cos_poly, which nothing in the package read
 REMOVED = {
     exact: ("make_matrix", "int_mat_transpose", "poly_x", "poly_compose",
             "pochhammer", "fold_odd_cos_index", "fold_even_cos_index",
-            "DyadicAngle", "poly_mod_reduce", "_wrapped_binomial"),
+            "DyadicAngle", "poly_mod_reduce", "_wrapped_binomial",
+            "DEFAULT_CONTEXT"),
     exact.Basis: ("phase",),
+    exact.ScaledMatrix: ("row",),
     odd_power: ("scatter_target", "perm_sign", "PermSign"),
     chebyshev: ("identity_poly", "OddChebyshev"),
     minpoly: ("MinPolyPair", "minpoly_pair"),
     negative_power: ("csc3_weight", "csc5_weight", "row1_neg3", "row1_neg5",
                      "_row1_neg5_doubled", "_weight3", "_weight5",
                      "_weight7"),
-    zeta: ("csc3_weight", "csc5_weight"),
+    zeta: ("csc3_weight", "csc5_weight", "monic_two_cos_poly"),
     series: ("sec_power_series", "csc_power_series",
              "csc_power_cos2_series", "jordan_bounds_check", "STOP_RUN"),
 }

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from cospow import zeta
 from cospow.even_power import integer_power_average
 from cospow.exact import EvalContext, odd_sin_basis
+from cospow.minpoly import monic_two_cos_poly
 from cospow.zeta import (
     METHOD_BINOMIAL,
     METHOD_SINE_SUM,
@@ -24,7 +25,6 @@ from cospow.zeta import (
     bernoulli_limit_check,
     bernoulli_numbers,
     finite_level_identity,
-    monic_two_cos_poly,
     odd_power_vanishing_residual,
     reference_even_zeta,
     reference_zeta,
