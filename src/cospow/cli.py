@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -18,7 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .even_power import even_matrix
-from .exact import EvalContext, ScaledMatrix
+from .exact import EvalContext, ScaledMatrix, odd_sin_basis
 from .minpoly import closed_minpoly, nested_minpoly
 from .negative_power import (
     S_closed_form,
@@ -64,19 +65,32 @@ def _real_str(x, ctx: EvalContext) -> str:
     return ctx.nstr(x, max(17, ctx.precision_bits * 301 // 1000))
 
 
-# serialization: ints become decimal strings (bool checked first: it is an
-# int subclass), Fractions become "p/q"
-
-def _jsonable(x):
+def _json(x, pad: str) -> str:
+    """json.dumps(x, indent=2, allow_nan=False), with every int (bool
+    aside) and Fraction written as its decimal string, "p/q" for a
+    Fraction. pad is the newline and indent x starts at; keys are strings.
+    A list of ints and Fractions, such as a matrix row, is joined in one
+    pass."""
     if isinstance(x, bool):
-        return x
+        return "true" if x else "false"
     if isinstance(x, (int, Fraction)):
-        return str(x)
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
+        return f'"{x}"'
+    inner = pad + "  "
     if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    return x
+        if not x:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            f"{json.dumps(k)}: {_json(v, inner)}"
+            for k, v in x.items()) + pad + "}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        if set(map(type, x)) <= {int, Fraction}:
+            return "[" + inner + '"' + ('",' + inner + '"').join(
+                map(str, x)) + '"' + pad + "]"
+        return "[" + inner + ("," + inner).join(
+            _json(v, inner) for v in x) + pad + "]"
+    return json.dumps(x, allow_nan=False)
 
 
 def _flat_str(x) -> str:
@@ -127,8 +141,7 @@ def _render_tex(payload: dict) -> str:
 
 def _emit(payload: dict, args) -> None:
     if args.format == "json":
-        text = json.dumps(_jsonable(payload), indent=2,
-                          allow_nan=False) + "\n"
+        text = _json(payload, "\n") + "\n"
     elif args.format == "csv":
         text = _render_csv(payload)
     else:
@@ -167,24 +180,26 @@ _MATRIX_N = Served(2, 12, "matrices are served for n <= {hi}")
 _LEVELS = Served(3, _MATRIX_N.hi)
 # largest |r| `matrix` and `verify` serve: a first row costs r/2 steps of
 # r-bit binomials, and entries carry up to r bits. At 4096 `verify --n 12`
-# takes ~13 s, nearly all of it the numeric oracle, and every entry prints
-# within Python's 4300-digit limit on int-to-str conversion (r = 16385
-# breaks it)
+# takes about 3 s at 256 bits, most of it the numeric oracle's row sums, and
+# every entry prints within Python's 4300-digit limit on int-to-str
+# conversion (r = 16385 breaks it)
 _POWERS = Served(1, 4096, "matrices are served for |r| <= {hi}")
 # largest --precision `verify`, `zeta` and `sums` serve. On a 2-vCPU Xeon the
-# heaviest admitted request, verify --n 12 --r 4095, took 11.5 s at 256 bits,
-# 25.7 s at 2048 and 40 s at 4096; sums and zeta at n = 12 took under 0.5 s
-# at 2048 and 18 s at 16384. At 2^20 bits even verify --n 3 --r 1 did not
-# finish in 40 s. EvalContext turns away fewer than 64 bits
+# heaviest admitted request, verify --n 12 --r 4095, took 3.2 s at 256 bits
+# and 18.6 s at 2048, and its oracle 40 s at 4096; sums and zeta at n = 12
+# took under 0.5 s at 2048 and 18 s at 16384. At 2^20 bits even
+# verify --n 3 --r 1 did not finish in 40 s. EvalContext turns away fewer
+# than 64 bits
 _PRECISION = Served(64, 2048, "--precision is served up to {hi} bits")
 # per command, each checked value's served range or, as a plain number, a
 # bound that code compares with several arguments
 SERVED = {
     # largest level `minpoly` serves: at n = 15 the closed coefficients pass
     # Python's 4300-digit limit on int-to-str conversion. On a 2-vCPU Xeon
-    # `minpoly --n 14 --form both` took 6.4 s wall and 102 MB (n = 13:
-    # 0.6 s), two thirds of it the nested route's squarings; that is half the
-    # ~13 s of `verify --n 12 --r 4095`, the heaviest request `verify` serves
+    # `minpoly --n 14 --form both` took 5.7 s wall and 91 MB (n = 13:
+    # 1.2 s), two thirds of it the nested route's squarings; that lies between
+    # the 3.2 s and 18.6 s of `verify --n 12 --r 4095` at 256 and 2048 bits,
+    # the heaviest request `verify` serves
     "minpoly": {"n": Served(_MATRIX_N.lo, 14)},
     # printed: largest 4^{n-2} |r| `matrix` prints: entries carry up to ~|r|
     # bits (n = 11, r = 63 is 3 MB of JSON, n = 12, r = 4095 1.2 GB);
@@ -353,8 +368,11 @@ def cmd_sums(args) -> int:
     _check("sums", s=args.s, n=args.n)
     ctx = _context(args)
     closed = S_closed_form(args.s, args.n)
-    closed_numeric = closed.numeric(ctx)
-    direct = direct_csc_power_sum(args.s, args.n, ctx)
+    # one table of level sines serves both sides: they read the same
+    # values, so sharing it keeps each side's result bit for bit
+    sines = odd_sin_basis(args.n).values(ctx)
+    closed_numeric = closed.numeric(ctx, sines)
+    direct = direct_csc_power_sum(args.s, args.n, ctx, sines)
     gap = ctx.fabs(closed_numeric - direct)
     # relative: every csc sum is >= 1, and the large ones outgrow any
     # absolute tolerance at low precision
@@ -401,7 +419,10 @@ def _add_common(sub, precision: bool = False):
                               "is 2^-BITS/2)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The cospow parser, built on the first call and shared by every later
+    one in the process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cospow",
         description="Exact dyadic-angle trigonometry: minimal polynomials, "

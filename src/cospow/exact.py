@@ -8,7 +8,8 @@ law one angle (Basis.fold) or a whole turn at once (Basis.turn); dense
 integer polynomials with their one product (a double loop when a factor
 is short, one big-integer multiply by Kronecker substitution when both
 are long); and EvalContext, an arbitrary-precision evaluation
-environment wrapping an isolated mpmath context.
+environment wrapping an isolated mpmath context, with the numeric
+oracle's row sums done on plain ints that round exactly as mpmath does.
 
 Conventions used throughout the package:
   * "mod" always means the least nonnegative residue and "floor" always
@@ -495,6 +496,61 @@ class EvalContext:
 
     def nstr(self, x, digits: int = 17) -> str:
         return self._mp.nstr(x, digits)
+
+    def row_sums(self, rows: Iterable[Sequence[int]], values: Sequence):
+        """Yield sum_k row[k] * values[k] for each integer row, values being
+        finite mpfs of this context: bit for bit the mpf loop
+        `acc += entry * v` over the row's nonzero entries in column order,
+        starting from zero.
+
+        That loop rounds every product and every partial sum once, to the
+        working precision, nearest-even (mpmath's mpf_mul_int and mpf_add
+        are correctly rounded). Here the same steps run on plain ints:
+        each value is unpacked once into a signed mantissa and exponent,
+        a product or sum m 2^e is exact until it is rounded, and each row
+        ends as one mpf. Aligning a sum shifts by the exponent gap of its
+        operands: on a basis table at level n, whose values lie between
+        2^-n and 1, at most about n bits plus the widest entry's width.
+
+        Rounding m 2^e to prec bits shifts out sh = bits(m) - prec bits:
+        t = m >> (sh - 1) keeps the half bit, and the floor t >> 1 goes up
+        by one when the bits shifted out exceed half, or equal it and the
+        floor is odd. Python's >> floors negative m too, and the rule is
+        symmetric in sign.
+        """
+        prec = self.precision_bits
+        mpf = self._mp.mpf
+        table = []
+        for v in values:
+            sign, man, exp, _ = v._mpf_
+            table.append((-man if sign else man, exp))
+        for row in rows:
+            am = ae = 0
+            for entry, (pm, pe) in zip(row, table):
+                if not entry:
+                    continue
+                pm *= entry
+                sh = pm.bit_length() - prec
+                if sh > 0:
+                    t = pm >> (sh - 1)
+                    pm = (t >> 1) + 1 if t & 1 and (
+                        t & 2 or t << (sh - 1) != pm) else t >> 1
+                    pe += sh
+                d = ae - pe
+                if d > 0:
+                    pm += am << d
+                else:
+                    pm = am + (pm << -d)
+                    pe = ae
+                sh = pm.bit_length() - prec
+                if sh > 0:
+                    t = pm >> (sh - 1)
+                    am = (t >> 1) + 1 if t & 1 and (
+                        t & 2 or t << (sh - 1) != pm) else t >> 1
+                    ae = pe + sh
+                else:
+                    am, ae = pm, pe
+            yield mpf((am, ae))
 
     def close(self, x, y, tol=None) -> bool:
         t = self.tolerance if tol is None else self.to_real(tol)

@@ -230,7 +230,9 @@ def verify_numeric(m: ScaledMatrix, r: int, ctx: EvalContext):
 
     The basis is evaluated once per call. For the odd bases g((2i-1)pi/2^n)
     is basis element i-1, so the left side reads the same table; only the
-    even basis needs a second one, of odd-angle cosines.
+    even basis needs a second one, of odd-angle cosines. The row sums come
+    from EvalContext.row_sums, on ints, rounded step by step exactly as
+    the mpf loop `rhs += entry * v` rounds them.
     """
     scale = m.scale(ctx)
     vals = m.basis.values(ctx)
@@ -239,13 +241,8 @@ def verify_numeric(m: ScaledMatrix, r: int, ctx: EvalContext):
     else:
         g_vals = vals
     worst = ctx.zero
-    for row, g in zip(m.entries, g_vals):
-        lhs = ctx.power(g, r)
-        rhs = ctx.zero
-        for entry, v in zip(row, vals):
-            if entry:
-                rhs += entry * v
-        worst = max(worst, ctx.fabs(lhs - scale * rhs))
+    for rhs, g in zip(ctx.row_sums(m.entries, vals), g_vals):
+        worst = max(worst, ctx.fabs(ctx.power(g, r) - scale * rhs))
     return worst
 
 

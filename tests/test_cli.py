@@ -4,7 +4,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -430,7 +434,55 @@ class TestZetaGuards:
         assert capsys.readouterr().out == ""
 
 
+def _jsonable(x):
+    """The writer's reference route, cli's serializer before it wrote JSON
+    itself: a str copy of every int (bool aside) and Fraction, for
+    json.dumps to indent."""
+    if isinstance(x, bool):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return str(x)
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _jsonable(v) for k, v in x.items()}
+    return x
+
+
+_CELLS = st.integers(-10**40, 10**40) | st.fractions()
+_SCALARS = (_CELLS | st.booleans() | st.none() | st.text()
+            | st.floats(allow_nan=False, allow_infinity=False)
+            | st.lists(_CELLS, max_size=5)
+            | st.lists(st.tuples(_CELLS, _CELLS), max_size=3))
+_PAYLOADS = st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.dictionaries(st.text(), _PAYLOADS, max_size=4))
+def test_json_writer_matches_dumps(payload):
+    assert cli._json(payload, "\n") == json.dumps(
+        _jsonable(payload), indent=2, allow_nan=False)
+
+
 class TestFormatsAndOutput:
+    def test_parser_keeps_no_request_state(self, capsys, tmp_path):
+        """main builds its parser once per process; a request that sets
+        --inject-error, --format and --out leaves nothing for the next."""
+        argv = ["verify", "--n", "4", "--r", "7"]
+        cli.build_parser.cache_clear()
+        fresh = run(capsys, *argv)
+        assert cli.build_parser() is cli.build_parser()
+        out = tmp_path / "bad.csv"
+        code, stdout, _ = run(capsys, *argv, "--inject-error",
+                              "--format", "csv", "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert "injected_error,true" in out.read_text()
+        assert run(capsys, *argv) == fresh
+        assert fresh[0] == 0
+
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "sums", "--s", "3", "--n", "4",
                            "--format", "csv")
@@ -667,6 +719,21 @@ class TestByteIdentity:
     def test_group(self, capsys):
         for n, want in GROUP_DIGESTS.items():
             assert _digest(capsys, "group", "--n", str(n)) == want, n
+
+    def test_verify_under_optimize(self):
+        """python -O strips asserts; the row sums use none, so the
+        residual keeps its bytes."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "cospow.cli", "verify", "--n", "8",
+             "--r", "-1", "--basis", "sin", "--precision", "128"],
+            env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout).hexdigest() \
+            == VERIFY_DIGESTS[8, -1, "sin", 128]
 
 
 # one argv per distinct error line, recorded before the served ranges moved

@@ -387,3 +387,87 @@ class TestEvalContext:
 
     def test_nstr(self, ctx):
         assert ctx.nstr(ctx.to_real(Fraction(1, 4)), 5) == "0.25"
+
+
+def _mpf_row_sum(ctx, row, values):
+    """The loop EvalContext.row_sums replaces: one mpf product and one mpf
+    sum per nonzero entry, each rounded by mpmath."""
+    acc = ctx.zero
+    for entry, v in zip(row, values):
+        if entry:
+            acc += entry * v
+    return acc
+
+
+_PRECISIONS = st.one_of(st.sampled_from((64, 65, 128, 256, 2048)),
+                        st.integers(64, 2048))
+# small gaps drawn twice as often: they put sums on halfway cases
+_GAPS = st.one_of(st.integers(-2, 2), st.integers(-8, 8),
+                  st.integers(100, 3000), st.integers(-3000, -100))
+_ENTRIES = st.one_of(
+    st.just(0), st.integers(-3, 3), st.integers(-2**300, 2**300),
+    st.sampled_from([s * (2**k + d) for k in (1, 64, 299) for d in (-1, 0)
+                     for s in (1, -1)]))
+
+
+def _mantissa(draw, prec: int) -> int:
+    """Below 2^prec: at the top, just past half, small, or any."""
+    top = 2 ** prec
+    return draw(st.sampled_from((top - 1, top - 2, top // 2 + 1, 1, 2, 3))
+                | st.integers(1, top - 1))
+
+
+@st.composite
+def _row_sum_cases(draw):
+    """A precision and one row of entries against values m 2^e: mantissas
+    at the top of the precision, exponent gaps past 100 bits (mpmath's
+    shortcut for a far addend) and past the precision, signed entries of
+    up to 300 bits, and optionally a leading pair that cancels exactly."""
+    prec = draw(_PRECISIONS)
+    exp = draw(st.integers(-3000, 100))
+    pairs = []
+    for _ in range(draw(st.integers(0, 10))):
+        sign = draw(st.sampled_from((1, -1)))
+        pairs.append((draw(_ENTRIES), sign * _mantissa(draw, prec), exp))
+        exp += draw(_GAPS)
+    if draw(st.booleans()) or not pairs:
+        e, m = draw(_ENTRIES.filter(bool)), _mantissa(draw, prec)
+        pairs[:0] = [(e, m, exp), (-e, m, exp)]
+    ctx = EvalContext(prec)
+    values = [ctx.to_real(Fraction(m) * Fraction(2) ** x) for _, m, x in pairs]
+    return ctx, [e for e, _, _ in pairs], values
+
+
+class TestRowSums:
+    @settings(max_examples=150, deadline=None)
+    @given(_row_sum_cases())
+    def test_bit_for_bit_the_mpf_loop(self, case):
+        ctx, row, values = case
+        (got,) = ctx.row_sums([row], values)
+        assert got == _mpf_row_sum(ctx, row, values)
+
+    @pytest.mark.parametrize("row, values, want", [
+        # 1 + half an ulp ties to the even 1; from the odd 1 + ulp it
+        # rounds up to 1 + 2 ulp
+        ([1, 1], [(1, 0), (1, -64)], (1, 0)),
+        ([1, 1], [(2**63 + 1, -63), (1, -64)], (2**62 + 1, -62)),
+        # a far addend, below or above, and its negation
+        ([1, 1], [(1, 0), (1, -3000)], (1, 0)),
+        ([1, -1], [(1, 0), (1, -3000)], (1, 0)),
+        ([-1, 1], [(1, -3000), (1, 0)], (1, 0)),
+        # exact cancellation, then a fresh start from zero
+        ([5, -5], [(3, -7), (3, -7)], (0, 0)),
+        ([5, -5, 1], [(3, -7), (3, -7), (1, 900)], (1, 900)),
+    ])
+    def test_rounding_edges(self, row, values, want):
+        ctx = EvalContext(64)
+        vals = [ctx.to_real(Fraction(m) * Fraction(2) ** x) for m, x in values]
+        (got,) = ctx.row_sums([row], vals)
+        assert got == _mpf_row_sum(ctx, row, vals)
+        assert got == ctx.to_real(Fraction(want[0]) * Fraction(2) ** want[1])
+
+    def test_one_sum_per_row(self, ctx):
+        vals = odd_cos_basis(5).values(ctx)
+        rows = [[1, 0, 0, 0, 0, 0, 0, 0], [0] * 8, [3, -1, 4, 1, -5, 9, 2, -6]]
+        assert list(ctx.row_sums(rows, vals)) == [
+            _mpf_row_sum(ctx, row, vals) for row in rows]

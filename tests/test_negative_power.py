@@ -1,5 +1,6 @@
 """Reciprocal-power matrices and the cosecant power sums."""
 
+import os
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,13 @@ from cospow.negative_power import (
     odd_csc_weights,
     reciprocal_first_row,
 )
-from cospow.exact import exact_div, odd_cos_basis, odd_sin_basis
+from cospow import cli
+from cospow.exact import (
+    EvalContext,
+    exact_div,
+    odd_cos_basis,
+    odd_sin_basis,
+)
 from cospow.odd_power import (
     gather,
     scatter,
@@ -387,3 +394,23 @@ class TestPowerSums:
     def test_numeric_method_on_scalar(self, ctx):
         v = CscPowerSum(2, 4, scalar=Fraction(32)).numeric(ctx)
         assert ctx.close(v, ctx.to_real(32))
+
+    def test_shared_sine_table(self, ctx):
+        """Both sides read a table a caller passes bit for bit as the one
+        they build without it."""
+        for s in (3, 4, 7):
+            sines = odd_sin_basis(6).values(ctx)
+            closed = S_closed_form(s, 6)
+            assert closed.numeric(ctx, sines) == closed.numeric(ctx)
+            assert direct_csc_power_sum(s, 6, ctx, sines) \
+                == direct_csc_power_sum(s, 6, ctx)
+
+    @pytest.mark.parametrize("s", [4, 7])
+    def test_sums_request_builds_one_sine_table(self, monkeypatch, s):
+        calls = []
+        sin = EvalContext.sin
+        monkeypatch.setattr(EvalContext, "sin",
+                            lambda self, x: calls.append(x) or sin(self, x))
+        assert cli.main(["sums", "--s", str(s), "--n", "5",
+                         "--out", os.devnull]) == 0
+        assert len(calls) == 8

@@ -20,7 +20,8 @@ from cospow.odd_power import matrix_gather, matrix_scatter
 # cosecant closed forms that negative_power.odd_csc_weights derives, and
 # poly_mod_reduce and _wrapped_binomial, reference routes that only the
 # tests call; DEFAULT_CONTEXT, ScaledMatrix.row and zeta's re-export of
-# monic_two_cos_poly, which nothing in the package read
+# monic_two_cos_poly, which nothing in the package read; cli's _jsonable,
+# the per-cell str copy that cli._json's writer replaced
 REMOVED = {
     exact: ("make_matrix", "int_mat_transpose", "poly_x", "poly_compose",
             "pochhammer", "fold_odd_cos_index", "fold_even_cos_index",
@@ -35,6 +36,7 @@ REMOVED = {
                      "_row1_neg5_doubled", "_weight3", "_weight5",
                      "_weight7"),
     zeta: ("csc3_weight", "csc5_weight", "monic_two_cos_poly"),
+    cli: ("_jsonable",),
     series: ("sec_power_series", "csc_power_series",
              "csc_power_cos2_series", "jordan_bounds_check", "STOP_RUN"),
 }
