@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .even_power import even_matrix
-from .exact import EvalContext, ScaledMatrix, odd_sin_basis
+from .exact import EvalContext, ScaledMatrix
 from .minpoly import closed_minpoly, nested_minpoly
 from .negative_power import (
     S_closed_form,
@@ -368,11 +368,8 @@ def cmd_sums(args) -> int:
     _check("sums", s=args.s, n=args.n)
     ctx = _context(args)
     closed = S_closed_form(args.s, args.n)
-    # one table of level sines serves both sides: they read the same
-    # values, so sharing it keeps each side's result bit for bit
-    sines = odd_sin_basis(args.n).values(ctx)
-    closed_numeric = closed.numeric(ctx, sines)
-    direct = direct_csc_power_sum(args.s, args.n, ctx, sines)
+    closed_numeric = closed.numeric(ctx)
+    direct = direct_csc_power_sum(args.s, args.n, ctx)
     gap = ctx.fabs(closed_numeric - direct)
     # relative: every csc sum is >= 1, and the large ones outgrow any
     # absolute tolerance at low precision

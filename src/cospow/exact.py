@@ -8,8 +8,9 @@ law one angle (Basis.fold) or a whole turn at once (Basis.turn); dense
 integer polynomials with their one product (a double loop when a factor
 is short, one big-integer multiply by Kronecker substitution when both
 are long); and EvalContext, an arbitrary-precision evaluation
-environment wrapping an isolated mpmath context, with the numeric
-oracle's row sums done on plain ints that round exactly as mpmath does.
+environment wrapping an isolated mpmath context: it keeps each level
+table Basis.values builds in it, and does the numeric oracle's row sums
+on plain ints that round exactly as mpmath does.
 
 Conventions used throughout the package:
   * "mod" always means the least nonnegative residue and "floor" always
@@ -188,10 +189,16 @@ class Basis:
                 turn.append(None)
         return turn
 
-    def values(self, ctx: "EvalContext") -> list:
-        """Numeric values of all dim basis elements, in column order: one
-        table per call, so a caller evaluates each element once."""
-        return [self.element(k, ctx) for k in range(self.dim)]
+    def values(self, ctx: "EvalContext") -> tuple:
+        """Numeric values of all dim basis elements, in column order. The
+        table is built on the first call in ctx and kept there, so each
+        element is evaluated once per context and later calls return the
+        same tuple."""
+        table = ctx._tables.get(self)
+        if table is None:
+            table = ctx._tables[self] = tuple(
+                self.element(k, ctx) for k in range(self.dim))
+        return table
 
 
 def odd_cos_basis(n: int) -> Basis:
@@ -424,26 +431,23 @@ class EvalContext:
     """Arbitrary-precision real/complex evaluation environment.
 
     Wraps a private mpmath context so two EvalContexts never interfere;
-    precision is fixed at construction and the instance is immutable.
-    tolerance defaults to 2^(-precision_bits/2).
+    precision is fixed at construction, and the instance keeps each level
+    table it builds (Basis.values), which dies with it. tolerance is
+    2^(-precision_bits/2).
     """
 
-    __slots__ = ("precision_bits", "tolerance", "_mp")
+    __slots__ = ("precision_bits", "tolerance", "_mp", "_tables")
 
-    def __init__(self, precision_bits: int = 256, tolerance=None):
+    def __init__(self, precision_bits: int = 256):
         if precision_bits < 64:
             raise ValueError("EvalContext requires precision_bits >= 64")
         mpctx = MPContext()
         mpctx.prec = precision_bits
         object.__setattr__(self, "_mp", mpctx)
         object.__setattr__(self, "precision_bits", precision_bits)
-        if tolerance is None:
-            tolerance = mpctx.mpf(2) ** -(precision_bits // 2)
-        else:
-            tolerance = self.to_real(tolerance)
-            if not tolerance > 0:
-                raise ValueError("tolerance must be positive")
-        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "tolerance",
+                           mpctx.mpf(2) ** -(precision_bits // 2))
+        object.__setattr__(self, "_tables", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("EvalContext is immutable")

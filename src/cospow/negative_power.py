@@ -186,16 +186,12 @@ class CscPowerSum:
     scalar: Fraction | None = None
     csc_weights: tuple[Fraction, ...] | None = None
 
-    def numeric(self, ctx: EvalContext, sines=None):
-        """The value at ctx's precision; sines, when given, is the level's
-        odd_sin_basis(n).values(ctx), so a caller that holds that table
-        need not build it again."""
+    def numeric(self, ctx: EvalContext):
+        """The value at ctx's precision."""
         if self.scalar is not None:
             return ctx.to_real(self.scalar)
-        if sines is None:
-            sines = odd_sin_basis(self.n).values(ctx)
         tot = ctx.zero
-        for w, sin in zip(self.csc_weights, sines):
+        for w, sin in zip(self.csc_weights, odd_sin_basis(self.n).values(ctx)):
             tot += ctx.to_real(w) / sin
         return tot
 
@@ -214,13 +210,9 @@ def S_closed_form(s: int, n: int) -> CscPowerSum:
         map(Fraction, odd_csc_weights(s, n))))
 
 
-def direct_csc_power_sum(s: int, n: int, ctx: EvalContext, sines=None):
-    """Numeric S(s, n) summed term by term, the oracle side of the tests;
-    sines, when given, is odd_sin_basis(n).values(ctx), as for
-    CscPowerSum.numeric."""
-    if sines is None:
-        sines = odd_sin_basis(n).values(ctx)
+def direct_csc_power_sum(s: int, n: int, ctx: EvalContext):
+    """Numeric S(s, n) summed term by term, the oracle side of the tests."""
     tot = ctx.zero
-    for sin in sines:
+    for sin in odd_sin_basis(n).values(ctx):
         tot += sin ** (-s)
     return tot

@@ -73,13 +73,14 @@ def scatter(first_row, basis: Basis, log2_denom: int) -> ScaledMatrix:
     if len(first_row) != dim:
         raise ValueError("scatter needs a first row of length 2^(n-2)")
     turn = basis.turn()
+    period = len(turn)
     ts = range(1, 2 * dim, 2) if basis.kind != "even_cos" else range(dim)
     negated = [-v for v in first_row]  # built once, shared by every row
     rows = []
     for odd in range(1, 2 * dim, 2):
         row = [0] * dim
         for t, v, minus_v in zip(ts, first_row, negated):
-            k, sign = turn[t * odd % len(turn)]
+            k, sign = turn[t * odd % period]
             row[k] = v if sign > 0 else minus_v
         rows.append(row)
     return ScaledMatrix(tuple(map(tuple, rows)), log2_denom, basis)
@@ -228,7 +229,7 @@ def verify_numeric(m: ScaledMatrix, r: int, ctx: EvalContext):
     where g is cos for cosine bases and sin for the sine basis; r may be
     negative. Works for every matrix this package constructs.
 
-    The basis is evaluated once per call. For the odd bases g((2i-1)pi/2^n)
+    The basis is evaluated once per context. For the odd bases g((2i-1)pi/2^n)
     is basis element i-1, so the left side reads the same table; only the
     even basis needs a second one, of odd-angle cosines. The row sums come
     from EvalContext.row_sums, on ints, rounded step by step exactly as

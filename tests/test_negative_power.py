@@ -32,7 +32,7 @@ from cospow.odd_power import (
     scatter,
     verify_numeric,
 )
-from cospow.zeta import _zeta_weights
+from cospow.zeta import _zeta_weights, zeta3_weighted, zeta_sine_sum
 
 # The reference route: the closed forms as first typed in by hand, scalars
 # for even s and weight polynomials in the column j for odd s. The library
@@ -395,15 +395,34 @@ class TestPowerSums:
         v = CscPowerSum(2, 4, scalar=Fraction(32)).numeric(ctx)
         assert ctx.close(v, ctx.to_real(32))
 
-    def test_shared_sine_table(self, ctx):
-        """Both sides read a table a caller passes bit for bit as the one
-        they build without it."""
-        for s in (3, 4, 7):
-            sines = odd_sin_basis(6).values(ctx)
-            closed = S_closed_form(s, 6)
-            assert closed.numeric(ctx, sines) == closed.numeric(ctx)
-            assert direct_csc_power_sum(s, 6, ctx, sines) \
-                == direct_csc_power_sum(s, 6, ctx)
+    def test_one_sine_table_per_context(self, monkeypatch):
+        """Every level-6 sine route in one context reads one table of 16
+        sines, built on first use; a context at another precision builds
+        its own; and each result is bit for bit the one a fresh context
+        per call gives."""
+        calls = []
+        sin = EvalContext.sin
+        monkeypatch.setattr(EvalContext, "sin",
+                            lambda self, x: calls.append(x) or sin(self, x))
+        routes = [
+            lambda c: zeta_sine_sum(3, 6, c).value,
+            lambda c: zeta3_weighted(6, c).value,
+            lambda c: S_closed_form(3, 6).numeric(c),
+            lambda c: direct_csc_power_sum(3, 6, c),
+            lambda c: first_row_sum_identity(-3, 6, c)[0],
+            lambda c: first_row_sum_identity(-3, 6, c)[1],
+        ]
+        shared = EvalContext(256)
+        got = [route(shared) for route in routes]
+        assert len(calls) == 16
+        table = odd_sin_basis(6).values(shared)
+        assert odd_sin_basis(6).values(shared) is table
+        assert len(calls) == 16
+        other = EvalContext(128)
+        assert odd_sin_basis(6).values(other) is not table
+        assert len(calls) == 32
+        for route, value in zip(routes, got):
+            assert value.man_exp == route(EvalContext(256)).man_exp
 
     @pytest.mark.parametrize("s", [4, 7])
     def test_sums_request_builds_one_sine_table(self, monkeypatch, s):
