@@ -4,8 +4,8 @@ cos^r at a level-n dyadic angle, r even, lives in the span of the constant
 and the halved-level cosines. Row 1 (the angle pi/2^n) is the binomial
 expansion folded by exact.quarter_fold, the middle binomial halved onto
 the constant; every other row is odd_power's scatter of it through the
-even basis's turn, cos(j pi/2^{n-1}) -> cos(j(2i-1) pi/2^{n-1}), which
-never reaches the turn's gap at cos(pi/2) = 0 (j(2i-1) has the 2-adic
+even basis's fold, cos(j pi/2^{n-1}) -> cos(j(2i-1) pi/2^{n-1}), which
+never reaches the fold's gap at cos(pi/2) = 0 (j(2i-1) has the 2-adic
 valuation of j, below n-2) and keeps the constant column put, so each
 row is a signed permutation of row 1.
 

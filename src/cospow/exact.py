@@ -175,8 +175,9 @@ class Basis:
 
     def turn(self) -> list:
         """fold(t) at every t of one full turn, t < 8 dim on the odd bases
-        and t < 4 dim on the even one, None where fold has no column: the
-        table a caller reads at t mod len(turn) in place of folding."""
+        and t < 4 dim on the even one, None where fold has no column: a
+        table read at t mod len(turn) in place of folding, which
+        odd_power.cayley_table reads for every product."""
         if self.kind != "even_cos":
             # the odd bases fold odd t only
             return [None if t % 2 == 0 else self.fold(t)

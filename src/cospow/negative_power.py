@@ -8,9 +8,10 @@ weight vector of the odd cosecant sum S(-r, n) over 2^{-r-1}, scaled by
 2^3 resp. 2^5; the zeta(3) and zeta(5) sums read the same weights. Like
 the odd positive powers, each matrix is its first row sent through
 odd_power's scatter or gather, and each family has both routes from the
-same first row: the scatter reads every column and sign off the turn of
-the cosine basis (r = -1) or the sine basis (r = -3, -5), and the gather
-looks each entry up by a modular inverse.
+same first row: the scatter walks the rows by multiplying every angle
+by 3, reading each column and sign off the fold of the cosine basis
+(r = -1) or the sine basis (r = -3, -5), and the gather looks each
+entry up by a modular inverse.
 
 S(s, n) closes in an exact rational for even s and in an integer weight
 vector against the cosecants themselves for odd s; S_closed_form

@@ -11,8 +11,10 @@ share that shape, so every matrix in the package is built from its
 first row of 2^{n-2} entries, by one of two routes:
 
   * scatter: row i multiplies the angle of each row-1 column by 2i-1 and
-    reads the column and sign of the product off the basis's table of
-    one turn, exact.Basis.turn. It serves all three bases;
+    puts the entry where the basis folds the product. The rows are
+    walked in the order of the multipliers 3^m, m < dim, so each row is
+    the last one with every angle tripled: one signed permutation, read
+    once off exact.Basis.fold. It serves all three bases;
   * gather: compute each entry in place from a modular inverse power,
     looking it up in the first row extended once, by its half-turn
     mirror, to every odd angle below 2 pi. It serves the odd bases.
@@ -29,6 +31,7 @@ at the same level commute, all checkable in exact integer arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 
 from .exact import (
     Basis,
@@ -65,25 +68,41 @@ def first_row(r: int, n: int) -> tuple[int, ...]:
 
 
 def scatter(first_row, basis: Basis, log2_denom: int) -> ScaledMatrix:
-    """The matrix whose row i is row 1 sent through the angle law. Column
-    j (0-based) sits at t = 2j+1 on the odd bases and at t = j on the even
-    one, and row i puts it at the column and sign that basis.turn() holds
-    at t(2i-1) mod len(turn)."""
+    """The matrix whose row i is row 1 sent through the angle law: column
+    j (0-based), at t = 2j+1 on the odd bases and at t = j on the even
+    one, goes where basis.fold(t(2i-1)) puts it, with that sign.
+
+    The rows are visited in the order of the multipliers o = 3^m mod
+    2^{n+1}, m < dim, which meet every row once since 3 generates the
+    group (find_generator). The row of 3o is the row of o with every
+    column's angle tripled, so column k's entry moves, signed, to
+    basis.fold(3t): one permutation of the row and its negation, held
+    as one tuple of 2 dim ints, applied by one itemgetter. The row of o
+    is 0-based row k of the matrix times sign, (k, sign) = basis.fold(o)
+    on the odd bases, since g(tox) = sign g(t(2k+1)x) for odd t; on the
+    even basis k is odd_cos_basis(n).fold(o)'s column and the sign +,
+    cosines of even multiples being even. Every row is a slice of the
+    walk's tuple, sharing the first row's ints."""
     dim = basis.dim
     if len(first_row) != dim:
         raise ValueError("scatter needs a first row of length 2^(n-2)")
-    turn = basis.turn()
-    period = len(turn)
-    ts = range(1, 2 * dim, 2) if basis.kind != "even_cos" else range(dim)
-    negated = [-v for v in first_row]  # built once, shared by every row
-    rows = []
-    for odd in range(1, 2 * dim, 2):
-        row = [0] * dim
-        for t, v, minus_v in zip(ts, first_row, negated):
-            k, sign = turn[t * odd % period]
-            row[k] = v if sign > 0 else minus_v
-        rows.append(row)
-    return ScaledMatrix(tuple(map(tuple, rows)), log2_denom, basis)
+    even = basis.kind == "even_cos"
+    ts = range(dim) if even else range(1, 2 * dim, 2)
+    source = [0] * (2 * dim)
+    for k, t in enumerate(ts):
+        c, sign = basis.fold(3 * t)
+        source[c], source[c + dim] = (k, k + dim) if sign > 0 else (k + dim, k)
+    triple = itemgetter(*source)
+    row_fold = odd_cos_basis(basis.n).fold if even else basis.fold
+    pair = (*first_row, *(-v for v in first_row))
+    rows = [()] * dim
+    o = 1
+    for _ in range(dim):
+        k, sign = row_fold(o)
+        rows[k] = pair[:dim] if even or sign > 0 else pair[dim:]
+        pair = triple(pair)
+        o = 3 * o % (8 * dim)
+    return ScaledMatrix(tuple(rows), log2_denom, basis)
 
 
 def _signed_turn(first_row, basis: Basis) -> list:
@@ -107,9 +126,10 @@ def gather_rows(first_row, basis: Basis, rows):
     dim = basis.dim
     modulus = 4 * dim
     signed = _signed_turn(first_row, basis)
+    signed.insert(0, signed.pop())  # entry X now at X mod 2^n
     for i in rows:
         inv = pow(2 * i - 1, dim - 1, modulus)
-        yield [signed[k * inv % modulus - 1] for k in range(i, i + dim)]
+        yield [signed[k * inv % modulus] for k in range(i, i + dim)]
 
 
 def gather(first_row, basis: Basis, log2_denom: int) -> ScaledMatrix:

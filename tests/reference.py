@@ -119,3 +119,22 @@ def exact_level_series(a: Fraction, n: int, max_terms: int, ctx):
         coef_err = coef_err * num // den + 2
     value = ctx.to_real(total) * ctx.power(ctx.two, -bits)
     return SeriesResult(value, used, converged)
+
+
+def scatter_by_cell(first_row, basis):
+    """Entries of the scatter of first_row over basis, cell by cell: row
+    i puts column j, at t = 2j+1 on the odd bases and t = j on the even
+    one, at the column and sign basis.turn() holds at t(2i-1) mod
+    len(turn)."""
+    dim = basis.dim
+    turn = basis.turn()
+    period = len(turn)
+    ts = range(dim) if basis.kind == "even_cos" else range(1, 2 * dim, 2)
+    rows = []
+    for odd in range(1, 2 * dim, 2):
+        row = [0] * dim
+        for t, v in zip(ts, first_row):
+            k, sign = turn[t * odd % period]
+            row[k] = sign * v
+        rows.append(tuple(row))
+    return tuple(rows)

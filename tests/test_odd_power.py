@@ -6,7 +6,7 @@ from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference import binomial_rows, wrapped_binomial
+from reference import binomial_rows, scatter_by_cell, wrapped_binomial
 
 from cospow.chebyshev import inverse_index
 from cospow.even_power import even_first_row, even_matrix
@@ -148,11 +148,36 @@ def test_same_row_scatter_equals_gather(n):
         assert scatter(row, basis, 0) == gather(row, basis, 0), (row, basis)
 
 
+@pytest.mark.parametrize("n", range(2, 12))
+def test_scatter_equals_cell_reference(n):
+    """The generator walk of scatter equals the per-cell fold of the
+    reference route on all three bases (the even one from n = 3), the
+    only exact second route for the even basis: rows of distinct entries,
+    which show every slot and sign, and the real first rows, odd r with
+    wrap-around, even r with wrap-around and the r = -3, -5 sine rows."""
+    dim = 2 ** (n - 2)
+    distinct = tuple(range(1, dim + 1))
+    cases = [(row, basis)
+             for basis in (odd_cos_basis(n), odd_sin_basis(n))
+             for row in (distinct, *(first_row(r, n)
+                                     for r in (1, 2 ** n - 3, 16 * dim - 1)))]
+    if n >= 3:
+        cases += [(row, even_cos_basis(n))
+                  for row in (distinct, *(even_first_row(r, n)
+                                          for r in (2, 8 * dim + 2)))]
+        cases += [(reciprocal_first_row(r, n)[0], odd_sin_basis(n))
+                  for r in (-3, -5)]
+    for row, basis in cases:
+        assert scatter(row, basis, 0).entries == scatter_by_cell(row, basis), (
+            row, basis)
+
+
 @pytest.mark.parametrize("n", range(3, 10))
 def test_gather_extension_is_the_turn(n):
     """The gather's half-turn extension of a row holds at X - 1 the entry
-    and sign that the scatter's turn names for 2X - 1, so the two routes
-    state one fold; a row of distinct entries shows every position."""
+    and sign that Basis.turn names for 2X - 1, the table the reference
+    scatter reads, so the gather and the per-cell fold state one law; a
+    row of distinct entries shows every position."""
     row = list(range(1, 2 ** (n - 2) + 1))
     for basis in (odd_cos_basis(n), odd_sin_basis(n)):
         assert _signed_turn(row, basis) == [
