@@ -3,9 +3,9 @@
 Everything downstream is built from the pieces here: binomial machinery;
 quarter_fold, the one law that folds a dyadic angle back into the first
 quadrant; the first row of every positive cosine power, its binomial
-expansion folded by that law; the declared bases, which fold by the same
-law one angle (Basis.fold) or a whole turn at once (Basis.turn); dense
-integer polynomials with their one product (a double loop when a factor
+expansion folded by that law; the declared bases, which fold an angle by
+the same law (Basis.fold) and evaluate their elements by one expression;
+dense integer polynomials with their one product (a double loop when a factor
 is short, one big-integer multiply by Kronecker substitution when both
 are long); and EvalContext, an arbitrary-precision evaluation
 environment wrapping an isolated mpmath context: it keeps each level
@@ -146,16 +146,13 @@ class Basis:
         return 2 ** (self.n - 2)
 
     def element(self, k: int, ctx: "EvalContext"):
-        """Numeric value of basis element k (0-based)."""
+        """Numeric value of basis element k (0-based): g(t*pi/2^n), g the
+        basis function, t = 2k+1 on the odd bases and t = 2k on the even
+        one, whose constant column is cos 0 = 1."""
         if not 0 <= k < self.dim:
             raise IndexError(f"basis index {k} out of range")
-        if self.kind == "odd_cos":
-            return ctx.cos(ctx.pi * (2 * k + 1) / 2**self.n)
-        if self.kind == "odd_sin":
-            return ctx.sin(ctx.pi * (2 * k + 1) / 2**self.n)
-        if k == 0:
-            return ctx.one
-        return ctx.cos(ctx.pi * k / 2 ** (self.n - 1))
+        g = ctx.sin if self.kind == "odd_sin" else ctx.cos
+        return g(ctx.pi * (2 * k + (self.kind != "even_cos")) / 2**self.n)
 
     def fold(self, t: int) -> tuple[int, int]:
         """(column, sign) with g(t*pi/2^m) = sign * element(column), g the
@@ -172,23 +169,6 @@ class Basis:
         else:
             k, s = quarter_fold(t, self.dim)
         return k, -1 if (s + (self.kind != "odd_sin")) & 2 else 1
-
-    def turn(self) -> list:
-        """fold(t) at every t of one full turn, t < 8 dim on the odd bases
-        and t < 4 dim on the even one, None where fold has no column: a
-        table read at t mod len(turn) in place of folding, which
-        odd_power.cayley_table reads for every product."""
-        if self.kind != "even_cos":
-            # the odd bases fold odd t only
-            return [None if t % 2 == 0 else self.fold(t)
-                    for t in range(8 * self.dim)]
-        turn = []
-        for t in range(4 * self.dim):
-            try:
-                turn.append(self.fold(t))
-            except ZeroBasisElementError:
-                turn.append(None)
-        return turn
 
     def values(self, ctx: "EvalContext") -> tuple:
         """Numeric values of all dim basis elements, in column order. The

@@ -191,10 +191,7 @@ class CscPowerSum:
         """The value at ctx's precision."""
         if self.scalar is not None:
             return ctx.to_real(self.scalar)
-        tot = ctx.zero
-        for w, sin in zip(self.csc_weights, odd_sin_basis(self.n).values(ctx)):
-            tot += ctx.to_real(w) / sin
-        return tot
+        return weighted_csc_sum(self.csc_weights, self.n, ctx)
 
 
 def S_closed_form(s: int, n: int) -> CscPowerSum:
@@ -209,6 +206,16 @@ def S_closed_form(s: int, n: int) -> CscPowerSum:
             _even_power_sums(n, s // 2)[-1]))
     return CscPowerSum(s, n, csc_weights=tuple(
         map(Fraction, odd_csc_weights(s, n))))
+
+
+def weighted_csc_sum(weights, n: int, ctx: EvalContext):
+    """sum_j w_j csc((2j-1)pi/2^n), each int or Fraction weight put to
+    ctx's precision once: the one sum behind CscPowerSum and the weighted
+    zeta routes."""
+    tot = ctx.zero
+    for w, sin in zip(weights, odd_sin_basis(n).values(ctx)):
+        tot += ctx.to_real(w) / sin
+    return tot
 
 
 def direct_csc_power_sum(s: int, n: int, ctx: EvalContext):

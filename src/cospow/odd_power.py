@@ -195,11 +195,13 @@ def find_generator(n: int) -> int:
 
 def cayley_table(n: int) -> tuple[tuple[int, ...], ...]:
     """group_op over all pairs, each row one odd number's products with
-    the odd numbers 1, 3, ..., 2^{n-1} - 1 read off the odd-cosine turn."""
-    turn = odd_cos_basis(n).turn()
-    cols = [fold and fold[0] + 1 for fold in turn]
-    odds = range(1, len(turn) // 4, 2)
-    return tuple(tuple(cols[a * b % len(turn)] for b in odds) for a in odds)
+    the odd numbers 1, 3, ..., 2^{n-1} - 1, read off the odd-cosine fold
+    of each odd t < 2^n, once: a product's column is its fold's mod 2^n."""
+    basis = odd_cos_basis(n)
+    modulus = 4 * basis.dim
+    cols = [t % 2 and basis.fold(t)[0] + 1 for t in range(modulus)]
+    odds = range(1, modulus // 2, 2)
+    return tuple(tuple(cols[a * b % modulus] for b in odds) for a in odds)
 
 
 def verify_group_axioms(n: int, table=None) -> dict[str, bool]:

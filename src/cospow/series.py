@@ -100,30 +100,28 @@ def sum_until_negligible(first, base, ratio, settled: int, ctx: EvalContext,
     return SeriesResult(total, used, converged)
 
 
-def multiple_angle_cos(n_mult: int, theta, ctx: EvalContext):
-    """cos(N t) as the finite sum sum_r (-1)^r C(N,2r) cos^{N-2r} t sin^{2r} t."""
+def _multiple_angle_sum(n_mult: int, theta, step: int, ctx: EvalContext):
+    """sum_r (-1)^r C(N, k) cos^{N-k} t sin^k t, k = 2r+step, step 0 or 1:
+    the one finite sum behind cos(N t) (step 0) and sin(N t) (step 1)."""
     if n_mult < 0:
         raise ValueError("angle multiple must be >= 0")
     c = ctx.cos(theta)
     s = ctx.sin(theta)
     return sum(
-        ((-1) ** r) * binom_int(n_mult, 2 * r)
-        * c ** (n_mult - 2 * r) * s ** (2 * r)
-        for r in range(n_mult // 2 + 1)
+        ((-1) ** r) * binom_int(n_mult, 2 * r + step)
+        * c ** (n_mult - 2 * r - step) * s ** (2 * r + step)
+        for r in range((n_mult - step) // 2 + 1)
     )
+
+
+def multiple_angle_cos(n_mult: int, theta, ctx: EvalContext):
+    """cos(N t) as the finite sum sum_r (-1)^r C(N,2r) cos^{N-2r} t sin^{2r} t."""
+    return _multiple_angle_sum(n_mult, theta, 0, ctx)
 
 
 def multiple_angle_sin(n_mult: int, theta, ctx: EvalContext):
     """sin(N t) as the finite sum sum_r (-1)^r C(N,2r+1) cos^{N-2r-1} t sin^{2r+1} t."""
-    if n_mult < 0:
-        raise ValueError("angle multiple must be >= 0")
-    c = ctx.cos(theta)
-    s = ctx.sin(theta)
-    return sum(
-        ((-1) ** r) * binom_int(n_mult, 2 * r + 1)
-        * c ** (n_mult - 2 * r - 1) * s ** (2 * r + 1)
-        for r in range((n_mult + 1) // 2)
-    )
+    return _multiple_angle_sum(n_mult, theta, 1, ctx)
 
 
 def multiple_angle(n_mult: int, theta, ctx: EvalContext):

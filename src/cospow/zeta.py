@@ -36,7 +36,7 @@ from typing import NamedTuple
 from .even_power import integer_power_average
 from .exact import EvalContext, exact_div, odd_sin_basis
 from .minpoly import _average_stream, _level_recurrence, _newton_windows
-from .negative_power import odd_csc_weights
+from .negative_power import odd_csc_weights, weighted_csc_sum
 from .series import (RATIO_BITS, SeriesResult, as_fraction,
                      tail_is_negligible)
 
@@ -380,19 +380,12 @@ def _zeta_weights(s_odd: int, n: int) -> list[int]:
             for w in odd_csc_weights(s_odd, n)]
 
 
-def _weighted_csc_sum(weights: list[int], n: int, ctx: EvalContext):
-    tot = ctx.zero
-    for w, sin in zip(weights, odd_sin_basis(n).values(ctx)):
-        tot += w / sin
-    return tot
-
-
 def zeta3_weighted(n: int, ctx: EvalContext) -> ZetaApproxResult:
     """pi^3/(7*2^{3n-4}) times the quadratic-weighted cosecant sum; -> zeta(3)."""
     if n < 3:
         raise ValueError("zeta3_weighted requires n >= 3")
     value = ctx.power(ctx.pi, 3) / (7 * 2 ** (3 * n - 4)) \
-        * _weighted_csc_sum(_zeta_weights(3, n), n, ctx)
+        * weighted_csc_sum(_zeta_weights(3, n), n, ctx)
     return ZetaApproxResult(value, n, 0, METHOD_WEIGHTED3,
                             _reference_error(value, 3, ctx))
 
@@ -402,7 +395,7 @@ def zeta5_weighted(n: int, ctx: EvalContext) -> ZetaApproxResult:
     if n < 3:
         raise ValueError("zeta5_weighted requires n >= 3")
     value = ctx.power(ctx.pi, 5) / (93 * 2 ** (5 * n - 6)) \
-        * _weighted_csc_sum(_zeta_weights(5, n), n, ctx)
+        * weighted_csc_sum(_zeta_weights(5, n), n, ctx)
     return ZetaApproxResult(value, n, 0, METHOD_WEIGHTED5,
                             _reference_error(value, 5, ctx))
 
@@ -436,7 +429,7 @@ def finite_level_identity(s_odd: int, n: int, max_terms: int,
         raise ValueError("finite_level_identity requires n >= 3")
     res = _level_series(Fraction(s_odd, 2), n, max_terms, ctx)
     lhs = pref * (2 * res.value)
-    rhs = _weighted_csc_sum(_zeta_weights(s_odd, n), n, ctx)
+    rhs = weighted_csc_sum(_zeta_weights(s_odd, n), n, ctx)
     return LevelIdentity(lhs, rhs, ctx.fabs(lhs - rhs),
                          res.terms_used, res.converged)
 

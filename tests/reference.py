@@ -124,12 +124,15 @@ def exact_level_series(a: Fraction, n: int, max_terms: int, ctx):
 def scatter_by_cell(first_row, basis):
     """Entries of the scatter of first_row over basis, cell by cell: row
     i puts column j, at t = 2j+1 on the odd bases and t = j on the even
-    one, at the column and sign basis.turn() holds at t(2i-1) mod
-    len(turn)."""
+    one, at the column and sign basis.fold gives t(2i-1), read from a
+    table of fold over one period, 4 dim on the even basis and 8 dim on
+    the odd ones, at every t that has a column."""
     dim = basis.dim
-    turn = basis.turn()
-    period = len(turn)
-    ts = range(dim) if basis.kind == "even_cos" else range(1, 2 * dim, 2)
+    even = basis.kind == "even_cos"
+    period = (4 if even else 8) * dim
+    turn = {t: basis.fold(t) for t in range(period)
+            if (t % (2 * dim) != dim if even else t % 2)}
+    ts = range(dim) if even else range(1, 2 * dim, 2)
     rows = []
     for odd in range(1, 2 * dim, 2):
         row = [0] * dim
@@ -138,3 +141,19 @@ def scatter_by_cell(first_row, basis):
             row[k] = sign * v
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def basis_values_by_kind(basis, ctx):
+    """Basis.values as Basis.element computed it with one branch per kind:
+    cos((2k+1)pi/2^n), sin((2k+1)pi/2^n), and on the even basis the
+    constant 1 at column 0 and cos(k pi/2^(n-1)) after it."""
+    def element(k):
+        if basis.kind == "odd_cos":
+            return ctx.cos(ctx.pi * (2 * k + 1) / 2**basis.n)
+        if basis.kind == "odd_sin":
+            return ctx.sin(ctx.pi * (2 * k + 1) / 2**basis.n)
+        if k == 0:
+            return ctx.one
+        return ctx.cos(ctx.pi * k / 2 ** (basis.n - 1))
+
+    return tuple(map(element, range(basis.dim)))

@@ -26,7 +26,8 @@ from cospow.exact import (
     odd_sin_basis,
     poly_mul_coeffs,
 )
-from reference import poly_mod_reduce, schoolbook_product
+from reference import (basis_values_by_kind, poly_mod_reduce,
+                       schoolbook_product)
 
 # +-(2^(8j-1) - 1): the largest magnitudes a j-byte signed slot holds
 _SLOT_EDGES = [s * (2 ** (8 * j - 1) - 1) for j in range(1, 10) for s in (1, -1)]
@@ -169,35 +170,40 @@ class TestFolding:
     @pytest.mark.parametrize("kind", ("odd_cos", "even_cos", "odd_sin"))
     @pytest.mark.parametrize("n", range(3, 10))
     def test_turn_is_fold_over_one_turn(self, kind, n):
-        """turn() holds fold(t) at every t of one full turn, the period of
-        the fold, and None exactly where fold raises."""
+        """fold over one full turn, t < 8 dim on the odd bases and t < 4 dim
+        on the even one: the turn is fold's period, and fold raises exactly
+        at the angles with no column, even t on the odd bases and
+        cos(pi/2) = 0 on the even one."""
         b = Basis(kind, n)
-        turn = b.turn()
-        assert len(turn) == (4 if kind == "even_cos" else 8) * b.dim
-        for t, folded in enumerate(turn):
-            if folded is None:
+        even = kind == "even_cos"
+        period = (4 if even else 8) * b.dim
+        for t in range(period):
+            if t % (2 * b.dim) == b.dim if even else t % 2 == 0:
                 with pytest.raises(ValueError):
                     b.fold(t)
+                with pytest.raises(ValueError):
+                    b.fold(t + period)
             else:
-                assert folded == b.fold(t) == b.fold(t + len(turn)), t
+                assert b.fold(t) == b.fold(t + period), t
 
     @pytest.mark.parametrize("kind", ("odd_cos", "even_cos", "odd_sin"))
     @pytest.mark.parametrize("n", range(3, 8))
     def test_turn_numeric(self, kind, n):
-        """g(t*pi/2^m) = sign * element(column) at 256 bits over one full
-        turn; where the turn has no column, t is even on the odd bases and
-        the cosine vanishes on the even one."""
+        """g(t*pi/2^m) = sign * values[column] at 256 bits for every t of
+        one full turn that fold gives a column; where it gives none, t is
+        even on the odd bases and the cosine vanishes on the even one."""
         ctx = EvalContext(256)
         b = Basis(kind, n)
         g = ctx.sin if kind == "odd_sin" else ctx.cos
         m = n - 1 if kind == "even_cos" else n
         vals = b.values(ctx)
-        for t, folded in enumerate(b.turn()):
+        for t in range(2 ** (m + 1)):
             x = g(ctx.pi * t / 2 ** m)
-            if folded is None:
+            try:
+                k, sign = b.fold(t)
+            except ValueError:
                 assert ctx.close(x, 0) if kind == "even_cos" else t % 2 == 0
             else:
-                k, sign = folded
                 assert ctx.close(x, sign * vals[k]), (kind, n, t)
 
 
@@ -216,6 +222,18 @@ class TestBases:
         assert ctx.close(e.element(2, ctx), ctx.cos(ctx.pi / 4))
         s = odd_sin_basis(4)
         assert ctx.close(s.element(1, ctx), ctx.sin(3 * ctx.pi / 16))
+
+    @pytest.mark.parametrize("prec", (64, 128, 256, 2048))
+    def test_values_equal_kind_branches(self, prec):
+        """The one expression g(t*pi/2^n) of Basis.element gives bit for bit
+        the values of one branch per kind, the even basis's cos 0 = 1
+        included, on every kind at n = 2..12 (the even basis from 3)."""
+        ctx = EvalContext(prec)
+        for kind in ("odd_cos", "even_cos", "odd_sin"):
+            for n in range(3 if kind == "even_cos" else 2, 13):
+                b = Basis(kind, n)
+                assert [v._mpf_ for v in b.values(ctx)] == [
+                    v._mpf_ for v in basis_values_by_kind(b, ctx)], (kind, n)
 
     def test_bad_kind_and_range(self):
         with pytest.raises(ValueError):

@@ -173,15 +173,16 @@ def test_scatter_equals_cell_reference(n):
 
 
 @pytest.mark.parametrize("n", range(3, 10))
-def test_gather_extension_is_the_turn(n):
+def test_gather_extension_is_the_fold(n):
     """The gather's half-turn extension of a row holds at X - 1 the entry
-    and sign that Basis.turn names for 2X - 1, the table the reference
-    scatter reads, so the gather and the per-cell fold state one law; a
-    row of distinct entries shows every position."""
+    and sign that Basis.fold names for 2X - 1, every odd angle below 2 pi,
+    the fold the reference scatter reads, so the gather and the per-cell
+    fold state one law; a row of distinct entries shows every position."""
     row = list(range(1, 2 ** (n - 2) + 1))
     for basis in (odd_cos_basis(n), odd_sin_basis(n)):
         assert _signed_turn(row, basis) == [
-            sign * row[k] for k, sign in basis.turn()[1::2]], basis
+            sign * row[k]
+            for k, sign in map(basis.fold, range(1, 2 ** (n + 1), 2))], basis
 
 
 @pytest.mark.parametrize("n", range(2, 10))

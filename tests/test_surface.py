@@ -1,5 +1,9 @@
 """The package's public names, and the shape of every built matrix."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 import cospow
@@ -21,13 +25,15 @@ from cospow.odd_power import matrix_gather, matrix_scatter
 # poly_mod_reduce and _wrapped_binomial, reference routes that only the
 # tests call; DEFAULT_CONTEXT, ScaledMatrix.row and zeta's re-export of
 # monic_two_cos_poly, which nothing in the package read; cli's _jsonable,
-# the per-cell str copy that cli._json's writer replaced
+# the per-cell str copy that cli._json's writer replaced; Basis.turn, the
+# turn table cayley_table now folds itself, and zeta's _weighted_csc_sum,
+# a second body of negative_power.weighted_csc_sum
 REMOVED = {
     exact: ("make_matrix", "int_mat_transpose", "poly_x", "poly_compose",
             "pochhammer", "fold_odd_cos_index", "fold_even_cos_index",
             "DyadicAngle", "poly_mod_reduce", "_wrapped_binomial",
             "DEFAULT_CONTEXT"),
-    exact.Basis: ("phase",),
+    exact.Basis: ("phase", "turn"),
     exact.ScaledMatrix: ("row",),
     odd_power: ("scatter_target", "perm_sign", "PermSign"),
     chebyshev: ("identity_poly", "OddChebyshev"),
@@ -35,7 +41,8 @@ REMOVED = {
     negative_power: ("csc3_weight", "csc5_weight", "row1_neg3", "row1_neg5",
                      "_row1_neg5_doubled", "_weight3", "_weight5",
                      "_weight7"),
-    zeta: ("csc3_weight", "csc5_weight", "monic_two_cos_poly"),
+    zeta: ("csc3_weight", "csc5_weight", "monic_two_cos_poly",
+           "_weighted_csc_sum"),
     cli: ("_jsonable",),
     series: ("sec_power_series", "csc_power_series",
              "csc_power_cos2_series", "jordan_bounds_check", "STOP_RUN"),
@@ -60,10 +67,25 @@ def test_removed_wrappers_are_gone():
         assert not hasattr(exact.EvalContext, name), name
 
 
+def test_bench_tracer_names_resolve(monkeypatch):
+    """perfbench/tracer.py wraps package functions and methods by name.
+    Building its Tracer resolves every entry of SPANS and COUNTERS, so a
+    rename or removal that would break `perfbench/run.py --trace 1` fails
+    here. The file is only read: no bytecode is written beside it, and the
+    tracer is built but never installed."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = {entry[:2] for entry in tracer.SPANS + tracer.COUNTERS}
+    assert set(tracer.Tracer()._wrappers) == names
+
+
 def test_fold_and_sign_rules_stay_in_exact():
     """Every module past exact reads positions and signs through
-    exact.Basis (fold or turn); none imports quarter_fold to restate the
-    fold or its sign rule."""
+    exact.Basis.fold; none imports quarter_fold to restate the fold or its
+    sign rule."""
     for module in (chebyshev, minpoly, odd_power, even_power,
                    negative_power, series, zeta, cli):
         assert not hasattr(module, "quarter_fold"), module.__name__

@@ -13,6 +13,7 @@ from cospow import zeta
 from cospow.even_power import integer_power_average
 from cospow.exact import EvalContext, odd_sin_basis
 from cospow.minpoly import monic_two_cos_poly
+from cospow.negative_power import weighted_csc_sum
 from cospow.zeta import (
     METHOD_BINOMIAL,
     METHOD_SINE_SUM,
@@ -421,6 +422,24 @@ class TestWeighted:
             w5 = zeta5_weighted(n, ctx)
             assert ctx.fabs(w5.value - zeta_sine_sum(5, n, ctx).value) \
                 < ctx.power(ctx.two, -200)
+
+    @pytest.mark.parametrize("prec", (64, 128, 256))
+    def test_weights_convert_exactly(self, prec):
+        """weighted_csc_sum puts each weight to the working precision before
+        it divides; every zeta(3) and zeta(5) weight at n = 3..16 is exact
+        there, so each quotient and the sum are bit for bit those of
+        dividing by the int weight itself."""
+        ctx = EvalContext(prec)
+        for n in range(3, 17):
+            sins = odd_sin_basis(n).values(ctx)
+            for s in (3, 5):
+                weights = _zeta_weights(s, n)
+                tot = ctx.zero
+                for w, sin in zip(weights, sins):
+                    assert (ctx.to_real(w) / sin)._mpf_ == (w / sin)._mpf_, (
+                        s, n, w)
+                    tot += w / sin
+                assert weighted_csc_sum(weights, n, ctx)._mpf_ == tot._mpf_
 
     def test_level10_close(self, ctx):
         assert zeta3_weighted(10, ctx).reference_error < ctx.to_real(1e-4)
