@@ -9,8 +9,11 @@ dense integer polynomials with their one product (a double loop when a factor
 is short, one big-integer multiply by Kronecker substitution when both
 are long); and EvalContext, an arbitrary-precision evaluation
 environment wrapping an isolated mpmath context: it keeps each level
-table Basis.values builds in it, and does the numeric oracle's row sums
-on plain ints that round exactly as mpmath does.
+table Basis.values builds in it, does the numeric oracle's row sums on
+plain ints that round exactly as mpmath does, and builds the tables and
+runs the oracle's scalar sums on mpmath's raw number tuples (libmp), each
+step the libmp routine the mpf operator calls, at the same precision and
+nearest rounding. This is the only module that imports mpmath.
 
 Conventions used throughout the package:
   * "mod" always means the least nonnegative residue and "floor" always
@@ -27,6 +30,10 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import (fzero, from_int, mpf_abs, mpf_add, mpf_cos,
+                          mpf_div, mpf_lt, mpf_mul_int, mpf_pi, mpf_pow,
+                          mpf_pow_int, mpf_shift, mpf_sin, mpf_sub,
+                          round_nearest)
 
 
 def exact_div(num: int, den: int, what: str) -> int:
@@ -146,13 +153,18 @@ class Basis:
         return 2 ** (self.n - 2)
 
     def element(self, k: int, ctx: "EvalContext"):
-        """Numeric value of basis element k (0-based): g(t*pi/2^n), g the
-        basis function, t = 2k+1 on the odd bases and t = 2k on the even
-        one, whose constant column is cos 0 = 1."""
+        """Numeric value of basis element k (0-based), as values gives it."""
         if not 0 <= k < self.dim:
             raise IndexError(f"basis index {k} out of range")
-        g = ctx.sin if self.kind == "odd_sin" else ctx.cos
-        return g(ctx.pi * (2 * k + (self.kind != "even_cos")) / 2**self.n)
+        return self._evaluate((k,), ctx)[0]
+
+    def _evaluate(self, ks, ctx: "EvalContext") -> tuple:
+        """g(t*pi/2^n) for each column k in ks, g the basis function,
+        t = 2k+1 on the odd bases and t = 2k on the even one, whose
+        constant column is cos 0 = 1."""
+        odd = self.kind != "even_cos"
+        return ctx.dyadic_trig(self.kind == "odd_sin",
+                               [2 * k + odd for k in ks], self.n)
 
     def fold(self, t: int) -> tuple[int, int]:
         """(column, sign) with g(t*pi/2^m) = sign * element(column), g the
@@ -177,8 +189,7 @@ class Basis:
         same tuple."""
         table = ctx._tables.get(self)
         if table is None:
-            table = ctx._tables[self] = tuple(
-                self.element(k, ctx) for k in range(self.dim))
+            table = ctx._tables[self] = self._evaluate(range(self.dim), ctx)
         return table
 
 
@@ -415,6 +426,14 @@ class EvalContext:
     precision is fixed at construction, and the instance keeps each level
     table it builds (Basis.values), which dies with it. tolerance is
     2^(-precision_bits/2).
+
+    The level tables (dyadic_trig) and the oracle's sums over them
+    (power_sum, quotient_sum, max_residual, row_sums) run on mpmath's raw
+    (sign, man, exp, bc) tuples rather than on mpf objects: each step is
+    the libmp routine the mpf operator would call, at the working
+    precision with nearest rounding, so every result is bit for bit the
+    one the mpf loop its docstring names gives, without the object layer
+    around each step.
     """
 
     __slots__ = ("precision_bits", "tolerance", "_mp", "_tables")
@@ -440,11 +459,23 @@ class EvalContext:
     # conversions
 
     def to_real(self, x):
-        """Convert int, Fraction, float, str, or mpf to an mpf exactly
-        (Fractions round once, at full working precision)."""
-        if isinstance(x, Fraction):
-            return self._mp.mpf(x.numerator) / self._mp.mpf(x.denominator)
+        """Convert int, Fraction, float, str, or mpf to an mpf at the
+        working precision: an int or Fraction as _round_exact rounds it,
+        anything else as mpmath's mpf constructor does."""
+        if isinstance(x, (int, Fraction)):
+            return self._mp.make_mpf(self._round_exact(x))
         return self._mp.mpf(x)
+
+    def _round_exact(self, x) -> tuple:
+        """An int or Fraction as a libmp tuple rounded to the working
+        precision, nearest: a Fraction is the rounded quotient of its
+        rounded numerator and denominator, which for every Fraction whose
+        numerator and denominator fit the precision is its one rounding."""
+        prec, rnd = self.precision_bits, round_nearest
+        if isinstance(x, Fraction):
+            return mpf_div(from_int(x.numerator, prec, rnd),
+                           from_int(x.denominator, prec, rnd), prec, rnd)
+        return from_int(x, prec, rnd)
 
     def mpc(self, re=0, im=0):
         return self._mp.mpc(re, im)
@@ -536,6 +567,60 @@ class EvalContext:
                 else:
                     am, ae = pm, pe
             yield mpf((am, ae))
+
+    def dyadic_trig(self, sine: bool, ts: Iterable[int], n: int) -> tuple:
+        """g(t*pi/2^n) for each int t in ts, g = sin if sine else cos: bit
+        for bit g(ctx.pi * t / 2**n). pi is rounded once per call; the
+        product with t rounds as mpf * int does, and the division by 2^n
+        is exact, an exponent shift."""
+        prec, rnd = self.precision_bits, round_nearest
+        g = mpf_sin if sine else mpf_cos
+        pi = mpf_pi(prec, rnd)
+        make = self._mp.make_mpf
+        return tuple(make(g(mpf_shift(mpf_mul_int(pi, t, prec, rnd), -n),
+                            prec, rnd)) for t in ts)
+
+    def power_sum(self, values: Iterable, exponent, shift: int = 0):
+        """sum_k (2^shift v_k)^exponent over positive mpfs v_k of this
+        context: bit for bit the loop `tot += ctx.power(2**shift * v,
+        exponent)` from zero, and for an int exponent and no shift the
+        loop `tot += v ** exponent`, which reaches the same libmp power.
+        The exponent is converted once, as ctx.power converts it."""
+        prec, rnd = self.precision_bits, round_nearest
+        e = self._mp.convert(exponent)._mpf_
+        tot = fzero
+        for v in values:
+            power = mpf_pow(mpf_shift(v._mpf_, shift), e, prec, rnd)
+            tot = mpf_add(tot, power, prec, rnd)
+        return self._mp.make_mpf(tot)
+
+    def quotient_sum(self, weights: Iterable, values: Iterable):
+        """sum_k w_k / v_k over int or Fraction weights and nonzero mpfs
+        of this context: bit for bit the loop `tot += ctx.to_real(w) / v`
+        from zero, each weight rounded by the same _round_exact."""
+        prec, rnd = self.precision_bits, round_nearest
+        tot = fzero
+        for w, v in zip(weights, values):
+            quotient = mpf_div(self._round_exact(w), v._mpf_, prec, rnd)
+            tot = mpf_add(tot, quotient, prec, rnd)
+        return self._mp.make_mpf(tot)
+
+    def max_residual(self, rows: Iterable[Sequence[int]], values: Sequence,
+                     lhs: Iterable, r: int, log2_denom: int):
+        """max_i |g_i^r - 2^-log2_denom sum_k rows[i][k] values[k]|, g_i
+        the i-th mpf of lhs: bit for bit the loop `worst = max(worst,
+        ctx.fabs(ctx.power(g, r) - scale * rhs))` from zero, scale =
+        2^-log2_denom and rhs from row_sums. The scaling is exact, an
+        exponent shift."""
+        prec, rnd = self.precision_bits, round_nearest
+        worst = fzero
+        for rhs, g in zip(self.row_sums(rows, values), lhs):
+            gap = mpf_abs(mpf_sub(mpf_pow_int(g._mpf_, r, prec, rnd),
+                                  mpf_shift(rhs._mpf_, -log2_denom),
+                                  prec, rnd), prec, rnd)
+            if mpf_lt(worst, gap):
+                worst = gap
+        return self._mp.make_mpf(worst)
 
     def close(self, x, y, tol=None) -> bool:
         t = self.tolerance if tol is None else self.to_real(tol)

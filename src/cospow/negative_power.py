@@ -212,15 +212,9 @@ def weighted_csc_sum(weights, n: int, ctx: EvalContext):
     """sum_j w_j csc((2j-1)pi/2^n), each int or Fraction weight put to
     ctx's precision once: the one sum behind CscPowerSum and the weighted
     zeta routes."""
-    tot = ctx.zero
-    for w, sin in zip(weights, odd_sin_basis(n).values(ctx)):
-        tot += ctx.to_real(w) / sin
-    return tot
+    return ctx.quotient_sum(weights, odd_sin_basis(n).values(ctx))
 
 
 def direct_csc_power_sum(s: int, n: int, ctx: EvalContext):
     """Numeric S(s, n) summed term by term, the oracle side of the tests."""
-    tot = ctx.zero
-    for sin in odd_sin_basis(n).values(ctx):
-        tot += sin ** (-s)
-    return tot
+    return ctx.power_sum(odd_sin_basis(n).values(ctx), -s)

@@ -122,14 +122,15 @@ def gather_rows(first_row, basis: Basis, rows):
     _signed_turn(first_row, basis)[X-1], X = (i+j-1)(2i-1)^{2^{n-2}-1}
     mod 2^n, never 0 or 2^{n-1}, since that power inverts 2i-1 modulo
     2^{n-1} (Euler). The power is never materialized, and the inverse is
-    reduced once per row."""
+    reduced once per row. Row i reads the multiples k*inv, i <= k < i+dim,
+    as one stepped range, each reduced mod 2^n by a mask."""
     dim = basis.dim
-    modulus = 4 * dim
+    mask = 4 * dim - 1
     signed = _signed_turn(first_row, basis)
     signed.insert(0, signed.pop())  # entry X now at X mod 2^n
     for i in rows:
-        inv = pow(2 * i - 1, dim - 1, modulus)
-        yield [signed[k * inv % modulus] for k in range(i, i + dim)]
+        inv = pow(2 * i - 1, dim - 1, mask + 1)
+        yield [signed[x & mask] for x in range(i * inv, (i + dim) * inv, inv)]
 
 
 def gather(first_row, basis: Basis, log2_denom: int) -> ScaledMatrix:
@@ -253,20 +254,17 @@ def verify_numeric(m: ScaledMatrix, r: int, ctx: EvalContext):
 
     The basis is evaluated once per context. For the odd bases g((2i-1)pi/2^n)
     is basis element i-1, so the left side reads the same table; only the
-    even basis needs a second one, of odd-angle cosines. The row sums come
-    from EvalContext.row_sums, on ints, rounded step by step exactly as
-    the mpf loop `rhs += entry * v` rounds them.
+    even basis needs a second one, of odd-angle cosines. The residuals
+    come from EvalContext.max_residual: row sums on ints, rounded step by
+    step exactly as the mpf loop `rhs += entry * v` rounds them, and the
+    rest on mpmath's raw tuples, rounded as the mpf operators round.
     """
-    scale = m.scale(ctx)
     vals = m.basis.values(ctx)
     if m.basis.kind == "even_cos":
         g_vals = odd_cos_basis(m.basis.n).values(ctx)
     else:
         g_vals = vals
-    worst = ctx.zero
-    for rhs, g in zip(ctx.row_sums(m.entries, vals), g_vals):
-        worst = max(worst, ctx.fabs(ctx.power(g, r) - scale * rhs))
-    return worst
+    return ctx.max_residual(m.entries, vals, g_vals, r, m.log2_denom)
 
 
 def is_normal(m: ScaledMatrix) -> bool:

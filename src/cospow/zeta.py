@@ -327,10 +327,7 @@ def zeta_sine_sum(s, n: int, ctx: EvalContext) -> ZetaApproxResult:
         raise ValueError("zeta_sine_sum requires s > 1")
     if n < 3:
         raise ValueError("zeta_sine_sum requires n >= 3")
-    tot = ctx.zero
-    big = 2**n
-    for sin in odd_sin_basis(n).values(ctx):
-        tot += ctx.power(big * sin, -s)
+    tot = ctx.power_sum(odd_sin_basis(n).values(ctx), -s, n)
     p2s = ctx.power(ctx.two, s)
     value = p2s * ctx.power(ctx.pi, s) / (p2s - 1) * tot
     return ZetaApproxResult(value, n, 0, METHOD_SINE_SUM,

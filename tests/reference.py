@@ -4,7 +4,7 @@ package's faster routes are checked against."""
 from fractions import Fraction
 from operator import add
 
-from cospow.exact import IntPolynomial
+from cospow.exact import IntPolynomial, odd_cos_basis, odd_sin_basis
 from cospow.minpoly import _average_stream
 from cospow.series import (RATIO_BITS, SeriesResult, as_fraction,
                            tail_is_negligible)
@@ -157,3 +157,47 @@ def basis_values_by_kind(basis, ctx):
         return ctx.cos(ctx.pi * k / 2 ** (basis.n - 1))
 
     return tuple(map(element, range(basis.dim)))
+
+
+# The oracle's loops on mpf objects, as the package ran them before
+# EvalContext moved them onto mpmath's raw tuples; the package's results
+# must equal them bit for bit.
+
+def mpf_max_residual(m, r: int, ctx):
+    """odd_power.verify_numeric as the mpf loop over EvalContext.row_sums."""
+    scale = ctx.power(ctx.two, -m.log2_denom)
+    vals = m.basis.values(ctx)
+    if m.basis.kind == "even_cos":
+        g_vals = odd_cos_basis(m.basis.n).values(ctx)
+    else:
+        g_vals = vals
+    worst = ctx.zero
+    for rhs, g in zip(ctx.row_sums(m.entries, vals), g_vals):
+        worst = max(worst, ctx.fabs(ctx.power(g, r) - scale * rhs))
+    return worst
+
+
+def mpf_direct_csc_power_sum(s: int, n: int, ctx):
+    """negative_power.direct_csc_power_sum as the mpf loop."""
+    tot = ctx.zero
+    for sin in odd_sin_basis(n).values(ctx):
+        tot += sin ** (-s)
+    return tot
+
+
+def mpf_weighted_csc_sum(weights, n: int, ctx):
+    """negative_power.weighted_csc_sum as the mpf loop."""
+    tot = ctx.zero
+    for w, sin in zip(weights, odd_sin_basis(n).values(ctx)):
+        tot += ctx.to_real(w) / sin
+    return tot
+
+
+def mpf_zeta_sine_sum(s, n: int, ctx):
+    """zeta.zeta_sine_sum's value as the mpf loop."""
+    tot = ctx.zero
+    big = 2**n
+    for sin in odd_sin_basis(n).values(ctx):
+        tot += ctx.power(big * sin, -s)
+    p2s = ctx.power(ctx.two, s)
+    return p2s * ctx.power(ctx.pi, s) / (p2s - 1) * tot

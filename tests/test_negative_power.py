@@ -336,6 +336,22 @@ def test_first_row_sum_identity(ctx):
         first_row_sum_identity(-7, 4, ctx)
 
 
+def _count_sines(monkeypatch) -> list:
+    """The angles t of every sine g(t pi/2^n) that EvalContext.dyadic_trig,
+    the one route to a level table's values, evaluates from now on."""
+    calls = []
+    trig = EvalContext.dyadic_trig
+
+    def counting(self, sine, ts, n):
+        ts = list(ts)
+        if sine:
+            calls.extend(ts)
+        return trig(self, sine, ts, n)
+
+    monkeypatch.setattr(EvalContext, "dyadic_trig", counting)
+    return calls
+
+
 class TestPowerSums:
     def test_even_scalars(self):
         assert S_closed_form(2, 4).scalar == Fraction(32)
@@ -400,10 +416,7 @@ class TestPowerSums:
         sines, built on first use; a context at another precision builds
         its own; and each result is bit for bit the one a fresh context
         per call gives."""
-        calls = []
-        sin = EvalContext.sin
-        monkeypatch.setattr(EvalContext, "sin",
-                            lambda self, x: calls.append(x) or sin(self, x))
+        calls = _count_sines(monkeypatch)
         routes = [
             lambda c: zeta_sine_sum(3, 6, c).value,
             lambda c: zeta3_weighted(6, c).value,
@@ -426,10 +439,7 @@ class TestPowerSums:
 
     @pytest.mark.parametrize("s", [4, 7])
     def test_sums_request_builds_one_sine_table(self, monkeypatch, s):
-        calls = []
-        sin = EvalContext.sin
-        monkeypatch.setattr(EvalContext, "sin",
-                            lambda self, x: calls.append(x) or sin(self, x))
+        calls = _count_sines(monkeypatch)
         assert cli.main(["sums", "--s", str(s), "--n", "5",
                          "--out", os.devnull]) == 0
         assert len(calls) == 8

@@ -1,5 +1,6 @@
 """The package's public names, and the shape of every built matrix."""
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -89,6 +90,25 @@ def test_fold_and_sign_rules_stay_in_exact():
     for module in (chebyshev, minpoly, odd_power, even_power,
                    negative_power, series, zeta, cli):
         assert not hasattr(module, "quarter_fold"), module.__name__
+
+
+def test_mpmath_stays_in_exact():
+    """Only exact imports mpmath: every other module of the package reaches
+    the numbers through EvalContext, so the libmp arithmetic behind the
+    tables and the oracle's sums has one home. Reads each module's source,
+    so an import inside a function counts too."""
+    package = Path(cospow.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "exact.py":
+            continue
+        imported = []
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.append(node.module)
+        assert not [m for m in imported if m.split(".")[0] == "mpmath"], \
+            path.name
 
 
 @pytest.mark.parametrize("n", range(3, 8))
