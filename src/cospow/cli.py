@@ -197,10 +197,11 @@ _PRECISION = Served(64, 2048, "--precision is served up to {hi} bits")
 SERVED = {
     # largest level `minpoly` serves: at n = 15 the closed coefficients pass
     # Python's 4300-digit limit on int-to-str conversion. On a 2-vCPU Xeon
-    # `minpoly --n 14 --form both` took 5.7 s wall and 91 MB (n = 13:
-    # 1.2 s), two thirds of it the nested route's squarings; that lies between
-    # the 3.2 s and 18.6 s of `verify --n 12 --r 4095` at 256 and 2048 bits,
-    # the heaviest request `verify` serves
+    # `minpoly --n 14 --form both` took 1.8-2.0 s wall and 91 MB (n = 13:
+    # 0.4-0.5 s): about 0.95 s printing the two coefficient lists as
+    # decimal text and 0.5 s the nested route's squarings. That is below
+    # the 3.2 s of `verify --n 12 --r 4095` at 256 bits, the heaviest
+    # request `verify` serves
     "minpoly": {"n": Served(_MATRIX_N.lo, 14)},
     # printed: largest 4^{n-2} |r| `matrix` prints: entries carry up to ~|r|
     # bits (n = 11, r = 63 is 3 MB of JSON, n = 12, r = 4095 1.2 GB);

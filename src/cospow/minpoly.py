@@ -68,10 +68,17 @@ def nested_minpoly(n: int) -> IntPolynomial:
 
     Every iterate is a polynomial in w = (2x)^2 = 4x^2, so q is kept in w
     from q = w - 2: each square is then a product of half the length,
-    which poly_mul_coeffs takes by Kronecker substitution once q is long,
     and the coefficients stay small, since the factor 4^m of x^{2m} comes
     in only at the end, when coefficient m is shifted left by 2m and
     halved onto x^{2m}. The route never reads the closed form.
+
+    The squares are nearly all of the cost. poly_mul_coeffs takes them by
+    the double loop while q has fewer than 33 coefficients, then by
+    Kronecker substitution in base 2, and from the 513-coefficient square
+    on (n >= 12) in base 10 through decimal's number-theoretic transform,
+    which is exact because its context traps every rounding. Slots wider
+    than Python's int-to-str digit limit stay in base 2, as in the last
+    square at n = 16.
 
     n = 2 is excluded: the nested expression there is 2x^2 - 1, which is
     the negative of the canonical closed form (see the module docstring).

@@ -1,7 +1,9 @@
 """Arithmetic kernel: folding rules, polynomials, evaluation contexts."""
 
+import decimal
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,8 +11,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cospow import exact
 from cospow.exact import (
+    _DECIMAL_MIN_DIGITS,
+    _DECIMAL_MIN_LEN,
     _KRONECKER_MIN_LEN,
+    _decimal_product,
+    _kronecker_product,
     Basis,
     BasisVector,
     EvalContext,
@@ -249,11 +256,13 @@ class TestScaledMatrix:
         with pytest.raises(ValueError):
             ScaledMatrix(((1, 2),), 0, odd_cos_basis(4))
 
-    def test_scale(self, ctx):
+    def test_scale(self):
+        """The scale 2^-log2_denom is kept as its exponent, which may be
+        negative; a reader scales by an exact shift."""
         m = ScaledMatrix(((1, 0), (0, 1)), 3, odd_cos_basis(3))
-        assert ctx.close(m.scale(ctx), ctx.to_real(Fraction(1, 8)))
+        assert m.log2_denom == 3
         neg = ScaledMatrix(((1, 0), (0, 1)), -2, odd_sin_basis(3))
-        assert ctx.close(neg.scale(ctx), ctx.to_real(4))
+        assert neg.log2_denom == -2
 
     def test_reversal_involution(self):
         m = ScaledMatrix(((1, 2), (3, 4)), 1, odd_cos_basis(3))
@@ -372,6 +381,152 @@ class TestIntPolynomial:
             Fraction(1, 8),)
         with pytest.raises(ZeroDivisionError):
             poly_mod_reduce(p, IntPolynomial())
+
+
+def _wide_factor(length: int, bits: int, seed: int) -> list[int]:
+    """length coefficients of up to bits bits, of both signs, with a zero
+    at each end."""
+    rng = random.Random(seed)
+    cs = [rng.randrange(-2 ** bits, 2 ** bits) for _ in range(length - 2)]
+    return [0] + cs + [0]
+
+
+@pytest.fixture
+def decimal_calls(monkeypatch):
+    """Counts the products poly_mul_coeffs takes in decimal."""
+    calls = []
+
+    def spy(a, b):
+        calls.append((len(a), len(b)))
+        return _decimal_product(a, b)
+
+    monkeypatch.setattr(exact, "_decimal_product", spy)
+    return calls
+
+
+class TestDecimalProduct:
+    """The base-10 Kronecker product, called directly and through
+    poly_mul_coeffs above its crossover."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_schoolbook(self, data):
+        a, b = data.draw(_factors()), data.draw(_factors())
+        if a and b:
+            assert _decimal_product(a, b) == schoolbook_product(a, b)
+            assert _decimal_product(a, a) == schoolbook_product(a, a)
+
+    def test_slot_edge(self):
+        """9 constant coefficients times 9: the middle product coefficient
+        reaches the bound 9 |3| (10^j - 1)/27 = 10^j - 1, the largest
+        value a slot of j + 1 digits holds under 10^j."""
+        for j in range(3, 40, 3):
+            m = (10 ** j - 1) // 27
+            for sa, sb in ((1, 1), (-1, -1), (1, -1)):
+                a, b = [sa * 3] * 9, [sb * m] * 9
+                out = _decimal_product(a, b)
+                assert out == schoolbook_product(a, b)
+                assert max(map(abs, out)) == 10 ** j - 1
+            mixed = [(-1) ** k * m for k in range(9)]
+            assert (_decimal_product([3] * 9, mixed)
+                    == schoolbook_product([3] * 9, mixed))
+
+    def test_slot_edge_above_crossover(self, decimal_calls):
+        """As test_slot_edge with 81 coefficients and the bound 10^747 - 1,
+        whose 748-digit slots pack the 81 into 60,588 digits."""
+        m = (10 ** 747 - 1) // 81
+        assert 748 * 81 >= _DECIMAL_MIN_DIGITS and 81 >= _DECIMAL_MIN_LEN
+        for sa, sb in ((1, 1), (-1, -1), (1, -1)):
+            a, b = [sa] * 81, [sb * m] * 81
+            out = poly_mul_coeffs(a, b)
+            assert out == _kronecker_product(a, b)
+            assert max(map(abs, out)) == 10 ** 747 - 1
+        assert len(decimal_calls) == 3
+
+    def test_above_crossover(self, decimal_calls):
+        """A square (a is b), a product of equal but distinct factors and
+        one of two different factors, each above the crossover."""
+        a = _wide_factor(130, 1600, 1)
+        b = list(a)
+        c = _wide_factor(200, 900, 2)
+        assert poly_mul_coeffs(a, a) == _kronecker_product(a, a)
+        assert poly_mul_coeffs(a, b) == _kronecker_product(a, b)
+        assert poly_mul_coeffs(a, c) == _kronecker_product(a, c)
+        assert len(decimal_calls) == 3
+
+    def test_below_crossover(self, decimal_calls):
+        """Few digits, or too few coefficients however wide, stay in
+        base 2."""
+        narrow = _wide_factor(200, 100, 3)
+        short = _wide_factor(_DECIMAL_MIN_LEN - 1, 6000, 4)
+        for x in (narrow, short):
+            assert poly_mul_coeffs(x, x) == schoolbook_product(x, x)
+        assert decimal_calls == []
+
+    def test_digit_limit_keeps_base_two(self, decimal_calls):
+        """Slots of about 9,000 digits pass the default limit of 4,300 on
+        int-to-str conversion, so the product stays in base 2 instead of
+        raising ValueError."""
+        a = _wide_factor(_DECIMAL_MIN_LEN + 6, 15_000, 5)
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert poly_mul_coeffs(a, a) == _kronecker_product(a, a)
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert decimal_calls == []
+
+    def test_digit_limit_read_at_each_call(self, monkeypatch, decimal_calls):
+        """A limit of 0, or no limit function (Python < 3.10.7), means no
+        limit; a lower limit keeps narrower slots in base 2."""
+        a = _wide_factor(130, 1600, 6)
+        want = _kronecker_product(a, a)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 500)
+        assert poly_mul_coeffs(a, a) == want
+        assert decimal_calls == []
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        assert poly_mul_coeffs(a, a) == want
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        assert poly_mul_coeffs(a, a) == want
+        assert len(decimal_calls) == 2
+
+    def test_hostile_thread_context(self, decimal_calls):
+        """A thread context of 5 digits with no traps neither rounds the
+        product nor is changed by it."""
+        a = _wide_factor(130, 1600, 7)
+        want = _kronecker_product(a, a)
+        with decimal.localcontext() as hostile:
+            hostile.prec = 5
+            for signal in hostile.traps:
+                hostile.traps[signal] = False
+            before = repr(hostile)
+            assert poly_mul_coeffs(a, a) == want
+            assert repr(decimal.getcontext()) == before
+        assert len(decimal_calls) == 1
+
+    def test_survives_optimize(self):
+        """Exactness rests on trapped signals, not on asserts, so python -O
+        gives the same product."""
+        code = ("import random\n"
+                "from cospow import exact\n"
+                "if __debug__:\n"
+                "    raise SystemExit(2)\n"
+                "rng = random.Random(8)\n"
+                "a = [rng.randrange(-2**1600, 2**1600) for _ in range(130)]\n"
+                "calls = []\n"
+                "route = exact._decimal_product\n"
+                "exact._decimal_product = lambda x, y: calls.append(1) "
+                "or route(x, y)\n"
+                "ok = exact.poly_mul_coeffs(a, a) == "
+                "exact._kronecker_product(a, a)\n"
+                "raise SystemExit(0 if ok and calls else 1)\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestEvalContext:

@@ -16,9 +16,16 @@ from cospow.minpoly import (
 # frozen even-slot coefficients of f_5 (degree 16, ascending x^0, x^2, ...)
 F5_EVEN = (1, -128, 2688, -21504, 84480, -180224, 212992, -131072, 32768)
 
-# sha256 of ",".join(format(c, "x") for c in f_13.coeffs)
+# sha256 of ",".join(format(c, "x") for c in f_n.coeffs), n = 13 and 14
 N13_DIGEST = ("f21a7d4449030d2a6c3e4afd77157436"
               "feacd4044633bc6468583ceb7bb37b9b")
+N14_DIGEST = ("1de620f6343b1331272b7c9bbf519970"
+              "e315ee258e8644aac06ebdd36e471169")
+
+
+def _hex_digest(f) -> str:
+    return hashlib.sha256(
+        ",".join(format(c, "x") for c in f.coeffs).encode()).hexdigest()
 
 
 def test_closed_n2():
@@ -47,9 +54,14 @@ def test_nested_n13_digest():
     """Both routes at n = 13 against the sha256 of the hex coefficients,
     recorded once."""
     for f in (nested_minpoly(13), closed_minpoly(13)):
-        digest = hashlib.sha256(
-            ",".join(format(c, "x") for c in f.coeffs).encode()).hexdigest()
-        assert digest == N13_DIGEST
+        assert _hex_digest(f) == N13_DIGEST
+
+
+def test_nested_n14_digest():
+    """Both routes at n = 14, where the nested route's last squarings run
+    in decimal, against the digest recorded once from the base-2 route."""
+    for f in (nested_minpoly(14), closed_minpoly(14)):
+        assert _hex_digest(f) == N14_DIGEST
 
 
 def test_nested_rejects_n2():

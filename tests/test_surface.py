@@ -28,14 +28,15 @@ from cospow.odd_power import matrix_gather, matrix_scatter
 # monic_two_cos_poly, which nothing in the package read; cli's _jsonable,
 # the per-cell str copy that cli._json's writer replaced; Basis.turn, the
 # turn table cayley_table now folds itself, and zeta's _weighted_csc_sum,
-# a second body of negative_power.weighted_csc_sum
+# a second body of negative_power.weighted_csc_sum; ScaledMatrix.scale, an
+# mpf power of two that verify_numeric's exact shift replaced
 REMOVED = {
     exact: ("make_matrix", "int_mat_transpose", "poly_x", "poly_compose",
             "pochhammer", "fold_odd_cos_index", "fold_even_cos_index",
             "DyadicAngle", "poly_mod_reduce", "_wrapped_binomial",
             "DEFAULT_CONTEXT"),
     exact.Basis: ("phase", "turn"),
-    exact.ScaledMatrix: ("row",),
+    exact.ScaledMatrix: ("row", "scale"),
     odd_power: ("scatter_target", "perm_sign", "PermSign"),
     chebyshev: ("identity_poly", "OddChebyshev"),
     minpoly: ("MinPolyPair", "minpoly_pair"),
@@ -109,6 +110,23 @@ def test_mpmath_stays_in_exact():
                 imported.append(node.module)
         assert not [m for m in imported if m.split(".")[0] == "mpmath"], \
             path.name
+
+
+def test_decimal_context_stays_private():
+    """No module of the package reads, sets or swaps the thread's decimal
+    context: the decimal product builds its own, so a caller's context
+    neither changes a result nor is changed by one. Reads each module's
+    source, so a call inside a function counts too."""
+    package = Path(cospow.__file__).parent
+    banned = {"getcontext", "setcontext", "localcontext"}
+    for path in sorted(package.glob("*.py")):
+        called = []
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called.append(func.attr if isinstance(func, ast.Attribute)
+                              else getattr(func, "id", None))
+        assert not banned.intersection(called), path.name
 
 
 @pytest.mark.parametrize("n", range(3, 8))
