@@ -11,9 +11,8 @@ embedded (-1)^i inside p_i; identities apply it at use sites:
 
 so p_1(x) = -x, p_2(x) = 4x^3 - 3x, p_3(x) = -(16x^5 - 20x^3 + 5x).
 
-On dyadic angles the signed maps compose like odd numbers multiply:
-(2i-1)(2j-1) = 2(2ij-i-j+1)-1, which drives the index algebra below, and
-Euler's theorem gives an explicit inverse index modulo 2^{n+1}.
+On dyadic angles the signed maps compose like odd numbers multiply, the
+group law whose one composition fold and one inverse odd_power defines.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from .exact import (
     poly_mul_coeffs,
 )
 from .minpoly import closed_minpoly
+from .odd_power import _compose, _odd_inverse
 
 
 def p_poly(i: int) -> IntPolynomial:
@@ -110,29 +110,24 @@ def composition_commutes(i: int, j: int) -> bool:
 
 
 def signed_composition_angle(i: int, j: int, n: int) -> tuple[int, int]:
-    """Canonical (index, sign) of (-1)^i p_i applied to cos((2j-1)pi/2^n).
-
-    The raw image is cos((2i-1)(2j-1)pi/2^n); the result is its fold
-    into the first-quadrant odd-cosine basis, with a 1-based index.
+    """Canonical (index, sign) of (-1)^i p_i applied to cos((2j-1)pi/2^n):
+    the odd-cosine fold of its image cos((2i-1)(2j-1)pi/2^n), 1-based.
     """
     if i < 1 or j < 1:
         raise ValueError("signed_composition_angle requires i, j >= 1")
-    k, sign = odd_cos_basis(n).fold((2 * i - 1) * (2 * j - 1))
-    return k + 1, sign
+    return _compose(i, j, odd_cos_basis(n))
 
 
 def inverse_index(i: int, n: int) -> int:
     """The index k with s_k(s_i(x)) = x on level-n angles, s_i = (-1)^i p_i.
 
-    k = i(2i-1)^{2^{n-1}-1} reduced modulo 2^{n+1}; the angle only depends
-    on k mod 2^n and the sign on k's parity, and the even modulus preserves
-    the parity, so the reduction loses nothing. The astronomical power is
-    never materialized.
+    k = i times the inverse of 2i-1 (_odd_inverse), modulo 2^{n+1}: the
+    angle depends on k mod 2^n only and the sign on k's parity, which the
+    even modulus keeps.
     """
     if not 1 <= i <= 2 ** (n - 2):
         raise ValueError("inverse_index requires 1 <= i <= 2^(n-2)")
-    mod = 2 ** (n + 1)
-    return i * pow(2 * i - 1, 2 ** (n - 1) - 1, mod) % mod
+    return i * _odd_inverse(i, n) % 2 ** (n + 1)
 
 
 # exact composition modulo the level minimal polynomial, over dyadic rationals

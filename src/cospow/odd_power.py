@@ -120,10 +120,10 @@ def gather_rows(first_row, basis: Basis, rows):
     """Rows i in `rows` of the gathered matrix over an odd basis, one list
     each, from the same first row the scatter reads: entry (i, j) is
     _signed_turn(first_row, basis)[X-1], X = (i+j-1)(2i-1)^{2^{n-2}-1}
-    mod 2^n, never 0 or 2^{n-1}, since that power inverts 2i-1 modulo
-    2^{n-1} (Euler). The power is never materialized, and the inverse is
-    reduced once per row. Row i reads the multiples k*inv, i <= k < i+dim,
-    as one stepped range, each reduced mod 2^n by a mask."""
+    mod 2^n, never 0 or 2^{n-1}, the power inverting 2i-1 (_odd_inverse).
+    Each row reduces its own power, not the group law's. Row i reads the
+    multiples k*inv, i <= k < i+dim, as one stepped range, each reduced
+    mod 2^n by a mask."""
     dim = basis.dim
     mask = 4 * dim - 1
     signed = _signed_turn(first_row, basis)
@@ -156,25 +156,36 @@ def matrix_gather(r: int, n: int) -> ScaledMatrix:
 
 # the permutation law as a group on {1..2^{n-2}}
 
+def _compose(a: int, b: int, basis: Basis) -> tuple[int, int]:
+    """The odd basis's fold of (2a-1)(2b-1), its index 1-based; a, b >= 1."""
+    k, sign = basis.fold((2 * a - 1) * (2 * b - 1))
+    return k + 1, sign
+
+
+def _odd_inverse(a: int, n: int) -> int:
+    """The inverse of 2a-1 modulo 2^{n+1}. Modulo 2^k, k >= 3, it is
+    (2a-1)^{2^{k-2}-1} (Euler), the power gather_rows reduces at k = n."""
+    return pow(2 * a - 1, -1, 2 ** (n + 1))
+
+
 def group_op(a: int, b: int, n: int) -> int:
     """The composition index: a then b lands on group_op(a, b, n)."""
     basis = odd_cos_basis(n)
     if not (1 <= a <= basis.dim and 1 <= b <= basis.dim):
         raise ValueError("group elements out of range")
-    return basis.fold((2 * a - 1) * (2 * b - 1))[0] + 1
+    return _compose(a, b, basis)[0]
 
 
 def group_inverse(a: int, n: int) -> int:
-    """The fold of (2a-1)^{2^{n-2}-1}, which inverts 2a-1 modulo 2^n
-    (Euler); gather_rows reduces the same power for each row."""
+    """The fold of the inverse of 2a-1 (_odd_inverse)."""
     basis = odd_cos_basis(n)
     if not 1 <= a <= basis.dim:
         raise ValueError("group element out of range")
-    return basis.fold(pow(2 * a - 1, basis.dim - 1, 4 * basis.dim))[0] + 1
+    return basis.fold(_odd_inverse(a, n))[0] + 1
 
 
 def element_order(a: int, n: int) -> int:
-    x, order = a, 1
+    x, order = group_op(a, 1, n), 1  # group_op checks a and n
     while x != 1:
         x = group_op(x, a, n)
         order += 1
@@ -285,7 +296,7 @@ def conjugation_invariance(m: ScaledMatrix, a: int) -> bool:
 
         M[i,j] = s_i s_j M[a o i, a o j]
 
-    where m.basis.fold((2a-1)(2i-1)) gives column a o i - 1 and sign s_i,
+    where _compose(a, i, m.basis) gives the index a o i and sign s_i,
     the sign of the basis function. The sign convention extends the group
     law by (-a) o b = -(a o b). Requires an odd basis.
     """
@@ -294,10 +305,9 @@ def conjugation_invariance(m: ScaledMatrix, a: int) -> bool:
         raise ValueError("group element out of range")
     if m.basis.kind == "even_cos":
         raise ValueError("conjugation_invariance needs an odd basis")
-    folds = [m.basis.fold((2 * a - 1) * (2 * i - 1))
-             for i in range(1, dim + 1)]
+    folds = [_compose(a, i, m.basis) for i in range(1, dim + 1)]
     return all(
-        m.entries[i][j] == si * sj * m.entries[ki][kj]
+        m.entries[i][j] == si * sj * m.entries[ki - 1][kj - 1]
         for i, (ki, si) in enumerate(folds)
         for j, (kj, sj) in enumerate(folds))
 
@@ -307,10 +317,7 @@ def power_sum(r: int, n: int) -> BasisVector:
     as exact rationals (the 1/2^{r-1} scale folded in)."""
     m = matrix_gather(r, n)
     den = 2 ** (r - 1)
-    cols = tuple(
-        Fraction(sum(m.entries[i][j] for i in range(m.dim)), den)
-        for j in range(m.dim)
-    )
+    cols = tuple(Fraction(sum(col), den) for col in zip(*m.entries))
     return BasisVector(cols, m.basis)
 
 

@@ -43,6 +43,10 @@ from .series import (RATIO_BITS, SeriesResult, as_fraction,
 # 30 significant digits each
 ZETA3 = "1.20205690315959428539973816151"
 ZETA5 = "1.03692775514336992633136548646"
+# s: (scale, reference) of zeta(3) and zeta(5). The weights are scale w_j/2
+# of odd_csc_weights(s, n); their cosecant sum, scale/2 S(s, n) ~ (1-2^{-s})
+# zeta(s) (2^n/pi)^s, is divided by scale (2^s-1) 2^{sn-s-1}
+_ZETA_ODD = {3: (1, ZETA3), 5: (3, ZETA5)}
 
 METHOD_SINE_SUM = "sine-sum"
 METHOD_BINOMIAL = "binomial"
@@ -109,10 +113,8 @@ def reference_zeta(s, ctx: EvalContext):
             j = si // 2
             return ctx.to_real(reference_even_zeta(j)) \
                 * ctx.power(ctx.pi, 2 * j)
-        if si == 3:
-            return ctx.to_real(ZETA3)
-        if si == 5:
-            return ctx.to_real(ZETA5)
+        if si in _ZETA_ODD:
+            return ctx.to_real(_ZETA_ODD[si][1])
     return None
 
 
@@ -369,32 +371,29 @@ def zeta_binomial_series(s, n: int, max_terms: int,
 
 
 def _zeta_weights(s_odd: int, n: int) -> list[int]:
-    """The integer weights of the zeta(3) and zeta(5) cosecant sums: w_j/2
-    and 3 w_j/2 of odd_csc_weights(s_odd, n), the weights the prefactors
-    below are written for."""
-    scale = 1 if s_odd == 3 else 3
-    return [exact_div(scale * w, 2, "zeta weight")
+    """The integer weights of the zeta(3) and zeta(5) cosecant sums."""
+    return [exact_div(_ZETA_ODD[s_odd][0] * w, 2, "zeta weight")
             for w in odd_csc_weights(s_odd, n)]
+
+
+def _zeta_weighted(s: int, n: int, method: str, ctx: EvalContext):
+    if n < 3:
+        raise ValueError(f"zeta{s}_weighted requires n >= 3")
+    den = _ZETA_ODD[s][0] * (2 ** s - 1) * 2 ** (s * n - s - 1)
+    value = ctx.power(ctx.pi, s) / den \
+        * weighted_csc_sum(_zeta_weights(s, n), n, ctx)
+    return ZetaApproxResult(value, n, 0, method,
+                            _reference_error(value, s, ctx))
 
 
 def zeta3_weighted(n: int, ctx: EvalContext) -> ZetaApproxResult:
     """pi^3/(7*2^{3n-4}) times the quadratic-weighted cosecant sum; -> zeta(3)."""
-    if n < 3:
-        raise ValueError("zeta3_weighted requires n >= 3")
-    value = ctx.power(ctx.pi, 3) / (7 * 2 ** (3 * n - 4)) \
-        * weighted_csc_sum(_zeta_weights(3, n), n, ctx)
-    return ZetaApproxResult(value, n, 0, METHOD_WEIGHTED3,
-                            _reference_error(value, 3, ctx))
+    return _zeta_weighted(3, n, METHOD_WEIGHTED3, ctx)
 
 
 def zeta5_weighted(n: int, ctx: EvalContext) -> ZetaApproxResult:
     """pi^5/(93*2^{5n-6}) times the quartic-weighted cosecant sum; -> zeta(5)."""
-    if n < 3:
-        raise ValueError("zeta5_weighted requires n >= 3")
-    value = ctx.power(ctx.pi, 5) / (93 * 2 ** (5 * n - 6)) \
-        * weighted_csc_sum(_zeta_weights(5, n), n, ctx)
-    return ZetaApproxResult(value, n, 0, METHOD_WEIGHTED5,
-                            _reference_error(value, 5, ctx))
+    return _zeta_weighted(5, n, METHOD_WEIGHTED5, ctx)
 
 
 class LevelIdentity(NamedTuple):
@@ -409,21 +408,19 @@ def finite_level_identity(s_odd: int, n: int, max_terms: int,
                           ctx: EvalContext) -> LevelIdentity:
     """Exact-at-level identity behind the weighted zeta(3)/zeta(5) sums.
 
-    For s = 3: 2^{n-5/2} sum_p 2^{1-2p} (3/2)_{2p}/(2p)! A_{n-1}(p)
-    equals the quadratic-weighted cosecant sum at the same n; for s = 5
-    the prefactor is 3*2^{n-3/2} with (5/2)_{2p} and the quartic weights.
+    csc^s t = 2^{s/2} sum_q (s/2)_q/q! cos^q 2t; over the level the odd q
+    cancel, so the weighted sum, scale/2 S(s, n), is the level series at
+    a = s/2 times scale 2^{n-3+s/2}, for s = 3 and s = 5.
     The gap is pure series truncation; converged means the certified
     stop of _level_series held, so gap <= tolerance |rhs| up to rounding
     in rhs. Requires n >= 3.
     """
-    if s_odd == 3:
-        pref = ctx.power(ctx.two, n - ctx.to_real(Fraction(5, 2)))
-    elif s_odd == 5:
-        pref = 3 * ctx.power(ctx.two, n - ctx.to_real(Fraction(3, 2)))
-    else:
+    if s_odd not in _ZETA_ODD:
         raise ValueError("finite_level_identity requires s in {3, 5}")
     if n < 3:
         raise ValueError("finite_level_identity requires n >= 3")
+    pref = _ZETA_ODD[s_odd][0] \
+        * ctx.power(ctx.two, n - ctx.to_real(Fraction(8 - s_odd, 2)))
     res = _level_series(Fraction(s_odd, 2), n, max_terms, ctx)
     lhs = pref * (2 * res.value)
     rhs = weighted_csc_sum(_zeta_weights(s_odd, n), n, ctx)

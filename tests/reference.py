@@ -201,3 +201,65 @@ def mpf_zeta_sine_sum(s, n: int, ctx):
         tot += ctx.power(big * sin, -s)
     p2s = ctx.power(ctx.two, s)
     return p2s * ctx.power(ctx.pi, s) / (p2s - 1) * tot
+
+
+# The group law as the package wrote it before odd_power gave the
+# composition fold and the modular inverse one body each: every function
+# folds (2a-1)(2b-1) or reduces its own Euler power.
+
+def folded_group_op(a: int, b: int, n: int) -> int:
+    """odd_power.group_op: the 1-based fold of (2a-1)(2b-1)."""
+    basis = odd_cos_basis(n)
+    if not (1 <= a <= basis.dim and 1 <= b <= basis.dim):
+        raise ValueError("group elements out of range")
+    return basis.fold((2 * a - 1) * (2 * b - 1))[0] + 1
+
+
+def euler_group_inverse(a: int, n: int) -> int:
+    """odd_power.group_inverse: the fold of (2a-1)^{2^{n-2}-1} mod 2^n."""
+    basis = odd_cos_basis(n)
+    if not 1 <= a <= basis.dim:
+        raise ValueError("group element out of range")
+    return basis.fold(pow(2 * a - 1, basis.dim - 1, 4 * basis.dim))[0] + 1
+
+
+def folded_element_order(a: int, n: int) -> int:
+    """odd_power.element_order as the loop over folded_group_op."""
+    x, order = a, 1
+    while x != 1:
+        x = folded_group_op(x, a, n)
+        order += 1
+    return order
+
+
+def euler_inverse_index(i: int, n: int) -> int:
+    """chebyshev.inverse_index: i (2i-1)^{2^{n-1}-1} mod 2^{n+1}."""
+    if not 1 <= i <= 2 ** (n - 2):
+        raise ValueError("inverse_index requires 1 <= i <= 2^(n-2)")
+    mod = 2 ** (n + 1)
+    return i * pow(2 * i - 1, 2 ** (n - 1) - 1, mod) % mod
+
+
+def folded_composition_angle(i: int, j: int, n: int) -> tuple[int, int]:
+    """chebyshev.signed_composition_angle: the 1-based odd-cosine fold of
+    (2i-1)(2j-1) and its sign, for any i, j >= 1."""
+    if i < 1 or j < 1:
+        raise ValueError("signed_composition_angle requires i, j >= 1")
+    k, sign = odd_cos_basis(n).fold((2 * i - 1) * (2 * j - 1))
+    return k + 1, sign
+
+
+def relabeling(basis, a: int) -> list[tuple[int, int]]:
+    """odd_power.conjugation_invariance's relabeling by a over an odd
+    basis: (0-based column, sign) of basis.fold((2a-1)(2i-1)), each i."""
+    return [basis.fold((2 * a - 1) * (2 * i - 1))
+            for i in range(1, basis.dim + 1)]
+
+
+def relabeled_invariance(m, a: int) -> bool:
+    """odd_power.conjugation_invariance on relabeling(m.basis, a)."""
+    folds = relabeling(m.basis, a)
+    return all(
+        m.entries[i][j] == si * sj * m.entries[ki][kj]
+        for i, (ki, si) in enumerate(folds)
+        for j, (kj, sj) in enumerate(folds))

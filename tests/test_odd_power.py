@@ -6,9 +6,20 @@ from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference import binomial_rows, scatter_by_cell, wrapped_binomial
+from reference import (
+    binomial_rows,
+    euler_group_inverse,
+    euler_inverse_index,
+    folded_composition_angle,
+    folded_element_order,
+    folded_group_op,
+    relabeled_invariance,
+    relabeling,
+    scatter_by_cell,
+    wrapped_binomial,
+)
 
-from cospow.chebyshev import inverse_index
+from cospow.chebyshev import inverse_index, signed_composition_angle
 from cospow.even_power import even_first_row, even_matrix
 from cospow.exact import (
     EvalContext,
@@ -25,6 +36,7 @@ from cospow.negative_power import (
     reciprocal_first_row,
 )
 from cospow.odd_power import (
+    _compose,
     _signed_turn,
     all_angles_power_sum,
     cayley_table,
@@ -455,6 +467,17 @@ class TestGroup:
             with pytest.raises(ValueError):
                 group_op(a, b, 4)
 
+    def test_element_order_checks_its_range(self):
+        """element_order takes the range check of group_op: no group
+        exists below n = 2, and a must lie in 1..2^(n-2)."""
+        for n in (1, 0, -3):
+            with pytest.raises(ValueError):
+                element_order(1, n)
+        for a in (0, -1, 5):
+            with pytest.raises(ValueError):
+                element_order(a, 4)
+        assert element_order(1, 2) == 1
+
     def test_table_and_axioms_reject_levels_below_two(self):
         for n in (1, 0, -2):
             with pytest.raises(ValueError):
@@ -469,6 +492,67 @@ class TestGroup:
             dim = 2 ** (n - 2)
             for row in cayley_table(n):
                 assert sorted(row) == list(range(1, dim + 1))
+
+
+class TestGroupReference:
+    """The one composition fold and the one modular inverse against the
+    per-function bodies they replaced (reference.py), value for value."""
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_all_pairs(self, n):
+        dim = 2 ** (n - 2)
+        elems = range(1, dim + 1)
+        table = tuple(tuple(folded_group_op(a, b, n) for b in elems)
+                      for a in elems)
+        assert cayley_table(n) == table
+        assert tuple(tuple(group_op(a, b, n) for b in elems)
+                     for a in elems) == table
+        for a in elems:
+            assert group_inverse(a, n) == euler_group_inverse(a, n), a
+            assert inverse_index(a, n) == euler_inverse_index(a, n), a
+            assert element_order(a, n) == folded_element_order(a, n), a
+        # past the quarter turn, the half turn and the full turn 2^n
+        wide = range(1, 4 * dim + 3)
+        for i in wide:
+            for j in wide:
+                assert signed_composition_angle(i, j, n) \
+                    == folded_composition_angle(i, j, n), (i, j)
+
+    @pytest.mark.parametrize("n", range(10, 13))
+    def test_sampled_pairs(self, n):
+        rng = random.Random(n)
+        dim = 2 ** (n - 2)
+        for _ in range(300):
+            a, b = rng.randint(1, dim), rng.randint(1, dim)
+            i, j = rng.randint(1, 8 * dim), rng.randint(1, 8 * dim)
+            assert group_op(a, b, n) == folded_group_op(a, b, n)
+            assert group_inverse(a, n) == euler_group_inverse(a, n)
+            assert inverse_index(a, n) == euler_inverse_index(a, n)
+            assert signed_composition_angle(i, j, n) \
+                == folded_composition_angle(i, j, n), (i, j)
+        for a in rng.sample(range(1, dim + 1), 8):
+            assert element_order(a, n) == folded_element_order(a, n)
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_relabeling_on_both_odd_bases(self, n):
+        """The relabeling of conjugation_invariance on the odd-cosine and
+        the odd-sine basis, and its verdict on each family's matrix and
+        on that matrix with one entry changed, which some a reject."""
+        for m in (matrix_gather(7, n), sine_basis_variant(matrix_gather(7, n)),
+                  matrix_neg3(n)):
+            rows = [list(row) for row in m.entries]
+            rows[-1][0] += 1
+            broken = ScaledMatrix(tuple(map(tuple, rows)), m.log2_denom,
+                                  m.basis)
+            rejected = 0
+            for a in range(1, m.dim + 1):
+                assert [_compose(a, i, m.basis) for i in range(1, m.dim + 1)] \
+                    == [(k + 1, s) for k, s in relabeling(m.basis, a)]
+                for mat in (m, broken):
+                    assert conjugation_invariance(mat, a) \
+                        == relabeled_invariance(mat, a), (m.basis, a)
+                rejected += not conjugation_invariance(broken, a)
+            assert rejected, m.basis
 
 
 class TestStructure:

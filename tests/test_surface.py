@@ -129,6 +129,32 @@ def test_decimal_context_stays_private():
         assert not banned.intersection(called), path.name
 
 
+def test_modular_powers_have_two_homes():
+    """Three-argument pow is called in two functions of the package:
+    odd_power._odd_inverse, the one modular inverse that the group law and
+    chebyshev's inverse index share, and gather_rows, whose per-row
+    inverse keeps the dual route apart from the law the scatter walks.
+    Reads each module's source, naming each call by its innermost
+    enclosing function."""
+    package = Path(cospow.__file__).parent
+    homes = []
+
+    def visit(node, owner, module):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+            if (isinstance(child, ast.Call)
+                    and getattr(child.func, "id", None) == "pow"
+                    and len(child.args) + len(child.keywords) == 3):
+                homes.append((module, owner))
+            visit(child, inner, module)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), None, path.name)
+    assert sorted(homes) == [("odd_power.py", "_odd_inverse"),
+                             ("odd_power.py", "gather_rows")]
+
+
 @pytest.mark.parametrize("n", range(3, 8))
 def test_entries_are_tuples_of_ints(n):
     built = [matrix_scatter(r, n) for r in (1, 7, 2 ** n + 1)]
