@@ -13,10 +13,16 @@ factors are large enough for it to win, in a private decimal context that
 traps every lost digit); and EvalContext, an arbitrary-precision evaluation
 environment wrapping an isolated mpmath context: it keeps each level
 table Basis.values builds in it, does the numeric oracle's row sums on
-plain ints that round exactly as mpmath does, and builds the tables and
-runs the oracle's scalar sums on mpmath's raw number tuples (libmp), each
-step the libmp routine the mpf operator calls, at the same precision and
-nearest rounding. This is the only module that imports mpmath.
+plain ints that round exactly as mpmath does, and runs the oracle's
+scalar sums on mpmath's raw number tuples (libmp), each step the libmp
+routine the mpf operator calls, at the same precision and nearest
+rounding. A level table is one fixed-point complex rotation over its
+angles, each value corrected to mpmath's rounded argument and rounded
+where a Ziv rounding test, with a bound on mpmath's own error derived
+from its code (_libmp_trig_error), proves mpmath rounds it the same way;
+the rest, and short lists, take mpmath's cosine or sine per angle, so
+every table is bit for bit mpmath's. This is the only module that
+imports mpmath.
 
 Conventions used throughout the package:
   * "mod" always means the least nonnegative residue and "floor" always
@@ -36,10 +42,11 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import (fzero, from_int, mpf_abs, mpf_add, mpf_cos,
-                          mpf_div, mpf_lt, mpf_mul_int, mpf_pi, mpf_pow,
-                          mpf_pow_int, mpf_shift, mpf_sin, mpf_sub,
-                          round_nearest)
+from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_abs, mpf_add,
+                          mpf_cos, mpf_cos_sin, mpf_div, mpf_lt, mpf_mul_int,
+                          mpf_pi, mpf_pow, mpf_pow_int, mpf_shift, mpf_sin,
+                          mpf_sub, pi_fixed, round_nearest, to_fixed)
+from mpmath.libmp.libelefun import COS_SIN_CACHE_PREC
 
 
 def exact_div(num: int, den: int, what: str) -> int:
@@ -507,6 +514,165 @@ class IntPolynomial:
         return acc
 
 
+# shortest list of angles that dyadic_trig evaluates by rotation; a shorter
+# one takes mpmath per angle. The rotation's set-up costs two mpf_cos_sin
+# at about prec + 2n bits. On a 2-vCPU Xeon, odd tables of 8 angles took
+# 1.2x, 1.3x, 1.6x and 2.2x less time than the per-angle route at 64, 128,
+# 256 and 2048 bits; tables of 4 took 1.2x more at 64 and 128 bits.
+_ROTATION_MIN_LEN = 8
+
+# bound, in units of 2^-wp, on mpmath's fixed-point cosine and sine before
+# their final rounding while wp <= COS_SIN_CACHE_PREC (_libmp_trig_error
+# derives it)
+_CACHED_TAYLOR_ERROR = 64
+
+
+def _libmp_trig_error(wp: int, mag: int, sine: bool) -> int:
+    """A bound, in units of 2^-wp, on |c - g(x) 2^wp| for the integer c
+    that mpmath 1.3.0's mpf_cos_sin (libelefun) hands to its final
+    from_man_exp rounding, g = sin if sine else cos, 0 < x < pi/2,
+    2^(mag-1) <= x < 2^mag. Its working precision wp is prec + 10 - mag
+    below 1 rad, and prec + 30 from 1 rad on, where mod_pi2's first pass
+    keeps every x below pi/2 - 2^-30 (every level up to 31, past which a
+    table would hold 2^30 values). Either way c comes from
+    cos_sin_basecase(X, wp) on the exact X = x 2^wp.
+
+    Cached Taylor series, wp <= COS_SIN_CACHE_PREC (400 on the python
+    backend, 200 on gmpy's): x = tau + rho, tau the top 8 bits of x and
+    rho < 2^-8. cos tau and sin tau come from a table of 410-bit
+    exponential_series values (the next case bounds them by 25 units of
+    2^-410), shifted down: each within 2.05 units. The loop for cos rho and
+    sin rho floors each term once in the product with rho and once in the
+    division by k, so a term is off by under 1 + (1 + e/256)/k < 1.51
+    units, e the previous term's error. The terms fall below 1/2 by
+    k = 35 (8k + log2 k! > 401), and the loop ends in the next pair of
+    positive terms, so each sum has at most 19 terms, off by under
+    19 * 1.51 + 1 < 30 units with the tail. The rotation by tau adds
+    2.05 + sqrt(2) 30 + 1 < 46 units: under _CACHED_TAYLOR_ERROR.
+
+    Exponential series, wp above that: exponential_series(X, wp, 2)
+    takes r0 = floor(sqrt(wp)/2), r = max(0, mag + r0) halvings and
+    extra = 10 + 2 max(r, -mag) guard bits, W = wp + extra, so
+    y = x/2^r < 2^-r0. Each term is positive and floored, off by under 2
+    units of 2^-W and zero from k = W/r0 on; with at most
+    int(0.3 wp^0.35) < W/r0 partial sums, the cosine of y is off by
+    e0 < 2 W/r0 + 2 units. A doubling c -> 2c^2 - 1 multiplies the error
+    by at most 4 and adds 1, so after r of them and the shift by extra
+    the cosine is off by under (e0 + 1) 2^(2r - extra) + 1, and
+    2r - extra <= -10. The sine is the floored square root of 1 - c^2,
+    off by at most 2/sin x < 2^(3 - mag) times the cosine's error at W,
+    plus 1, so by under (e0 + 1) 2^(2r + 3 - mag - extra) + 2 after the
+    shift; the factor passes 1 only from wp of about 1300, for x between
+    about 2^-(r0/2 + 2) and 2^-7.
+
+    Measured over the level tables' angles (tests/test_level_tables.py
+    pins the bound): at most 14.4 units in the cached series, and in the
+    exponential series 1.0 for cosines and 33 for sines of small x
+    (3 pi/2^16 at 3000 bits, against a bound of 7394).
+    """
+    if wp <= COS_SIN_CACHE_PREC:
+        return _CACHED_TAYLOR_ERROR
+    r0 = math.isqrt(wp) // 2
+    r = max(0, mag + r0)
+    extra = 10 + 2 * max(r, -mag)
+    e0 = 2 * ((wp + extra) // r0) + 5
+    amp = 2 * r + 3 - mag - extra if sine else -10
+    return 2 + (e0 << amp if amp >= 0 else (e0 >> -amp) + 1)
+
+
+def _rotated_trig(sine: bool, ts: list, n: int, prec: int,
+                  pi: tuple) -> list:
+    """EvalContext.dyadic_trig's values for 0 <= t < 2^(n-1), as libmp
+    tuples, pi rounded to prec bits, by fixed-point rotation: each value
+    is rounded only where Ziv's test (ACM TOMS 17(3), 1991) proves
+    mpmath rounds it the same way, and is None elsewhere.
+
+    In units of 2^-F, F = prec + 2n + 8, with Pi = floor(pi 2^F) read
+    once (pi_fixed): e^(i m phi), phi = pi/2^n, is fine[b] coarse[a]
+    for m = a step + b <= 2^(n-2), step = isqrt(2^(n-2)) + 1. fine
+    walks e^(i phi) and coarse e^(i step phi), both from mpf_cos_sin
+    at F + 20 bits with each part within 2 units, so a walk's j-th
+    entry is within 4.5 j units and a rotation within
+    5 (len fine + len coarse): O(sqrt dim). m = min(t, 2^(n-1) - t)
+    gives cos and sin of theta_t = t phi, swapped past pi/4, so one
+    rotation serves t and 2^(n-1) - t. Each value is moved to mpmath's
+    own argument x_t by cos x = cos theta - d sin theta and
+    sin x = sin theta + d cos theta, d = x_t - theta_t computed from Pi
+    within half a unit and the product floored: 2 units more.
+    |d| <= 2^(2-prec) bounds the terms dropped (d^2/2 and d^3/6) by
+    2^(F+4-2 prec).
+
+    The value is v 2^-F within e units: ours plus mpmath's own error
+    before its final rounding, _libmp_trig_error at mpmath's working
+    precision for x_t. When [v - e, v + e] holds no rounding midpoint
+    at prec bits and no power of two, every value mpmath's fixed-point
+    result can have rounds to the same mpf, and that mpf is the
+    result. Otherwise the value is None, as the even basis's
+    cos 0 = 1 always is. The test is integer comparisons only, so it
+    holds under python -O.
+    """
+    quarter = 1 << (n - 1)
+    F = prec + 2 * n + 8
+    Pi = pi_fixed(F)
+
+    def walk(k: int, length: int) -> list:
+        c, s = mpf_cos_sin(from_man_exp(k * Pi, -F - n), F + 20,
+                           round_nearest)
+        kc, ks = to_fixed(c, F), to_fixed(s, F)
+        out = [(1 << F, 0)]
+        for _ in range(length - 1):
+            c, s = out[-1]
+            out.append(((c * kc - s * ks) >> F, (s * kc + c * ks) >> F))
+        return out
+
+    top = quarter >> 1
+    step = math.isqrt(top) + 1
+    fine, coarse = walk(1, step), walk(step, top // step + 1)
+    ours = 5 * (step + len(coarse)) + 2 + (1 << max(0, F + 4 - 2 * prec))
+    _, pm, pe, _ = pi
+    rotations = [None] * (top + 1)
+    errors = {}
+    out = []
+    for t in ts:
+        # x_t = p 2^(pe+sh-n): pm t rounded to nearest, ties to even, as
+        # mpf_mul_int rounds it (row_sums' rule, inline for speed)
+        p = pm * t
+        sh = p.bit_length() - prec
+        if sh > 0:
+            w = p >> (sh - 1)
+            p = (w >> 1) + 1 if w & 1 and (
+                w & 2 or w << (sh - 1) != p) else w >> 1
+        else:
+            sh = 0
+        m = t if 2 * t <= quarter else quarter - t
+        rotation = rotations[m]
+        if rotation is None:
+            (fc, fs), (cc, cs) = fine[m % step], coarse[m // step]
+            rotation = rotations[m] = ((fc * cc - fs * cs) >> F,
+                                       (fs * cc + fc * cs) >> F)
+        c, s = rotation if m == t else rotation[::-1]
+        d = (p << (pe + sh + F)) - t * Pi
+        v = s + (d * c >> (F + n)) if sine else c - (d * s >> (F + n))
+        mag = p.bit_length() + pe + sh - n
+        e = errors.get(mag)
+        if e is None:
+            wp = prec + 10 - mag if mag <= 0 else prec + 30
+            lib = _libmp_trig_error(wp, mag, sine)
+            e = errors[mag] = ours + (lib << (F - wp) if F >= wp
+                                      else (lib >> (wp - F)) + 1)
+        lo, hi = v - e, v + e
+        sh = hi.bit_length() - prec
+        if lo > 0 and lo.bit_length() == hi.bit_length():
+            half = 1 << (sh - 1)
+            q = (lo + half) >> sh
+            if q == (hi + half) >> sh and (lo + half) & ((1 << sh) - 1):
+                tz = (q & -q).bit_length() - 1
+                out.append((0, q >> tz, sh - F + tz, q.bit_length() - tz))
+                continue
+        out.append(None)
+    return out
+
+
 class EvalContext:
     """Arbitrary-precision real/complex evaluation environment.
 
@@ -515,13 +681,17 @@ class EvalContext:
     table it builds (Basis.values), which dies with it. tolerance is
     2^(-precision_bits/2).
 
-    The level tables (dyadic_trig) and the oracle's sums over them
-    (power_sum, quotient_sum, max_residual, row_sums) run on mpmath's raw
-    (sign, man, exp, bc) tuples rather than on mpf objects: each step is
-    the libmp routine the mpf operator would call, at the working
-    precision with nearest rounding, so every result is bit for bit the
-    one the mpf loop its docstring names gives, without the object layer
-    around each step.
+    The oracle's sums over the level tables (power_sum, quotient_sum,
+    max_residual, row_sums) run on mpmath's raw (sign, man, exp, bc)
+    tuples rather than on mpf objects: each step is the libmp routine the
+    mpf operator would call, at the working precision with nearest
+    rounding, so every result is bit for bit the one the mpf loop its
+    docstring names gives, without the object layer around each step.
+    The tables themselves (dyadic_trig) are bit for bit mpmath's cosine
+    or sine per angle, but a table of _ROTATION_MIN_LEN or more angles
+    is built by one fixed-point rotation (_rotated_trig), which keeps a
+    value only where a rounding test proves it equal and hands the rest
+    to mpmath.
     """
 
     __slots__ = ("precision_bits", "tolerance", "_mp", "_tables")
@@ -660,13 +830,25 @@ class EvalContext:
         """g(t*pi/2^n) for each int t in ts, g = sin if sine else cos: bit
         for bit g(ctx.pi * t / 2**n). pi is rounded once per call; the
         product with t rounds as mpf * int does, and the division by 2^n
-        is exact, an exponent shift."""
+        is exact, an exponent shift: mpmath's argument is
+        x_t = round(round(pi) t)/2^n.
+
+        A list of at least _ROTATION_MIN_LEN angles, all in [0, pi/2),
+        goes through _rotated_trig; each angle it does not settle, and
+        every angle of any other list, takes mpmath's g per angle.
+        """
         prec, rnd = self.precision_bits, round_nearest
         g = mpf_sin if sine else mpf_cos
         pi = mpf_pi(prec, rnd)
         make = self._mp.make_mpf
-        return tuple(make(g(mpf_shift(mpf_mul_int(pi, t, prec, rnd), -n),
-                            prec, rnd)) for t in ts)
+        ts = list(ts)
+        if len(ts) >= _ROTATION_MIN_LEN and min(ts) >= 0 \
+                and max(ts) < 1 << (n - 1):
+            settled = _rotated_trig(sine, ts, n, prec, pi)
+        else:
+            settled = [None] * len(ts)
+        return tuple(make(v or g(mpf_shift(mpf_mul_int(pi, t, prec, rnd), -n),
+                                 prec, rnd)) for t, v in zip(ts, settled))
 
     def power_sum(self, values: Iterable, exponent, shift: int = 0):
         """sum_k (2^shift v_k)^exponent over positive mpfs v_k of this

@@ -4,6 +4,9 @@ package's faster routes are checked against."""
 from fractions import Fraction
 from operator import add
 
+from mpmath.libmp import (mpf_cos, mpf_mul_int, mpf_pi, mpf_shift, mpf_sin,
+                          round_nearest)
+
 from cospow.exact import IntPolynomial, odd_cos_basis, odd_sin_basis
 from cospow.minpoly import _average_stream
 from cospow.series import (RATIO_BITS, SeriesResult, as_fraction,
@@ -157,6 +160,17 @@ def basis_values_by_kind(basis, ctx):
         return ctx.cos(ctx.pi * k / 2 ** (basis.n - 1))
 
     return tuple(map(element, range(basis.dim)))
+
+
+def mpf_dyadic_trig(ctx, sine: bool, ts, n: int) -> tuple:
+    """EvalContext.dyadic_trig as it evaluated every angle before the level
+    tables were built by rotation: one mpf_sin or mpf_cos per t, at
+    mpmath's argument round(round(pi) t)/2^n, on libmp tuples."""
+    prec, rnd = ctx.precision_bits, round_nearest
+    g = mpf_sin if sine else mpf_cos
+    pi = mpf_pi(prec, rnd)
+    return tuple(ctx._mp.make_mpf(g(mpf_shift(mpf_mul_int(pi, t, prec, rnd),
+                                              -n), prec, rnd)) for t in ts)
 
 
 # The oracle's loops on mpf objects, as the package ran them before
