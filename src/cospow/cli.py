@@ -181,14 +181,15 @@ _MATRIX_N = Served(2, 12, "matrices are served for n <= {hi}")
 _LEVELS = Served(3, _MATRIX_N.hi)
 # largest |r| `matrix` and `verify` serve: a first row costs r/2 steps of
 # r-bit binomials, and entries carry up to r bits. At 4096 `verify --n 12`
-# takes about 3 s at 256 bits, most of it the numeric oracle's row sums, and
+# takes 3-5 s at 256 bits, most of it the numeric oracle's row sums, and
 # every entry prints within Python's 4300-digit limit on int-to-str
 # conversion (r = 16385 breaks it)
 _POWERS = Served(1, 4096, "matrices are served for |r| <= {hi}")
 # largest --precision `verify`, `zeta` and `sums` serve. On a 2-vCPU Xeon the
-# heaviest admitted request, verify --n 12 --r 4095, took 3.2 s at 256 bits
-# and 18.6 s at 2048, and its oracle 40 s at 4096; sums and zeta at n = 12
-# took under 0.5 s at 2048 and 18 s at 16384. At 2^20 bits even
+# heaviest admitted request, verify --n 12 --r 4095, took 5.0 s at 256 bits
+# and 15.7 s at 2048 in one run each (2.7-4.9 s and 13-23 s in others),
+# and its oracle 40 s at 4096; sums and zeta at n = 12 took under 0.5 s
+# at 2048 and 18 s at 16384. At 2^20 bits even
 # verify --n 3 --r 1 did not finish in 40 s. EvalContext turns away fewer
 # than 64 bits
 _PRECISION = Served(64, 2048, "--precision is served up to {hi} bits")
@@ -197,11 +198,9 @@ _PRECISION = Served(64, 2048, "--precision is served up to {hi} bits")
 SERVED = {
     # largest level `minpoly` serves: at n = 15 the closed coefficients pass
     # Python's 4300-digit limit on int-to-str conversion. On a 2-vCPU Xeon
-    # `minpoly --n 14 --form both` took 1.8-2.0 s wall and 91 MB (n = 13:
-    # 0.4-0.5 s): about 0.95 s printing the two coefficient lists as
-    # decimal text and 0.5 s the nested route's squarings. That is below
-    # the 3.2 s of `verify --n 12 --r 4095` at 256 bits, the heaviest
-    # request `verify` serves
+    # `minpoly --n 14 --form both` took 2.5 s wall and 90 MB (n = 13:
+    # 0.5 s), below the 5.0 s that `verify --n 12 --r 4095`, the heaviest
+    # request `verify` serves, took at 256 bits in the same series of runs
     "minpoly": {"n": Served(_MATRIX_N.lo, 14)},
     # printed: largest 4^{n-2} |r| `matrix` prints: entries carry up to ~|r|
     # bits (n = 11, r = 63 is 3 MB of JSON, n = 12, r = 4095 1.2 GB);

@@ -16,11 +16,11 @@ table Basis.values builds in it, does the numeric oracle's row sums on
 plain ints that round exactly as mpmath does, and runs the oracle's
 scalar sums on mpmath's raw number tuples (libmp), each step the libmp
 routine the mpf operator calls, at the same precision and nearest
-rounding. A level table is one fixed-point complex rotation over its
-angles, each value corrected to mpmath's rounded argument and rounded
-where a Ziv rounding test, with a bound on mpmath's own error derived
-from its code (_libmp_trig_error), proves mpmath rounds it the same way;
-the rest, and short lists, take mpmath's cosine or sine per angle, so
+rounding. A level table is one fixed-point walk of complex unit steps
+over its angles, each value corrected to mpmath's rounded argument and
+rounded where a Ziv rounding test, with a bound on mpmath's own error
+derived from its code (_libmp_trig_error), proves mpmath rounds it the
+same way; the rest take mpmath's cosine or sine at that argument, so
 every table is bit for bit mpmath's. This is the only module that
 imports mpmath.
 
@@ -39,12 +39,13 @@ from dataclasses import dataclass
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact,
                      Rounded)
 from fractions import Fraction
+from operator import index
 from typing import Iterable, Sequence
 
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_abs, mpf_add,
-                          mpf_cos, mpf_cos_sin, mpf_div, mpf_lt, mpf_mul_int,
-                          mpf_pi, mpf_pow, mpf_pow_int, mpf_shift, mpf_sin,
+                          mpf_cos, mpf_cos_sin, mpf_div, mpf_lt, mpf_pi,
+                          mpf_pow, mpf_pow_int, mpf_shift, mpf_sin,
                           mpf_sub, pi_fixed, round_nearest, to_fixed)
 from mpmath.libmp.libelefun import COS_SIN_CACHE_PREC
 
@@ -169,15 +170,7 @@ class Basis:
         """Numeric value of basis element k (0-based), as values gives it."""
         if not 0 <= k < self.dim:
             raise IndexError(f"basis index {k} out of range")
-        return self._evaluate((k,), ctx)[0]
-
-    def _evaluate(self, ks, ctx: "EvalContext") -> tuple:
-        """g(t*pi/2^n) for each column k in ks, g the basis function,
-        t = 2k+1 on the odd bases and t = 2k on the even one, whose
-        constant column is cos 0 = 1."""
-        odd = self.kind != "even_cos"
-        return ctx.dyadic_trig(self.kind == "odd_sin",
-                               [2 * k + odd for k in ks], self.n)
+        return self.values(ctx)[k]
 
     def fold(self, t: int) -> tuple[int, int]:
         """(column, sign) with g(t*pi/2^m) = sign * element(column), g the
@@ -196,13 +189,17 @@ class Basis:
         return k, -1 if (s + (self.kind != "odd_sin")) & 2 else 1
 
     def values(self, ctx: "EvalContext") -> tuple:
-        """Numeric values of all dim basis elements, in column order. The
-        table is built on the first call in ctx and kept there, so each
-        element is evaluated once per context and later calls return the
-        same tuple."""
+        """Numeric values of all dim basis elements, in column order:
+        g(t*pi/2^n), g the basis function, t = 2k+1 for column k on the
+        odd bases and t = 2k on the even one, whose constant column is
+        cos 0 = 1. The table is built on the first call in ctx and kept
+        there, so each element is evaluated once per context and later
+        calls return the same tuple."""
         table = ctx._tables.get(self)
         if table is None:
-            table = ctx._tables[self] = self._evaluate(range(self.dim), ctx)
+            odd = self.kind != "even_cos"
+            table = ctx._tables[self] = ctx.dyadic_trig(
+                self.kind == "odd_sin", range(odd, 2 * self.dim, 2), self.n)
         return table
 
 
@@ -451,7 +448,7 @@ class IntPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = [int(c) for c in coeffs]
+        cs = list(map(index, coeffs))
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -514,13 +511,6 @@ class IntPolynomial:
         return acc
 
 
-# shortest list of angles that dyadic_trig evaluates by rotation; a shorter
-# one takes mpmath per angle. The rotation's set-up costs two mpf_cos_sin
-# at about prec + 2n bits. On a 2-vCPU Xeon, odd tables of 8 angles took
-# 1.2x, 1.3x, 1.6x and 2.2x less time than the per-angle route at 64, 128,
-# 256 and 2048 bits; tables of 4 took 1.2x more at 64 and 128 bits.
-_ROTATION_MIN_LEN = 8
-
 # bound, in units of 2^-wp, on mpmath's fixed-point cosine and sine before
 # their final rounding while wp <= COS_SIN_CACHE_PREC (_libmp_trig_error
 # derives it)
@@ -580,97 +570,32 @@ def _libmp_trig_error(wp: int, mag: int, sine: bool) -> int:
     return 2 + (e0 << amp if amp >= 0 else (e0 >> -amp) + 1)
 
 
-def _rotated_trig(sine: bool, ts: list, n: int, prec: int,
-                  pi: tuple) -> list:
-    """EvalContext.dyadic_trig's values for 0 <= t < 2^(n-1), as libmp
-    tuples, pi rounded to prec bits, by fixed-point rotation: each value
-    is rounded only where Ziv's test (ACM TOMS 17(3), 1991) proves
-    mpmath rounds it the same way, and is None elsewhere.
+def _dyadic_walk(odd: int, n: int, F: int, Pi: int) -> list:
+    """e^(i m pi/2^n) for m = odd, odd + 2, ..., up to 2^(n-2), n >= 2, as
+    pairs (cos, sin) in units of 2^-F, Pi = floor(pi 2^F): entry j is
+    m = 2j + odd, within 4.5 j + 3 units of the exact value.
 
-    In units of 2^-F, F = prec + 2n + 8, with Pi = floor(pi 2^F) read
-    once (pi_fixed): e^(i m phi), phi = pi/2^n, is fine[b] coarse[a]
-    for m = a step + b <= 2^(n-2), step = isqrt(2^(n-2)) + 1. fine
-    walks e^(i phi) and coarse e^(i step phi), both from mpf_cos_sin
-    at F + 20 bits with each part within 2 units, so a walk's j-th
-    entry is within 4.5 j units and a rotation within
-    5 (len fine + len coarse): O(sqrt dim). m = min(t, 2^(n-1) - t)
-    gives cos and sin of theta_t = t phi, swapped past pi/4, so one
-    rotation serves t and 2^(n-1) - t. Each value is moved to mpmath's
-    own argument x_t by cos x = cos theta - d sin theta and
-    sin x = sin theta + d cos theta, d = x_t - theta_t computed from Pi
-    within half a unit and the product floored: 2 units more.
-    |d| <= 2^(2-prec) bounds the terms dropped (d^2/2 and d^3/6) by
-    2^(F+4-2 prec).
-
-    The value is v 2^-F within e units: ours plus mpmath's own error
-    before its final rounding, _libmp_trig_error at mpmath's working
-    precision for x_t. When [v - e, v + e] holds no rounding midpoint
-    at prec bits and no power of two, every value mpmath's fixed-point
-    result can have rounds to the same mpf, and that mpf is the
-    result. Otherwise the value is None, as the even basis's
-    cos 0 = 1 always is. The test is integer comparisons only, so it
-    holds under python -O.
+    The walk starts at 1 (odd = 0) or at e^(i phi), phi = pi/2^n, and
+    steps by e^(2 i phi). Both come from mpf_cos_sin at F + 20 bits of
+    k Pi 2^-(F+n), k = 1 or 2, which is within 2^(1-F-n) of k phi; with
+    to_fixed's floor, each part is within 2 units, so the start and the
+    step are within 2 sqrt 2 units. A step w -> floor(w e 2^-F), each part
+    floored, scales the error by |e| 2^-F < 1 + 2^(2-F) and adds under
+    2 sqrt 2 + sqrt 2 units, so entry j is off by under
+    (2 sqrt 2 + 3 sqrt 2 j)(1 + 2^(2-F))^j < 4.5 j + 3 units: j < 2^(n-2)
+    and F >= 2n + 72 keep the last factor below 1 + 2^-70.
     """
-    quarter = 1 << (n - 1)
-    F = prec + 2 * n + 8
-    Pi = pi_fixed(F)
-
-    def walk(k: int, length: int) -> list:
+    def turn(k: int) -> tuple:
         c, s = mpf_cos_sin(from_man_exp(k * Pi, -F - n), F + 20,
                            round_nearest)
-        kc, ks = to_fixed(c, F), to_fixed(s, F)
-        out = [(1 << F, 0)]
-        for _ in range(length - 1):
-            c, s = out[-1]
-            out.append(((c * kc - s * ks) >> F, (s * kc + c * ks) >> F))
-        return out
+        return to_fixed(c, F), to_fixed(s, F)
 
-    top = quarter >> 1
-    step = math.isqrt(top) + 1
-    fine, coarse = walk(1, step), walk(step, top // step + 1)
-    ours = 5 * (step + len(coarse)) + 2 + (1 << max(0, F + 4 - 2 * prec))
-    _, pm, pe, _ = pi
-    rotations = [None] * (top + 1)
-    errors = {}
-    out = []
-    for t in ts:
-        # x_t = p 2^(pe+sh-n): pm t rounded to nearest, ties to even, as
-        # mpf_mul_int rounds it (row_sums' rule, inline for speed)
-        p = pm * t
-        sh = p.bit_length() - prec
-        if sh > 0:
-            w = p >> (sh - 1)
-            p = (w >> 1) + 1 if w & 1 and (
-                w & 2 or w << (sh - 1) != p) else w >> 1
-        else:
-            sh = 0
-        m = t if 2 * t <= quarter else quarter - t
-        rotation = rotations[m]
-        if rotation is None:
-            (fc, fs), (cc, cs) = fine[m % step], coarse[m // step]
-            rotation = rotations[m] = ((fc * cc - fs * cs) >> F,
-                                       (fs * cc + fc * cs) >> F)
-        c, s = rotation if m == t else rotation[::-1]
-        d = (p << (pe + sh + F)) - t * Pi
-        v = s + (d * c >> (F + n)) if sine else c - (d * s >> (F + n))
-        mag = p.bit_length() + pe + sh - n
-        e = errors.get(mag)
-        if e is None:
-            wp = prec + 10 - mag if mag <= 0 else prec + 30
-            lib = _libmp_trig_error(wp, mag, sine)
-            e = errors[mag] = ours + (lib << (F - wp) if F >= wp
-                                      else (lib >> (wp - F)) + 1)
-        lo, hi = v - e, v + e
-        sh = hi.bit_length() - prec
-        if lo > 0 and lo.bit_length() == hi.bit_length():
-            half = 1 << (sh - 1)
-            q = (lo + half) >> sh
-            if q == (hi + half) >> sh and (lo + half) & ((1 << sh) - 1):
-                tz = (q & -q).bit_length() - 1
-                out.append((0, q >> tz, sh - F + tz, q.bit_length() - tz))
-                continue
-        out.append(None)
-    return out
+    kc, ks = turn(2)
+    walk = [turn(1) if odd else (1 << F, 0)]
+    for _ in range(((1 << (n - 2)) - odd) >> 1):
+        c, s = walk[-1]
+        walk.append(((c * kc - s * ks) >> F, (s * kc + c * ks) >> F))
+    return walk
 
 
 class EvalContext:
@@ -688,10 +613,9 @@ class EvalContext:
     rounding, so every result is bit for bit the one the mpf loop its
     docstring names gives, without the object layer around each step.
     The tables themselves (dyadic_trig) are bit for bit mpmath's cosine
-    or sine per angle, but a table of _ROTATION_MIN_LEN or more angles
-    is built by one fixed-point rotation (_rotated_trig), which keeps a
-    value only where a rounding test proves it equal and hands the rest
-    to mpmath.
+    or sine per angle, but are built by one fixed-point walk
+    (_dyadic_walk), which keeps a value only where a rounding test proves
+    it equal and hands the rest to mpmath.
     """
 
     __slots__ = ("precision_bits", "tolerance", "_mp", "_tables")
@@ -827,28 +751,88 @@ class EvalContext:
             yield mpf((am, ae))
 
     def dyadic_trig(self, sine: bool, ts: Iterable[int], n: int) -> tuple:
-        """g(t*pi/2^n) for each int t in ts, g = sin if sine else cos: bit
-        for bit g(ctx.pi * t / 2**n). pi is rounded once per call; the
-        product with t rounds as mpf * int does, and the division by 2^n
-        is exact, an exponent shift: mpmath's argument is
+        """g(t*pi/2^n) for each int t in ts, g = sin if sine else cos, the
+        t all of one parity and in [0, 2^(n-1)), n >= 2 (ValueError
+        otherwise): bit for bit g(ctx.pi * t / 2**n). pi is rounded once
+        per call; the product with t rounds as mpf * int does, and the
+        division by 2^n is exact, an exponent shift: mpmath's argument is
         x_t = round(round(pi) t)/2^n.
 
-        A list of at least _ROTATION_MIN_LEN angles, all in [0, pi/2),
-        goes through _rotated_trig; each angle it does not settle, and
-        every angle of any other list, takes mpmath's g per angle.
+        One fixed-point walk (_dyadic_walk), F = prec + 2n + 8, gives
+        cos and sin of theta_t = t pi/2^n for m = min(t, 2^(n-1) - t),
+        swapped past pi/4, so one entry serves t and 2^(n-1) - t; every
+        entry read is within 4.5 2^(n-3) + 3 units of 2^-F, below 2^-9 of
+        an ulp of the smallest value. Each value is moved to x_t by
+        cos x = cos theta - d sin theta and sin x = sin theta + d cos theta,
+        d = x_t - theta_t computed from Pi = floor(pi 2^F) within half a
+        unit and the product floored: 2 units more. |d| <= 2^(2-prec)
+        bounds the terms dropped (d^2/2 and d^3/6) by 2^(F+4-2 prec).
+
+        The value is v 2^-F within e units: ours plus mpmath's own error
+        before its final rounding, _libmp_trig_error at mpmath's working
+        precision for x_t. When [v - e, v + e] holds no rounding midpoint
+        at prec bits and no power of two, every value mpmath's fixed-point
+        result can have rounds to the same mpf, and that mpf is the result
+        (Ziv's test, ACM TOMS 17(3), 1991). Otherwise, as for the even
+        basis's cos 0 = 1 always, mpmath's g is called at x_t. The test is
+        integer comparisons only, so it holds under python -O.
         """
         prec, rnd = self.precision_bits, round_nearest
-        g = mpf_sin if sine else mpf_cos
-        pi = mpf_pi(prec, rnd)
-        make = self._mp.make_mpf
         ts = list(ts)
-        if len(ts) >= _ROTATION_MIN_LEN and min(ts) >= 0 \
-                and max(ts) < 1 << (n - 1):
-            settled = _rotated_trig(sine, ts, n, prec, pi)
-        else:
-            settled = [None] * len(ts)
-        return tuple(make(v or g(mpf_shift(mpf_mul_int(pi, t, prec, rnd), -n),
-                                 prec, rnd)) for t, v in zip(ts, settled))
+        quarter = 1 << (n - 1)
+        odd = ts[0] & 1 if ts else 0
+        if any(t & 1 != odd or not 0 <= t < quarter for t in ts):
+            raise ValueError(
+                f"dyadic_trig takes t of one parity in [0, 2^{n - 1})")
+        F = prec + 2 * n + 8
+        Pi = pi_fixed(F)
+        walk = _dyadic_walk(odd, n, F, Pi)
+        # the last entry's bound, 2 units for the move to x_t and the
+        # terms it drops
+        last = len(walk) - 1
+        ours = (9 * last + 1) // 2 + 5 + (1 << max(0, F + 4 - 2 * prec))
+        _, pm, pe, _ = mpf_pi(prec, rnd)
+        g = mpf_sin if sine else mpf_cos
+        make = self._mp.make_mpf
+        errors = {}
+        out = []
+        for t in ts:
+            # x_t = p 2^xe: pm t rounded to nearest, ties to even, as
+            # mpf_mul_int rounds it (row_sums' rule, inline for speed)
+            p = pm * t
+            sh = p.bit_length() - prec
+            if sh > 0:
+                w = p >> (sh - 1)
+                p = (w >> 1) + 1 if w & 1 and (
+                    w & 2 or w << (sh - 1) != p) else w >> 1
+            else:
+                sh = 0
+            xe = pe + sh - n
+            m = t if 2 * t <= quarter else quarter - t
+            c, s = walk[m >> 1]
+            if m != t:
+                c, s = s, c
+            d = (p << (xe + n + F)) - t * Pi
+            v = s + (d * c >> (F + n)) if sine else c - (d * s >> (F + n))
+            mag = p.bit_length() + xe
+            e = errors.get(mag)
+            if e is None:
+                wp = prec + 10 - mag if mag <= 0 else prec + 30
+                lib = _libmp_trig_error(wp, mag, sine)
+                e = errors[mag] = ours + (lib << (F - wp) if F >= wp
+                                          else (lib >> (wp - F)) + 1)
+            lo, hi = v - e, v + e
+            k = hi.bit_length() - prec
+            if lo > 0 and lo.bit_length() == hi.bit_length():
+                half = 1 << (k - 1)
+                q = (lo + half) >> k
+                if q == (hi + half) >> k and (lo + half) & ((1 << k) - 1):
+                    tz = (q & -q).bit_length() - 1
+                    out.append(make((0, q >> tz, k - F + tz,
+                                     q.bit_length() - tz)))
+                    continue
+            out.append(make(g(from_man_exp(p, xe), prec, rnd)))
+        return tuple(out)
 
     def power_sum(self, values: Iterable, exponent, shift: int = 0):
         """sum_k (2^shift v_k)^exponent over positive mpfs v_k of this

@@ -298,6 +298,15 @@ class TestIntPolynomial:
         assert not IntPolynomial([0])
         assert bool(IntPolynomial([0, 1]))
 
+    def test_rejects_non_integral_coefficients(self):
+        """A coefficient that is not an int raises instead of being
+        truncated, in the constructor and so in a product."""
+        for coeffs in ([Fraction(1, 2), 1.9], [1.0], [Fraction(2)], ["1"]):
+            with pytest.raises(TypeError):
+                IntPolynomial(coeffs)
+        with pytest.raises(TypeError):
+            IntPolynomial([1, 2]) * IntPolynomial([Fraction(3, 2)])
+
     def test_ring_ops(self):
         p = IntPolynomial([1, 1])       # 1 + x
         q = IntPolynomial([-1, 1])      # -1 + x

@@ -1,8 +1,8 @@
-"""The level tables EvalContext.dyadic_trig builds by fixed-point rotation,
+"""The level tables EvalContext.dyadic_trig builds by one fixed-point walk,
 against mpmath's per-angle route (reference.mpf_dyadic_trig): bit for bit
-on whole tables across mpmath's regimes, with both of the rotation's
-branches taken, under python -O too; and the bound on mpmath's own error
-that the rotation's rounding test assumes."""
+on whole tables across mpmath's regimes, with both of the rounding test's
+branches taken, under python -O too; and the bounds the rounding test
+assumes, on the walk's error and on mpmath's own."""
 
 import hashlib
 import os
@@ -11,11 +11,12 @@ import subprocess
 import sys
 
 import pytest
-from mpmath.libmp import (libelefun, mpf_cos, mpf_mul_int, mpf_pi,
-                          mpf_shift, mpf_sin, round_nearest, to_fixed)
+from mpmath.libmp import (libelefun, mpf_cos, mpf_cos_sin, mpf_mul_int,
+                          mpf_pi, mpf_shift, mpf_sin, pi_fixed,
+                          round_nearest, to_fixed)
 
 from cospow import exact
-from cospow.exact import (_ROTATION_MIN_LEN, Basis, EvalContext,
+from cospow.exact import (Basis, EvalContext, _dyadic_walk,
                           _libmp_trig_error)
 from reference import mpf_dyadic_trig
 
@@ -66,7 +67,7 @@ def test_tables_equal_per_angle_route_past_the_cap(prec):
 
 def _handoffs(monkeypatch) -> list:
     """The arguments of every per-angle mpf_cos/mpf_sin that dyadic_trig
-    calls from now on: its short lists and the rotation's hand-offs."""
+    calls from now on: the values its rounding test hands off."""
     calls = []
     for name in ("mpf_cos", "mpf_sin"):
         def counting(x, prec, rnd, real=getattr(exact, name)):
@@ -78,7 +79,7 @@ def _handoffs(monkeypatch) -> list:
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_both_branches(kind, monkeypatch):
-    """At 256 bits and n = 10 some values are settled by the rotation and
+    """At 256 bits and n = 10 some values are settled by the walk and
     some handed off; with a bound that never settles, every value is
     handed off and the table is the same."""
     calls = _handoffs(monkeypatch)
@@ -93,27 +94,65 @@ def test_both_branches(kind, monkeypatch):
 
 @pytest.mark.parametrize("prec", (64, 256, 2048))
 def test_even_basis_constant_and_one_angle(prec, monkeypatch):
-    """The even basis's t = 0 is cos 0 = 1 exactly, and Basis.element
-    takes one per-angle call, as any list shorter than _ROTATION_MIN_LEN
-    does."""
+    """The even basis's t = 0 is cos 0 = 1 exactly, and Basis.element is
+    values[k]: once the table is built it calls mpmath for no angle."""
     ctx = EvalContext(prec)
     calls = _handoffs(monkeypatch)
-    for n in (3, 7, 10):
-        e = Basis("even_cos", n)
-        assert e.values(ctx)[0]._mpf_ == (0, 1, 0, 1)
+    for kind, n, k in (("even_cos", 3, 0), ("even_cos", 7, 0),
+                       ("even_cos", 10, 0), ("even_cos", 10, 77),
+                       ("odd_sin", 9, 5)):
+        b = Basis(kind, n)
+        table = b.values(ctx)
+        if kind == "even_cos":
+            assert table[0]._mpf_ == (0, 1, 0, 1)
         del calls[:]
-        assert e.element(0, ctx)._mpf_ == (0, 1, 0, 1)
-        assert len(calls) == 1
-    b = Basis("odd_sin", 9)
-    table = _bits(b.values(ctx))
-    del calls[:]
-    assert _bits([b.element(5, ctx)]) == table[5:6]
-    assert len(calls) == 1
-    ts = list(range(1, 2 * _ROTATION_MIN_LEN - 2, 2))
-    del calls[:]
-    assert _bits(ctx.dyadic_trig(True, ts, 9)) == _bits(
-        mpf_dyadic_trig(ctx, True, ts, 9))
-    assert len(calls) == len(ts)
+        assert b.element(k, ctx) is table[k]
+        assert not calls
+
+
+@pytest.mark.parametrize("prec", (64, 256))
+def test_walk_contract(prec):
+    """dyadic_trig takes any list of t of one parity in [0, 2^(n-1)),
+    whole table or not, and gives the per-angle route's values; a t of the
+    other parity or out of that range would read the wrong walk entry, so
+    such a list raises ValueError."""
+    ctx = EvalContext(prec)
+    for sine in (False, True):
+        for ts in ([5], [255, 1, 129, 3], list(range(1, 14, 2)),
+                   [0], [2, 254, 128, 0], []):
+            assert _bits(ctx.dyadic_trig(sine, ts, 9)) == _bits(
+                mpf_dyadic_trig(ctx, sine, ts, 9)), (sine, ts)
+        for ts in ([1, 2], [2, 1], [0, 3, 5], [1, 256], [257],
+                   [-1, 1], [-2], [256]):
+            with pytest.raises(ValueError):
+                ctx.dyadic_trig(sine, ts, 9)
+
+
+@pytest.mark.parametrize("prec", (64, 401, 2048))
+def test_walk_error_within_bound(prec):
+    """Each entry j of the walk dyadic_trig reads, at its F = prec + 2n + 8
+    bits, lies within 4.5 j + 3 units of 2^-F of a 2F-bit reference, on
+    both parities: every entry at n = 2..12, and a seeded sample and the
+    last entry at n = 13..16."""
+    rng = random.Random(prec)
+    for n in range(2, 17):
+        F = prec + 2 * n + 8
+        wide = 2 * F + 10
+        pi = mpf_pi(wide, round_nearest)
+        for odd in (0, 1):
+            walk = _dyadic_walk(odd, n, F, pi_fixed(F))
+            assert len(walk) == ((1 << (n - 2)) - odd) // 2 + 1
+            js = range(len(walk))
+            if n > 12:
+                js = sorted({*rng.sample(js, 24), len(walk) - 1})
+            for j in js:
+                x = mpf_shift(mpf_mul_int(pi, 2 * j + odd, wide,
+                                          round_nearest), -n)
+                for got, ref in zip(walk[j], mpf_cos_sin(x, wide,
+                                                         round_nearest)):
+                    # the reference is within 2 units of 2^-2F
+                    gap = abs((got << F) - to_fixed(ref, 2 * F)) + 2
+                    assert 2 * gap <= (9 * j + 6) << F, (prec, n, odd, j)
 
 
 def _libmp_fixed(g, x, prec, monkeypatch):
@@ -146,7 +185,7 @@ _REGIMES = [(64, 8, None), (128, 12, None), (256, 16, None), (360, 12, None),
 def test_libmp_error_within_bound(prec, n, ts, monkeypatch):
     """mpmath's fixed-point cosine and sine, before the rounding, lie
     within _libmp_trig_error units of 2^-wp of a 2 wp-bit reference, at
-    the working precision the rotation assumes: prec + 10 - mag below
+    the working precision dyadic_trig assumes: prec + 10 - mag below
     1 rad and prec + 30 from it. A later mpmath that computes them
     another way fails here, not by a silent change of a bit."""
     quarter = 1 << (n - 1)
@@ -167,7 +206,7 @@ def test_libmp_error_within_bound(prec, n, ts, monkeypatch):
 
 
 def test_tables_exact_under_optimize():
-    """python -O strips asserts; the rotation's rounding test uses none,
+    """python -O strips asserts; dyadic_trig's rounding test uses none,
     so odd_sin at n = 12, 2048 bits and even_cos at n = 10, 384 bits
     built there equal the per-angle route's."""
     code = ("import hashlib\n"

@@ -34,8 +34,8 @@ REMOVED = {
     exact: ("make_matrix", "int_mat_transpose", "poly_x", "poly_compose",
             "pochhammer", "fold_odd_cos_index", "fold_even_cos_index",
             "DyadicAngle", "poly_mod_reduce", "_wrapped_binomial",
-            "DEFAULT_CONTEXT"),
-    exact.Basis: ("phase", "turn"),
+            "DEFAULT_CONTEXT", "_ROTATION_MIN_LEN", "_rotated_trig"),
+    exact.Basis: ("phase", "turn", "_evaluate"),
     exact.ScaledMatrix: ("row", "scale"),
     odd_power: ("scatter_target", "perm_sign", "PermSign"),
     chebyshev: ("identity_poly", "OddChebyshev"),
