@@ -11,8 +11,10 @@ substitution, in base 2 by CPython's Karatsuba, or in base 10 by the
 number-theoretic transform of the stdlib decimal module once the packed
 factors are large enough for it to win, in a private decimal context that
 traps every lost digit); and EvalContext, an arbitrary-precision evaluation
-environment wrapping an isolated mpmath context: it keeps each level
-table Basis.values builds in it, does the numeric oracle's row sums on
+environment wrapping the mpmath context of its precision, one context
+per precision, shared by every EvalContext at it and written by none
+after it is built: it keeps each level table Basis.values builds in it
+(the tables are never shared), does the numeric oracle's row sums on
 plain ints that round exactly as mpmath does, and runs the oracle's
 scalar sums on mpmath's raw number tuples (libmp), each step the libmp
 routine the mpf operator calls, at the same precision and nearest
@@ -442,7 +444,10 @@ class IntPolynomial:
     """Dense univariate polynomial with exact integer coefficients.
 
     Coefficients are stored ascending; the zero polynomial is the empty
-    tuple and has degree -1. Instances are immutable.
+    tuple and has degree -1. Instances are immutable. Sums and differences
+    take IntPolynomial operands, and products an IntPolynomial or int
+    factor; any other operand gives NotImplemented, so Python raises
+    TypeError, as the constructor does for a non-integral coefficient.
     """
 
     __slots__ = ("coeffs",)
@@ -473,6 +478,8 @@ class IntPolynomial:
         return f"IntPolynomial({list(self.coeffs)})"
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -485,11 +492,15 @@ class IntPolynomial:
         return IntPolynomial([-c for c in self.coeffs])
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other) -> "IntPolynomial":
         if isinstance(other, int):
             return IntPolynomial([c * other for c in self.coeffs])
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
         return IntPolynomial(poly_mul_coeffs(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
@@ -514,7 +525,7 @@ class IntPolynomial:
 # bound, in units of 2^-wp, on mpmath's fixed-point cosine and sine before
 # their final rounding while wp <= COS_SIN_CACHE_PREC (_libmp_trig_error
 # derives it)
-_CACHED_TAYLOR_ERROR = 64
+_CACHED_TAYLOR_ERROR = 46
 
 
 def _libmp_trig_error(wp: int, mag: int, sine: bool) -> int:
@@ -538,7 +549,7 @@ def _libmp_trig_error(wp: int, mag: int, sine: bool) -> int:
     k = 35 (8k + log2 k! > 401), and the loop ends in the next pair of
     positive terms, so each sum has at most 19 terms, off by under
     19 * 1.51 + 1 < 30 units with the tail. The rotation by tau adds
-    2.05 + sqrt(2) 30 + 1 < 46 units: under _CACHED_TAYLOR_ERROR.
+    2.05 + sqrt(2) 30 + 1 < 46 units, which is _CACHED_TAYLOR_ERROR.
 
     Exponential series, wp above that: exponential_series(X, wp, 2)
     takes r0 = floor(sqrt(wp)/2), r = max(0, mag + r0) halvings and
@@ -598,12 +609,20 @@ def _dyadic_walk(odd: int, n: int, F: int, Pi: int) -> list:
     return walk
 
 
+# (mpmath context, tolerance) per precision, built on first use: every
+# EvalContext at that precision shares them, and nothing writes the
+# context's prec after it is set here
+_SHARED: dict = {}
+
+
 class EvalContext:
     """Arbitrary-precision real/complex evaluation environment.
 
-    Wraps a private mpmath context so two EvalContexts never interfere;
-    precision is fixed at construction, and the instance keeps each level
-    table it builds (Basis.values), which dies with it. tolerance is
+    Wraps the mpmath context of its precision, shared by every
+    EvalContext at that precision: its prec is set once, when it is
+    built, and nothing writes it after. Precision is fixed at
+    construction, and the instance keeps each level table it builds
+    (Basis.values), which dies with it. tolerance is
     2^(-precision_bits/2).
 
     The oracle's sums over the level tables (power_sum, quotient_sum,
@@ -623,12 +642,15 @@ class EvalContext:
     def __init__(self, precision_bits: int = 256):
         if precision_bits < 64:
             raise ValueError("EvalContext requires precision_bits >= 64")
-        mpctx = MPContext()
-        mpctx.prec = precision_bits
-        object.__setattr__(self, "_mp", mpctx)
+        shared = _SHARED.get(precision_bits)
+        if shared is None:
+            mpctx = MPContext()
+            mpctx.prec = precision_bits
+            shared = _SHARED[precision_bits] = (
+                mpctx, mpctx.mpf(2) ** -(precision_bits // 2))
+        object.__setattr__(self, "_mp", shared[0])
         object.__setattr__(self, "precision_bits", precision_bits)
-        object.__setattr__(self, "tolerance",
-                           mpctx.mpf(2) ** -(precision_bits // 2))
+        object.__setattr__(self, "tolerance", shared[1])
         object.__setattr__(self, "_tables", {})
 
     def __setattr__(self, name, value):
@@ -709,6 +731,13 @@ class EvalContext:
         ends as one mpf. Aligning a sum shifts by the exponent gap of its
         operands: on a basis table at level n, whose values lie between
         2^-n and 1, at most about n bits plus the widest entry's width.
+        """
+        mpf = self._mp.mpf
+        for am, ae in self._row_pairs(rows, values):
+            yield mpf((am, ae))
+
+    def _row_pairs(self, rows: Iterable[Sequence[int]], values: Sequence):
+        """row_sums' sums as pairs (m, e), the sum m 2^e, |m| < 2^prec.
 
         Rounding m 2^e to prec bits shifts out sh = bits(m) - prec bits:
         t = m >> (sh - 1) keeps the half bit, and the floor t >> 1 goes up
@@ -717,7 +746,6 @@ class EvalContext:
         symmetric in sign.
         """
         prec = self.precision_bits
-        mpf = self._mp.mpf
         table = []
         for v in values:
             sign, man, exp, _ = v._mpf_
@@ -748,7 +776,7 @@ class EvalContext:
                     ae = pe + sh
                 else:
                     am, ae = pm, pe
-            yield mpf((am, ae))
+            yield am, ae
 
     def dyadic_trig(self, sine: bool, ts: Iterable[int], n: int) -> tuple:
         """g(t*pi/2^n) for each int t in ts, g = sin if sine else cos, the
@@ -864,13 +892,14 @@ class EvalContext:
         """max_i |g_i^r - 2^-log2_denom sum_k rows[i][k] values[k]|, g_i
         the i-th mpf of lhs: bit for bit the loop `worst = max(worst,
         ctx.fabs(ctx.power(g, r) - scale * rhs))` from zero, scale =
-        2^-log2_denom and rhs from row_sums. The scaling is exact, an
-        exponent shift."""
+        2^-log2_denom and rhs from row_sums. rhs is read as row_sums'
+        pair (m, e), whose m fits the precision, so the scaled rhs is the
+        exact from_man_exp(m, e - log2_denom), an exponent shift."""
         prec, rnd = self.precision_bits, round_nearest
         worst = fzero
-        for rhs, g in zip(self.row_sums(rows, values), lhs):
+        for (am, ae), g in zip(self._row_pairs(rows, values), lhs):
             gap = mpf_abs(mpf_sub(mpf_pow_int(g._mpf_, r, prec, rnd),
-                                  mpf_shift(rhs._mpf_, -log2_denom),
+                                  from_man_exp(am, ae - log2_denom),
                                   prec, rnd), prec, rnd)
             if mpf_lt(worst, gap):
                 worst = gap

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cospow import cli
+from cospow import cli, exact
 from cospow.exact import EvalContext
 
 
@@ -227,6 +227,25 @@ class TestSums:
         code, doc, _ = run_json(capsys, "sums", "--s", "2", "--n", "4")
         assert code == 1
         assert doc["ok"] is False
+
+
+def test_shared_context_keeps_its_precision(capsys, monkeypatch):
+    """verify, sums and zeta leave the mpmath context shared at each
+    precision at that precision, whatever they evaluate in it."""
+    monkeypatch.setattr(exact, "_SHARED", {})
+    for argv in (("verify", "--n", "6", "--r", "7"),
+                 ("verify", "--n", "5", "--r", "-5", "--precision", "128"),
+                 ("verify", "--n", "5", "--r", "4"),
+                 ("verify", "--n", "5", "--r", "5", "--basis", "sin"),
+                 ("sums", "--s", "3", "--n", "6", "--precision", "128"),
+                 ("zeta", "--s", "2.5", "--n", "6"),
+                 ("zeta", "--s", "3", "--n", "5", "--method", "binomial",
+                  "--precision", "192")):
+        code, _, _ = run(capsys, *argv)
+        assert code == 0, argv
+    assert sorted(exact._SHARED) == [128, 192, 256]
+    for prec, (mp, _) in exact._SHARED.items():
+        assert mp.prec == prec
 
 
 class TestGroup:

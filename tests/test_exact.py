@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import operator
 import os
 import random
 import subprocess
@@ -10,8 +11,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath.libmp import mpf_pi, round_nearest
 
-from cospow import exact
+from cospow import exact, odd_power
 from cospow.exact import (
     _DECIMAL_MIN_DIGITS,
     _DECIMAL_MIN_LEN,
@@ -307,6 +309,21 @@ class TestIntPolynomial:
         with pytest.raises(TypeError):
             IntPolynomial([1, 2]) * IntPolynomial([Fraction(3, 2)])
 
+    @pytest.mark.parametrize("op, a, b", [
+        (operator.mul, IntPolynomial([1, 2]), Fraction(3, 2)),
+        (operator.mul, 1.5, IntPolynomial([1, 2])),
+        (operator.mul, IntPolynomial([1, 2]), 1.5),
+        (operator.add, IntPolynomial([1, 2]), 1),
+        (operator.add, 1, IntPolynomial([1, 2])),
+        (operator.sub, IntPolynomial([1, 2]), 1),
+        (operator.sub, Fraction(1, 2), IntPolynomial([1, 2])),
+    ])
+    def test_rejects_foreign_operands(self, op, a, b):
+        """An operand that is not an IntPolynomial, nor an int factor of a
+        product, raises TypeError, as a non-integral coefficient does."""
+        with pytest.raises(TypeError):
+            op(a, b)
+
     def test_ring_ops(self):
         p = IntPolynomial([1, 1])       # 1 + x
         q = IntPolynomial([-1, 1])      # -1 + x
@@ -565,6 +582,82 @@ class TestEvalContext:
 
     def test_nstr(self, ctx):
         assert ctx.nstr(ctx.to_real(Fraction(1, 4)), 5) == "0.25"
+
+
+def _own_values(ctx):
+    """pi, tolerance, a level table and a verify residual of ctx, as raw
+    libmp tuples."""
+    m = odd_power.matrix_scatter(7, 6)
+    return (ctx.pi._mpf_, ctx.tolerance._mpf_,
+            [v._mpf_ for v in odd_sin_basis(7).values(ctx)],
+            odd_power.verify_numeric(m, 7, ctx)._mpf_)
+
+
+class TestSharedContext:
+    """EvalContexts at one precision share one mpmath context; those at
+    different precisions share nothing, and no context shares a table."""
+
+    @pytest.mark.parametrize("order", [(128, 256), (256, 128)])
+    def test_precisions_keep_their_own_values(self, order, monkeypatch):
+        """Each precision built alone, then both built first and used
+        interleaved in either order: every value is its own precision's,
+        pi and tolerance the libmp ones."""
+        alone = {}
+        for prec in order:
+            monkeypatch.setattr(exact, "_SHARED", {})
+            alone[prec] = _own_values(EvalContext(prec))
+        monkeypatch.setattr(exact, "_SHARED", {})
+        ctxs = [EvalContext(prec) for prec in order]
+        ctxs += [EvalContext(prec) for prec in order]
+        for ctx in ctxs:
+            prec = ctx.precision_bits
+            got = _own_values(ctx)
+            assert got == alone[prec], prec
+            assert got[0] == mpf_pi(prec, round_nearest)
+            assert got[1] == (0, 1, -(prec // 2), 1)
+        assert alone[128] != alone[256]
+
+    def test_tables_stay_per_context(self, monkeypatch):
+        """A new context at the same precision builds its own table, the
+        same bits as the first's."""
+        builds = []
+        real = EvalContext.dyadic_trig
+
+        def counting(self, sine, ts, n):
+            builds.append(self)
+            return real(self, sine, ts, n)
+
+        monkeypatch.setattr(EvalContext, "dyadic_trig", counting)
+        b = odd_cos_basis(8)
+        first, second = EvalContext(256), EvalContext(256)
+        assert first._mp is second._mp
+        table = b.values(first)
+        assert b.values(first) is table
+        assert builds == [first]
+        other = b.values(second)
+        assert builds == [first, second]
+        assert other is not table
+        assert [v._mpf_ for v in other] == [v._mpf_ for v in table]
+
+    def test_one_mpmath_context_per_precision(self, monkeypatch):
+        made = []
+
+        class Counting(exact.MPContext):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(exact, "_SHARED", {})
+        monkeypatch.setattr(exact, "MPContext", Counting)
+        ctxs = [EvalContext(256) for _ in range(50)]
+        assert len(made) == 1
+        assert all(c._mp is made[0] for c in ctxs)
+        assert made[0].prec == 256
+        EvalContext(128)
+        assert len(made) == 2 and made[1].prec == 128
+        with pytest.raises(ValueError):
+            EvalContext(32)
+        assert len(made) == 2 and 32 not in exact._SHARED
 
 
 def _mpf_row_sum(ctx, row, values):
