@@ -4,6 +4,15 @@ Every command writes machine-readable output (json, csv, or tex) to
 stdout or --out FILE; diagnostics go to stderr. Exit codes: 0 success,
 1 verification failure, 2 argument error. Integers are emitted as decimal
 strings so arbitrary-precision entries survive JSON parsers.
+
+The output is streamed: a matrix or Cayley table is written one row at a
+time, never built as one document, and each distinct int of a list of ints
+is turned into text once per output (a matrix's rows are signed
+permutations of its first row). Whatever can fail, a value JSON cannot
+carry or an --out file that cannot be opened, fails before the first byte
+is written. When the reader of stdout closes the pipe early, as
+`| head` does, the rest of the output is dropped, nothing is printed to
+stderr, and the command exits with its own code.
 """
 
 from __future__ import annotations
@@ -14,8 +23,10 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 from .even_power import even_matrix
@@ -65,12 +76,50 @@ def _real_str(x, ctx: EvalContext) -> str:
     return ctx.nstr(x, max(17, ctx.precision_bits * 301 // 1000))
 
 
-def _json(x, pad: str) -> str:
+class _Text(dict):
+    """One output's decimal text of each int: str runs on the first lookup
+    of a value, and every later lookup reuses its text. Only exact ints are
+    looked up: a bool would meet the text of 1 or 0, and a Fraction, whose
+    hash runs in Python code, costs more to look up than to write."""
+
+    def __missing__(self, x):
+        self[x] = s = str(x)
+        return s
+
+
+def _cell(items, text):
+    """How each of items is written as a bare number: text, a _Text's
+    lookup, when every item is an int; str when every item is an int or a
+    Fraction ("p/q"); None when any item is something else."""
+    kinds = set(map(type, items))
+    if kinds <= {int}:
+        return text
+    return str if kinds <= {int, Fraction} else None
+
+
+def _row_cell(value, text):
+    """_cell of every entry of value when value is a nonempty list of rows
+    (lists or tuples); None otherwise."""
+    if isinstance(value, (list, tuple)) and value \
+            and all(isinstance(row, (list, tuple)) for row in value):
+        return _cell(chain.from_iterable(value), text)
+    return None
+
+
+def _json_numbers(x, pad: str, cell) -> str:
+    """A nonempty list of ints and Fractions as _json writes it, each item
+    written by cell and quoted."""
+    inner = pad + "  "
+    return "[" + inner + '"' + ('",' + inner + '"').join(
+        map(cell, x)) + '"' + pad + "]"
+
+
+def _json(x, pad: str, text=str) -> str:
     """json.dumps(x, indent=2, allow_nan=False), with every int (bool
     aside) and Fraction written as its decimal string, "p/q" for a
     Fraction. pad is the newline and indent x starts at; keys are strings.
     A list of ints and Fractions, such as a matrix row, is joined in one
-    pass."""
+    pass, and text writes each int of a list of ints alone."""
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, (int, Fraction)):
@@ -80,17 +129,45 @@ def _json(x, pad: str) -> str:
         if not x:
             return "{}"
         return "{" + inner + ("," + inner).join(
-            f"{json.dumps(k)}: {_json(v, inner)}"
+            f"{json.dumps(k)}: {_json(v, inner, text)}"
             for k, v in x.items()) + pad + "}"
     if isinstance(x, (list, tuple)):
         if not x:
             return "[]"
-        if set(map(type, x)) <= {int, Fraction}:
-            return "[" + inner + '"' + ('",' + inner + '"').join(
-                map(str, x)) + '"' + pad + "]"
+        cell = _cell(x, text)
+        if cell:
+            return _json_numbers(x, pad, cell)
         return "[" + inner + ("," + inner).join(
-            _json(v, inner) for v in x) + pad + "]"
+            _json(v, inner, text) for v in x) + pad + "]"
     return json.dumps(x, allow_nan=False)
+
+
+def _json_rows(rows, cell):
+    """The rows of a top-level list of rows, one piece each."""
+    lead = "\n    "
+    for row in rows:
+        yield lead + (_json_numbers(row, "\n    ", cell) if row else "[]")
+        lead = ",\n    "
+
+
+def _json_pieces(payload: dict, text):
+    """_json(payload, "\\n") and a newline, in pieces: one per value, and
+    one per row for a list of rows of ints and Fractions. Every other value
+    is written before this returns, so what can raise (json.dumps of a
+    NaN) raises before the first piece is taken."""
+    if not payload:
+        return iter(("{}\n",))
+    parts, lead = [], "{"
+    for key, value in payload.items():
+        head = f"{lead}\n  {json.dumps(key)}: "
+        lead = ","
+        cell = _row_cell(value, text)
+        if cell:
+            parts += [(head + "[",), _json_rows(value, cell), ("\n  ]",)]
+        else:
+            parts.append((head + _json(value, "\n  ", text),))
+    parts.append(("\n}\n",))
+    return chain.from_iterable(parts)
 
 
 def _flat_str(x) -> str:
@@ -99,62 +176,100 @@ def _flat_str(x) -> str:
     return "" if x is None else str(x)
 
 
-def _walk(payload: dict):
-    """The payload flattened once for the line formats, as (name, cells,
-    rows): rows is None except for a nonempty list of rows, which comes as
-    an iterable of cell lists with no cells of its own; a dict gives one
-    "key.k" item per entry. Every cell is a string."""
+def _walk(payload: dict, text) -> list:
+    """The payload flattened once for the line formats, as a list of
+    (name, cells, rows, plain): rows is None except for a nonempty list of
+    rows, which comes as a lazy iterator of cell iterables with no cells of
+    its own; a dict gives one "key.k" item per entry. Every cell is a
+    string, and plain says that every cell of the item, or of its rows, is
+    an int's or a Fraction's text, which CSV never quotes."""
+    items = []
     for key, value in payload.items():
         if isinstance(value, dict):
-            for k, v in value.items():
-                yield f"{key}.{k}", [_flat_str(v)], None
+            items += [(f"{key}.{k}", [_flat_str(v)], None, False)
+                      for k, v in value.items()]
         elif isinstance(value, (list, tuple)) and value \
                 and isinstance(value[0], (list, tuple)):
-            yield key, [], ([_flat_str(v) for v in row] for row in value)
+            cell = _row_cell(value, text)
+            rows = map(functools.partial(map, cell or _flat_str), value)
+            items.append((key, [], rows, bool(cell)))
         elif isinstance(value, (list, tuple)):
-            yield key, [_flat_str(v) for v in value], None
+            cell = _cell(value, text)
+            items.append((key, list(map(cell or _flat_str, value)), None,
+                          bool(cell)))
         else:
-            yield key, [_flat_str(value)], None
+            items.append((key, [_flat_str(value)], None, False))
+    return items
 
 
-def _render_csv(payload: dict) -> str:
+def _csv_line(cells) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for name, cells, rows in _walk(payload):
-        writer.writerow([name, *cells])
-        writer.writerows(rows or ())
+    csv.writer(buf, lineterminator="\n").writerow(cells)
     return buf.getvalue()
 
 
-def _render_tex(payload: dict) -> str:
-    lines = []
-    for name, cells, rows in _walk(payload):
+def _render_csv(items):
+    """The lines csv.writer writes for _walk's items. Plain cells need no
+    quoting, so they are joined directly: the record [name, *cells] is
+    then the CSV of [name, ""] (name quoted as in a longer record) and the
+    joined cells."""
+    for name, cells, rows, plain in items:
+        if plain and cells:
+            yield _csv_line([name, ""])[:-1] + ",".join(cells) + "\n"
+        else:
+            yield _csv_line([name, *cells])
+        for row in rows or ():
+            yield ",".join(row) + "\n" if plain else _csv_line(row)
+
+
+def _render_tex(items):
+    """One comment line per item of _walk, a list of rows as a pmatrix;
+    no items leave one empty line."""
+    if not items:
+        yield "\n"
+    for name, cells, rows, _ in items:
         name = name.replace("_", r"\_")
         if rows is None:
-            lines.append(f"% {name}: {', '.join(cells)}")
+            yield f"% {name}: {', '.join(cells)}\n"
         else:
-            lines += [f"% {name}", r"\begin{pmatrix}",
-                      *("  " + " & ".join(row) + r" \\" for row in rows),
-                      r"\end{pmatrix}"]
-    return "\n".join(lines) + "\n"
+            yield f"% {name}\n\\begin{{pmatrix}}\n"
+            for row in rows:
+                yield "  " + " & ".join(row) + " \\\\\n"
+            yield "\\end{pmatrix}\n"
 
 
 def _emit(payload: dict, args) -> None:
+    """Write payload, a dict, in --format to --out or stdout, a piece at
+    a time: a list of rows one row at a time, every other value whole.
+    Each int of a list of ints is turned into text once per output.
+    Everything that can raise runs before the first byte: the pieces other
+    than rows are made and the --out file is opened first. When the reader
+    of stdout closes the pipe early, the rest is dropped and the command
+    ends with its own exit code, as it does after a single write the pipe
+    refused."""
+    text = _Text().__getitem__
     if args.format == "json":
-        text = _json(payload, "\n") + "\n"
-    elif args.format == "csv":
-        text = _render_csv(payload)
+        pieces = _json_pieces(payload, text)
     else:
-        text = _render_tex(payload)
+        render = _render_csv if args.format == "csv" else _render_tex
+        pieces = render(_walk(payload, text))
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         except OSError as exc:
             raise ArgumentProblem(
                 f"cannot write {args.out}: {exc.strerror}") from None
-    else:
-        sys.stdout.write(text)
+        return
+    try:
+        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout now points at devnull, so the interpreter's last flush of
+        # what is still buffered cannot fail as well
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 class Served(NamedTuple):
@@ -198,9 +313,9 @@ _PRECISION = Served(64, 2048, "--precision is served up to {hi} bits")
 SERVED = {
     # largest level `minpoly` serves: at n = 15 the closed coefficients pass
     # Python's 4300-digit limit on int-to-str conversion. On a 2-vCPU Xeon
-    # `minpoly --n 14 --form both` took 2.5 s wall and 90 MB (n = 13:
-    # 0.5 s), below the 5.0 s that `verify --n 12 --r 4095`, the heaviest
-    # request `verify` serves, took at 256 bits in the same series of runs
+    # `minpoly --n 14 --form both` took 1.2-1.5 s wall and 69 MB (n = 13:
+    # 0.3-0.4 s), below the 2.7-5.0 s that `verify --n 12 --r 4095`, the
+    # heaviest request `verify` serves, took at 256 bits
     "minpoly": {"n": Served(_MATRIX_N.lo, 14)},
     # printed: largest 4^{n-2} |r| `matrix` prints: entries carry up to ~|r|
     # bits (n = 11, r = 63 is 3 MB of JSON, n = 12, r = 4095 1.2 GB);

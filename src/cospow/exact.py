@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact,
                      Rounded)
 from fractions import Fraction
+from itertools import compress
 from operator import index
 from typing import Iterable, Sequence
 
@@ -674,11 +675,15 @@ class EvalContext:
         """An int or Fraction as a libmp tuple rounded to the working
         precision, nearest: a Fraction is the rounded quotient of its
         rounded numerator and denominator, which for every Fraction whose
-        numerator and denominator fit the precision is its one rounding."""
+        numerator and denominator fit the precision is its one rounding.
+        An integral Fraction is rounded as its numerator: the quotient by
+        a denominator of 1 would only normalize the same tuple again."""
         prec, rnd = self.precision_bits, round_nearest
         if isinstance(x, Fraction):
-            return mpf_div(from_int(x.numerator, prec, rnd),
-                           from_int(x.denominator, prec, rnd), prec, rnd)
+            if x.denominator != 1:
+                return mpf_div(from_int(x.numerator, prec, rnd),
+                               from_int(x.denominator, prec, rnd), prec, rnd)
+            x = x.numerator
         return from_int(x, prec, rnd)
 
     def mpc(self, re=0, im=0):
@@ -743,7 +748,8 @@ class EvalContext:
         t = m >> (sh - 1) keeps the half bit, and the floor t >> 1 goes up
         by one when the bits shifted out exceed half, or equal it and the
         floor is odd. Python's >> floors negative m too, and the rule is
-        symmetric in sign.
+        symmetric in sign. A row is read twice, once to pick its nonzero
+        entries, so it is a sequence, not an iterator.
         """
         prec = self.precision_bits
         table = []
@@ -752,9 +758,7 @@ class EvalContext:
             table.append((-man if sign else man, exp))
         for row in rows:
             am = ae = 0
-            for entry, (pm, pe) in zip(row, table):
-                if not entry:
-                    continue
+            for entry, (pm, pe) in compress(zip(row, table), row):
                 pm *= entry
                 sh = pm.bit_length() - prec
                 if sh > 0:

@@ -1,6 +1,7 @@
 """End-to-end CLI checks: schemas, exit codes, formats, negative controls."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -486,6 +487,84 @@ def test_json_writer_matches_dumps(payload):
         _jsonable(payload), indent=2, allow_nan=False)
 
 
+def _cells_reference(payload):
+    """The line formats' reference route, cli's walk before it streamed:
+    (name, cells, rows), every cell a string."""
+    def cell(x):
+        if isinstance(x, bool):
+            return "true" if x else "false"
+        return "" if x is None else str(x)
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            for k, v in value.items():
+                yield f"{key}.{k}", [cell(v)], None
+        elif isinstance(value, (list, tuple)) and value \
+                and isinstance(value[0], (list, tuple)):
+            yield key, [], [[cell(v) for v in row] for row in value]
+        elif isinstance(value, (list, tuple)):
+            yield key, [cell(v) for v in value], None
+        else:
+            yield key, [cell(value)], None
+
+
+def _csv_reference(payload) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for name, cells, rows in _cells_reference(payload):
+        writer.writerow([name, *cells])
+        writer.writerows(rows or ())
+    return buf.getvalue()
+
+
+def _tex_reference(payload) -> str:
+    lines = []
+    for name, cells, rows in _cells_reference(payload):
+        name = name.replace("_", r"\_")
+        if rows is None:
+            lines.append(f"% {name}: {', '.join(cells)}")
+        else:
+            lines += [f"% {name}", r"\begin{pmatrix}",
+                      *("  " + " & ".join(row) + r" \\" for row in rows),
+                      r"\end{pmatrix}"]
+    return "\n".join(lines) + "\n"
+
+
+def _whole_or_error(render, *args):
+    try:
+        return render(*args)
+    except TypeError:
+        return TypeError
+
+
+def _emitted(payload, fmt):
+    args = cli.build_parser().parse_args(["group", "--n", "3",
+                                          "--format", fmt])
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._emit(payload, args)
+    return buf.getvalue()
+
+
+_REFERENCES = {
+    "json": lambda p: json.dumps(_jsonable(p), indent=2, allow_nan=False)
+    + "\n",
+    "csv": _csv_reference,
+    "tex": _tex_reference,
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.dictionaries(st.text(), _PAYLOADS, max_size=4),
+       st.sampled_from(sorted(_REFERENCES)))
+def test_streamed_writer_matches_whole_documents(payload, fmt):
+    """_emit, piece by piece and with one text per int, writes the bytes
+    the whole-document routes build: CSV quoting of names and cells, rows
+    of ints, of Fractions and of anything else, and payloads that give no
+    line at all. A row that is not a list fails in both."""
+    assert _whole_or_error(_emitted, payload, fmt) \
+        == _whole_or_error(_REFERENCES[fmt], payload)
+
+
 class TestFormatsAndOutput:
     def test_parser_keeps_no_request_state(self, capsys, tmp_path):
         """main builds its parser once per process; a request that sets
@@ -753,6 +832,105 @@ class TestByteIdentity:
         assert proc.returncode == 0, proc.stderr
         assert hashlib.sha256(proc.stdout).hexdigest() \
             == VERIFY_DIGESTS[8, -1, "sin", 128]
+
+
+# sha256 over the stdout of every request of _line_cases(command), each
+# run with --format format, in order, recorded before the writer streamed:
+# the line formats had no digest, and `minpoly --form both` prints two
+# lists of one set of ints
+LINE_DIGESTS = {
+    ("matrix", "csv"):
+        "341ecd4860d0d4ff70be86ff9c4d221431325ed2ac58f14222af1904642c7f52",
+    ("matrix", "tex"):
+        "91048173fe61b6fc10d156abf3a5f57a9f42f3344db1b174f80b100536fd8772",
+    ("group", "csv"):
+        "85286f60093d038811cf24c2bf30ca14dc398f4d0f03d6f14e2a5b832ad4aa5e",
+    ("group", "tex"):
+        "6b91732faefcc27b38954f14948f4933d805247cb8c6e54ebb36ac857e7b5c3d",
+    ("minpoly", "json"):
+        "7e7059a7d8b94d84a6abc843d51f81598fa44aef3a9e8a00cf5bbde0f37c7430",
+    ("minpoly", "csv"):
+        "270ca5cb2ec6ee1ad6ae74fc4482fdc498f03ff163f69a3a99272ecfe0f12b6c",
+    ("minpoly", "tex"):
+        "a68c31d01be61136244c034b47f854b8408ccda32cc6a51c835c56d9e8baeb12",
+}
+
+
+def _line_cases(command):
+    if command == "matrix":
+        return [["matrix", "--n", str(n), "--r", str(r), "--basis", basis]
+                for n in (8, 9) for r, basis in DIGEST_CASES]
+    if command == "group":
+        return [["group", "--n", str(n)] for n in range(3, 10)]
+    return [["minpoly", "--n", str(n), "--form", "both"]
+            for n in range(5, 13)]
+
+
+def _cli_env():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+class TestStreamedOutput:
+    @pytest.mark.parametrize("command, fmt", LINE_DIGESTS)
+    def test_bytes(self, capsys, command, fmt):
+        digest = hashlib.sha256()
+        for argv in _line_cases(command):
+            code, out, _ = run(capsys, *argv, "--format", fmt)
+            assert code == 0, argv
+            digest.update(out.encode())
+        assert digest.hexdigest() == LINE_DIGESTS[command, fmt]
+
+    @pytest.mark.parametrize("argv", [
+        "matrix --n 9 --r -5 --basis sin",
+        "group --n 6 --format csv",
+        "minpoly --n 9 --form both --format tex",
+    ])
+    def test_out_file_matches_stdout(self, capsys, tmp_path, argv):
+        code, out, _ = run(capsys, *argv.split())
+        target = tmp_path / "out"
+        assert run(capsys, *argv.split(), "--out", str(target)) \
+            == (code, "", "")
+        assert target.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("argv, size", [
+        ("group --n 11", 50), ("group --n 11", 0), ("verify --n 4 --r 7", 0),
+    ])
+    def test_reader_closing_the_pipe_early(self, argv, size):
+        """A reader that stops after 50 bytes, as `| head -c 50` does, or
+        before the first: the command still exits 0, with nothing on
+        stderr."""
+        with subprocess.Popen(
+                [sys.executable, "-m", "cospow.cli", *argv.split()],
+                env=_cli_env(), stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE) as proc:
+            head = proc.stdout.read(size)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 0
+        assert len(head) == size and b'{\n  "n": '.startswith(head[:9])
+        assert err == b""
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="ru_maxrss is in kB on Linux")
+    def test_group_n12_peak_memory(self):
+        """The largest Cayley table, 13.6 MB of JSON, is written row by
+        row below 60 MB (67 MB when the whole text was built first). A
+        wrapper runs the command as its only child, so RUSAGE_CHILDREN
+        sees that run alone."""
+        wrapper = ("import resource, subprocess, sys\n"
+                   "subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, "
+                   "check=True)\n"
+                   "print(resource.getrusage("
+                   "resource.RUSAGE_CHILDREN).ru_maxrss)")
+        proc = subprocess.run(
+            [sys.executable, "-c", wrapper, sys.executable, "-m",
+             "cospow.cli", "group", "--n", "12"],
+            env=_cli_env(), capture_output=True, text=True, check=True)
+        assert int(proc.stdout) / 1024 < 60
 
 
 # one argv per distinct error line, recorded before the served ranges moved

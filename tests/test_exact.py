@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath.libmp import mpf_pi, round_nearest
+from mpmath.libmp import fone, from_int, mpf_div, mpf_pi, round_nearest
 
 from cospow import exact, odd_power
 from cospow.exact import (
@@ -583,6 +583,22 @@ class TestEvalContext:
     def test_nstr(self, ctx):
         assert ctx.nstr(ctx.to_real(Fraction(1, 4)), 5) == "0.25"
 
+    @pytest.mark.parametrize("prec", [64, 256])
+    def test_integral_fraction_rounds_as_its_numerator(self, prec):
+        """A Fraction with denominator 1 gives the tuple of its numerator,
+        which is also the quotient by one that it used to be rounded as:
+        exact, and for k wider than the precision rounded down, up, and
+        to even from a tie either way."""
+        c = EvalContext(prec)
+        top = 2**(prec + 1)
+        for k in (0, 1, -1, 2**(prec + 40), 3**prec + 1, top + 1, top + 3,
+                  top + 2, top + 6):
+            for k in (k, -k):
+                got = c._round_exact(Fraction(k))
+                assert got == c._round_exact(k), k
+                assert got == mpf_div(from_int(k, prec, round_nearest), fone,
+                                      prec, round_nearest), k
+
 
 def _own_values(ctx):
     """pi, tolerance, a level table and a verify residual of ctx, as raw
@@ -736,6 +752,18 @@ class TestRowSums:
         (got,) = ctx.row_sums([row], vals)
         assert got == _mpf_row_sum(ctx, row, vals)
         assert got == ctx.to_real(Fraction(want[0]) * Fraction(2) ** want[1])
+
+    @pytest.mark.parametrize("row", [
+        [0, 0, 0, 3, -1, 4, 1, -5],
+        [3, -1, 4, 1, -5, 0, 0, 0],
+        [0, 2, 0, 0, -7, 0, 0, 1],
+        [0] * 8,
+    ], ids=["zeros-first", "zeros-last", "zeros-between", "all-zero"])
+    def test_zero_entries_are_skipped(self, ctx, row):
+        vals = odd_cos_basis(5).values(ctx)
+        (got,) = ctx.row_sums([row], vals)
+        assert got == _mpf_row_sum(ctx, row, vals)
+        assert (got == 0) == (not any(row))
 
     def test_one_sum_per_row(self, ctx):
         vals = odd_cos_basis(5).values(ctx)
