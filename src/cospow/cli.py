@@ -301,7 +301,7 @@ _PRECISION = Served(64, 2048, "--precision is served up to {hi} bits")
 SERVED = {
     # largest level `minpoly` serves: at n = 15 the closed coefficients pass
     # Python's 4300-digit limit on int-to-str conversion. On a 2-vCPU Xeon
-    # `minpoly --n 14 --form both` took 1.2-1.5 s wall and 69 MB (n = 13:
+    # `minpoly --n 14 --form both` took 1.0-1.1 s wall and 69 MB (n = 13:
     # 0.3-0.4 s), below the 2.7-5.0 s that `verify --n 12 --r 4095`, the
     # heaviest request `verify` serves, took at 256 bits
     "minpoly": {"n": Served(_MATRIX_N.lo, 14)},

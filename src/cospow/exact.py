@@ -5,26 +5,23 @@ quarter_fold, the one law that folds a dyadic angle back into the first
 quadrant; the first row of every positive cosine power, its binomial
 expansion folded by that law; the declared bases, which fold an angle by
 the same law (Basis.fold) and evaluate their elements by one expression;
-dense integer polynomials with their one product (a double loop when a factor
-is short; when both are long, one big-integer multiply by Kronecker
-substitution, in base 2 by CPython's Karatsuba, or in base 10 by the
-number-theoretic transform of the stdlib decimal module once the packed
-factors are large enough for it to win, in a private decimal context that
-traps every lost digit); and EvalContext, an arbitrary-precision evaluation
-environment wrapping the mpmath context of its precision, one context
-per precision, shared by every EvalContext at it and written by none
-after it is built: it keeps each level table Basis.values builds in it
-(the tables are never shared), does the numeric oracle's row sums on
-plain ints that round exactly as mpmath does, and runs the oracle's
-scalar sums on mpmath's raw number tuples (libmp), each step the libmp
-routine the mpf operator calls, at the same precision and nearest
-rounding. A level table is one fixed-point walk of complex unit steps
-over its angles, each value corrected to mpmath's rounded argument and
-rounded where a Ziv rounding test, with a bound on mpmath's own error
-derived from its code (_libmp_trig_error), proves mpmath rounds it the
-same way; the rest take mpmath's cosine or sine at that argument, so
-every table is bit for bit mpmath's. This is the only module that
-imports mpmath.
+dense integer polynomials with their one product, a double loop (every
+caller has a short factor: the nested minimal polynomial squares its
+long iterates as one packed number in minpoly); and EvalContext, an
+arbitrary-precision evaluation environment wrapping the mpmath context
+of its precision, one context per precision, shared by every EvalContext
+at it and written by none after it is built: it keeps each level table
+Basis.values builds in it (the tables are never shared), does the
+numeric oracle's row sums on plain ints that round exactly as mpmath
+does, and runs the oracle's scalar sums on mpmath's raw number tuples
+(libmp), each step the libmp routine the mpf operator calls, at the same
+precision and nearest rounding. A level table is one fixed-point walk of
+complex unit steps over its angles, each value corrected to mpmath's
+rounded argument and rounded where a Ziv rounding test, with a bound on
+mpmath's own error derived from its code (_libmp_trig_error), proves
+mpmath rounds it the same way; the rest take mpmath's cosine or sine at
+that argument, so every table is bit for bit mpmath's. This is the only
+module that imports mpmath.
 
 Conventions used throughout the package:
   * "mod" always means the least nonnegative residue and "floor" always
@@ -36,10 +33,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact,
-                     Rounded)
 from fractions import Fraction
 from itertools import compress
 from operator import index
@@ -283,162 +277,20 @@ def int_mat_mul(a: Sequence[Sequence[int]],
     )
 
 
-# shortest factor, in coefficients, that poly_mul_coeffs multiplies by
-# Kronecker substitution (its docstring says why there is one). On a
-# 2-vCPU Xeon Kronecker squared nested_minpoly's q of 17 and 33
-# coefficients 1.7x and 2.5x faster than the loop, but lost on the products
-# of compose and compose_mod, whose short factor is an odd p_i of up to 32
-# coefficients for i <= 16: composition_commutes over 9 <= i <= j <= 16
-# took 1.4 s with this constant at 32, and 0.88 s at 33, as with the loop
-# alone.
-_KRONECKER_MIN_LEN = 33
-
-# shortest factor, in coefficients, and fewest digits in its decimal pack
-# (slot digits times its length), that poly_mul_coeffs multiplies in
-# decimal. On a 2-vCPU Xeon, squaring balanced factors took, decimal over
-# int: 1.19-1.35x at about 40,000 digits, 0.78-1.06x at 55,000-60,000
-# and 0.45-0.54x at 220,000 (nested_minpoly's 513-coefficient square).
-# Reading a slot back and printing a coefficient are quadratic in the slot
-# width, so few wide slots lose at every size: 33 coefficients took 1.1x
-# at 163,000 digits and 1.7x at 326,000, while 48 and 65 took 0.72-0.80x
-# from 118,000 on. A short factor times a long one loses too, since the
-# transform spans both (33 by 1,025 coefficients of 256 bits: 2.0x).
-_DECIMAL_MIN_LEN = 64
-_DECIMAL_MIN_DIGITS = 60_000
-
-
 def poly_mul_coeffs(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Ascending coefficients of the product of two ascending coefficient
     lists; an empty factor gives the empty list. The one polynomial
-    product: IntPolynomial and compose_mod both call it.
-
-    When both factors have at least _KRONECKER_MIN_LEN coefficients the
-    product is one big-integer multiply by Kronecker substitution
-    (Schoenhage 1982): each factor is packed into one number, a
-    coefficient per slot, the two are multiplied (squared when a is b),
-    and the slots are read back. Three tiers give the same coefficients:
-
-      * A shorter factor takes the double loop, which skips zero
-        coefficients and pays for each product by its own size, where
-        Kronecker pays for every slot at the width of the largest product
-        coefficient.
-      * _kronecker_product packs in base 2 and CPython multiplies by
-        Karatsuba.
-      * _decimal_product packs in base 10 and libmpdec, the stdlib decimal
-        module, multiplies by a number-theoretic transform. That wins once
-        the shorter factor has _DECIMAL_MIN_LEN coefficients and its pack
-        _DECIMAL_MIN_DIGITS digits (the constants' comment has the
-        measurements), and runs only while a slot fits Python's limit on
-        int-to-str digits, read at each call, since the slots pass through
-        str and int.
+    product: IntPolynomial and compose_mod both call it. A double loop that
+    skips zero coefficients of a and pays for each product by its own size.
     """
     if not a or not b:
         return []
-    short = min(len(a), len(b))
-    if short < _KRONECKER_MIN_LEN:
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ci in enumerate(a):
-            if ci:
-                for j, cj in enumerate(b):
-                    out[i + j] += ci * cj
-        return out
-    if short >= _DECIMAL_MIN_LEN:
-        kd = _decimal_slot_digits(_slot_bound(a, b))
-        get_limit = getattr(sys, "get_int_max_str_digits", None)
-        limit = get_limit() if get_limit else 0
-        if kd * short >= _DECIMAL_MIN_DIGITS and not 0 < limit < kd:
-            return _decimal_product(a, b)
-    return _kronecker_product(a, b)
-
-
-def _slot_bound(a: Sequence[int], b: Sequence[int]) -> int:
-    """max|a| max|b| min(len a, len b), nonempty factors: every product
-    coefficient is a sum of at most min(len a, len b) terms of size at most
-    max|a| max|b|, so none exceeds it."""
-    return max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-
-
-def _kronecker_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """poly_mul_coeffs by Kronecker substitution in base 2, for nonempty
-    factors.
-
-    A slot of kb bytes with 2^(8 kb - 1) above _slot_bound holds each
-    product coefficient as a balanced digit. Packing and unpacking are
-    each one linear pass of to_bytes/from_bytes in C.
-    """
-    bound = _slot_bound(a, b)
-    size = len(a) + len(b) - 1
-    if not bound:
-        return [0] * size
-    kb = bound.bit_length() // 8 + 1
-    pa = _kronecker_pack(a, kb)
-    prod = pa * pa if a is b else pa * _kronecker_pack(b, kb)
-    # adding half a slot to every slot makes each digit nonnegative, so
-    # the slots read back independently as unsigned bytes
-    half = 1 << (8 * kb - 1)
-    bias = int.from_bytes(half.to_bytes(kb, "little") * size, "little")
-    raw = (prod + bias).to_bytes(kb * size, "little")
-    return [int.from_bytes(raw[i:i + kb], "little") - half
-            for i in range(0, kb * size, kb)]
-
-
-def _kronecker_pack(cs: Sequence[int], kb: int) -> int:
-    """sum_i cs[i] 2^(8 kb i), each |cs[i]| < 2^(8 kb - 1).
-
-    A negative coefficient's two's-complement slot reads 2^(8 kb) too
-    high, so one unit is taken off the slot above it."""
-    packed = int.from_bytes(
-        b"".join(c.to_bytes(kb, "little", signed=True) for c in cs), "little")
-    borrows = bytearray(kb * (len(cs) + 1))
-    borrows[kb::kb] = bytes(c < 0 for c in cs)
-    return packed - int.from_bytes(borrows, "little")
-
-
-def _decimal_slot_digits(bound: int) -> int:
-    """kd, the fewest digits with 10^(kd-1) > bound >= 0: one more than the
-    bound has. Decimal(int) is exact and has no digit limit."""
-    return Decimal(bound).adjusted() + 2
-
-
-def _decimal_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """poly_mul_coeffs by Kronecker substitution in base 10, for nonempty
-    factors whose slots fit Python's int-to-str digit limit.
-
-    A slot of kd digits with 10^(kd-1) above _slot_bound holds each product
-    coefficient as a balanced digit, and the same slot width holds every
-    factor coefficient. A factor is packed as its positive part minus its
-    negative part, each one string of zero-padded slots. The arithmetic
-    runs in a private context whose precision and exponent range hold any
-    integer decimal can, with Inexact and Rounded trapped: an operation
-    that lost a digit would raise, so the result is exact or there is none,
-    under python -O too. The thread's current context is never read or
-    changed.
-    """
-    size = len(a) + len(b) - 1
-    bound = _slot_bound(a, b)
-    if not bound:
-        return [0] * size
-    kd = _decimal_slot_digits(bound)
-    ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
-                  traps=[Inexact, Rounded])
-    zero = "0" * kd
-
-    def pack(cs):
-        pos = "".join(str(c).zfill(kd) if c > 0 else zero
-                      for c in reversed(cs))
-        neg = "".join(str(-c).zfill(kd) if c < 0 else zero
-                      for c in reversed(cs))
-        return ctx.subtract(Decimal(pos), Decimal(neg))
-
-    pa = pack(a)
-    prod = ctx.multiply(pa, pa if a is b else pack(b))
-    # as in _kronecker_product, half a slot added to every slot makes each
-    # digit nonnegative, so the slots read back independently
-    half = 5 * 10 ** (kd - 1)
-    bias = Decimal(("5" + "0" * (kd - 1)) * size)
-    end = kd * size
-    raw = str(ctx.add(prod, bias)).zfill(end)
-    return [int(raw[i - kd:i]) - half for i in range(end, 0, -kd)]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ci in enumerate(a):
+        if ci:
+            for j, cj in enumerate(b):
+                out[i + j] += ci * cj
+    return out
 
 
 class IntPolynomial:
@@ -448,7 +300,10 @@ class IntPolynomial:
     tuple and has degree -1. Instances are immutable. Sums and differences
     take IntPolynomial operands, and products an IntPolynomial or int
     factor; any other operand gives NotImplemented, so Python raises
-    TypeError, as the constructor does for a non-integral coefficient.
+    TypeError, as the constructor does for a non-integral coefficient. A
+    product of two polynomials is poly_mul_coeffs' double loop, whose cost
+    grows with the product of the lengths, so a long square is cheaper
+    packed into one integer, as minpoly.nested_minpoly does.
     """
 
     __slots__ = ("coeffs",)

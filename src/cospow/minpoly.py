@@ -21,6 +21,8 @@ The Newton power sums of 4cos^2 t_i below read the closed coefficients.
 from __future__ import annotations
 
 from collections import deque
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact,
+                     Rounded)
 from fractions import Fraction
 from itertools import count
 from operator import itemgetter, mul
@@ -63,35 +65,94 @@ def closed_minpoly(n: int) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
+# first level whose squares nested_minpoly takes in decimal, not in a
+# CPython int. On a 2-vCPU Xeon, squares plus slots took 0.10 against
+# 0.46 ms at n = 9 and 0.63 against 1.3 ms at n = 10 (int against
+# decimal), tied at n = 11 (5.0 and 4.8 ms), and 44 against 20 ms at
+# n = 12 and 0.40 against 0.10 s at n = 13.
+_DECIMAL_MIN_LEVEL = 11
+
+# most digits of one str-to-int conversion: 640 is the lowest int-to-str
+# digit limit Python accepts, so no setting of that limit is passed
+_PIECE = 640
+
+
 def nested_minpoly(n: int) -> IntPolynomial:
     """Nested square-and-subtract form of f_n. Requires n >= 3.
 
-    Every iterate is a polynomial in w = (2x)^2 = 4x^2, so q is kept in w
-    from q = w - 2: each square is then a product of half the length,
-    and the coefficients stay small, since the factor 4^m of x^{2m} comes
-    in only at the end, when coefficient m is shifted left by 2m and
-    halved onto x^{2m}. The route never reads the closed form.
-
-    The squares are nearly all of the cost. poly_mul_coeffs takes them by
-    the double loop while q has fewer than 33 coefficients, then by
-    Kronecker substitution in base 2, and from the 513-coefficient square
-    on (n >= 12) in base 10 through decimal's number-theoretic transform,
-    which is exact because its context traps every rounding. Slots wider
-    than Python's int-to-str digit limit stay in base 2, as in the last
-    square at n = 16.
+    Every iterate is a polynomial q in w = (2x)^2 = 4x^2, from q = w - 2,
+    and the squares run on one number, q(-B) for one power B of the base:
+    it is squared and decreased by 2, n - 2 times, and its slots are read
+    once at the end. The roots of q in w are the 4cos^2 t > 0, so its
+    coefficients c_m alternate in sign and q(-B) = sum |c_m| B^m (q has
+    even degree). Their sum is |q(-1)|, which the same iteration gives from
+    q(-1) = -3, so with B above it each slot holds one |c_m|, and the
+    slots' sum checks the read. Below _DECIMAL_MIN_LEVEL, B is a power of
+    256 and CPython squares an int (_byte_slots); from it on, B is a power
+    of ten and decimal squares by its number-theoretic transform
+    (_decimal_slots). Coefficient m is then signed, shifted left by 2m and
+    halved onto x^{2m}, the factor 4^m of x^{2m}. The route never reads
+    the closed form.
 
     n = 2 is excluded: the nested expression there is 2x^2 - 1, which is
     the negative of the canonical closed form (see the module docstring).
     """
     if n < 3:
         raise ValueError("nested_minpoly requires n >= 3")
-    q = IntPolynomial([-2, 1])  # (2x)^2 - 2 with w = 4x^2
+    bound = -3  # q(-1) at q = w - 2; positive after the first step
     for _ in range(n - 2):
-        q = q * q - IntPolynomial([2])
-    coeffs = [0] * (2 * len(q.coeffs) - 1)
-    coeffs[::2] = [exact_div(c << 2 * m, 2, "nested_minpoly halving")
-                   for m, c in enumerate(q.coeffs)]
+        bound = bound * bound - 2
+    slots = _byte_slots if n < _DECIMAL_MIN_LEVEL else _decimal_slots
+    ws = slots(n - 2, bound)
+    if sum(ws) != bound:  # a slot that overflowed would carry
+        raise ArithmeticError("nested_minpoly slot overflow")
+    coeffs = [0] * (2 * len(ws) - 1)
+    coeffs[::2] = [exact_div((-c if m % 2 else c) << 2 * m, 2,
+                             "nested_minpoly halving")
+                   for m, c in enumerate(ws)]
     return IntPolynomial(coeffs)
+
+
+def _byte_slots(steps: int, bound: int) -> list[int]:
+    """The slots of nested_minpoly's packed number after `steps` squares,
+    lowest first, with B = 256^kb above bound: CPython squares the int, and
+    the slots are read from its bytes in one pass."""
+    kb = (bound.bit_length() + 7) // 8
+    packed = -(1 << 8 * kb) - 2
+    for _ in range(steps):
+        packed = packed * packed - 2
+    raw = packed.to_bytes(kb * (2 ** steps + 1), "little")
+    return [int.from_bytes(raw[i:i + kb], "little")
+            for i in range(0, len(raw), kb)]
+
+
+def _decimal_slots(steps: int, bound: int) -> list[int]:
+    """As _byte_slots with B = 10^kd above bound, squared by libmpdec.
+
+    The arithmetic runs in a private context whose precision and exponent
+    range hold any integer decimal can, with Inexact and Rounded trapped:
+    an operation that lost a digit would raise, so the result is exact or
+    there is none, under python -O too. The thread's current context is
+    never read or changed. The number is printed once, and each slot read
+    in pieces of at most _PIECE digits.
+    """
+    ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                  traps=[Inexact, Rounded])
+    kd = Decimal(bound).adjusted() + 1  # Decimal(int) has no digit limit
+    packed = ctx.subtract(Decimal(f"-1e{kd}"), 2)
+    for _ in range(steps):
+        packed = ctx.subtract(ctx.multiply(packed, packed), 2)
+    end = kd * (2 ** steps + 1)
+    raw = str(packed).zfill(end)
+    head = kd % _PIECE or _PIECE
+    scale = 10 ** _PIECE
+    ws = []
+    for i in range(end - kd, -1, -kd):
+        c = int(raw[i:i + head])
+        for j in range(i + head, i + kd, _PIECE):
+            c = c * scale + int(raw[j:j + _PIECE])
+        ws.append(c)
+    return ws
 
 
 def _two_cos_even_coefficients(n: int):

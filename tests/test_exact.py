@@ -4,7 +4,6 @@ import decimal
 import math
 import operator
 import os
-import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,13 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath.libmp import fone, from_int, mpf_div, mpf_pi, round_nearest
 
-from cospow import exact, odd_power
+from cospow import exact, minpoly, odd_power
 from cospow.exact import (
-    _DECIMAL_MIN_DIGITS,
-    _DECIMAL_MIN_LEN,
-    _KRONECKER_MIN_LEN,
-    _decimal_product,
-    _kronecker_product,
     Basis,
     BasisVector,
     EvalContext,
@@ -35,20 +29,21 @@ from cospow.exact import (
     odd_sin_basis,
     poly_mul_coeffs,
 )
+from cospow.minpoly import closed_minpoly, nested_minpoly
 from reference import (basis_values_by_kind, poly_mod_reduce,
                        schoolbook_product)
 
-# +-(2^(8j-1) - 1): the largest magnitudes a j-byte signed slot holds
-_SLOT_EDGES = [s * (2 ** (8 * j - 1) - 1) for j in range(1, 10) for s in (1, -1)]
+# +-(2^(8j-1) - 1): the largest magnitudes of j signed bytes
+_BYTE_EDGES = [s * (2 ** (8 * j - 1) - 1) for j in range(1, 10) for s in (1, -1)]
 
 
 @st.composite
 def _factors(draw):
-    """A coefficient list of up to twice the Kronecker cutoff, with
-    optional zero padding at both ends; a third are all-negative."""
+    """A coefficient list of up to 66 coefficients, with optional zero
+    padding at both ends; a third are all-negative."""
     coeff = st.one_of(st.integers(-3, 3), st.integers(-2**80, 2**80),
-                      st.sampled_from(_SLOT_EDGES))
-    n = draw(st.integers(0, 2 * _KRONECKER_MIN_LEN))
+                      st.sampled_from(_BYTE_EDGES))
+    n = draw(st.integers(0, 66))
     cs = draw(st.lists(coeff, min_size=n, max_size=n))
     if draw(st.integers(0, 2)) == 0:
         cs = [-abs(c) for c in cs]
@@ -72,12 +67,7 @@ class TestFloorMod:
                 "except ArithmeticError:\n"
                 "    raise SystemExit(0)\n"
                 "raise SystemExit(1)\n")
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                              capture_output=True, text=True)
+        proc = _run_python(["-O"], code)
         assert proc.returncode == 0, proc.stderr
 
 
@@ -357,15 +347,15 @@ class TestIntPolynomial:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_product_matches_schoolbook(self, data):
-        """Lengths on both sides of the Kronecker cutoff, with small,
-        large and slot-edge coefficients, all-negative factors and leading
-        and trailing zeros."""
+        """Short and long factors, with small, large and byte-edge
+        coefficients, all-negative factors and leading and trailing
+        zeros."""
         a, b = data.draw(_factors()), data.draw(_factors())
         assert poly_mul_coeffs(a, b) == schoolbook_product(a, b)
         assert poly_mul_coeffs(a, a) == schoolbook_product(a, a)
 
     def test_product_edge_shapes(self):
-        cut = _KRONECKER_MIN_LEN
+        cut = 33
         mixed = [(-1) ** k * (k * k + 1) for k in range(600)]
         for a, b in [([], [1, 2]), ([3], []), ([], []), ([-7], [5]),
                      ([0, 0, 2], [0, -3, 0]), (mixed, [2, 0, -1]),
@@ -376,22 +366,21 @@ class TestIntPolynomial:
                 assert poly_mul_coeffs(x, y) == schoolbook_product(x, y)
 
     def test_product_at_slot_edge(self):
-        """Every product digit is a sum of at most L terms of size at most
-        max|a| max|b|; with L = the cutoff and both factors constant at
-        +-m, that bound is reached, and m is picked so the bound fills all
-        but the top bit of a whole number of bytes."""
+        """Every product coefficient is a sum of at most L terms of size at
+        most max|a| max|b|. With L = 33 and both factors constant at +-m,
+        the middle one reaches that bound, and m is picked so the bound
+        fills all but the top bit of a whole number of bytes."""
         for k in range(2, 9):
-            m = math.isqrt((2 ** (8 * k - 1) - 1) // _KRONECKER_MIN_LEN)
-            assert (_KRONECKER_MIN_LEN * m * m).bit_length() == 8 * k - 1
+            m = math.isqrt((2 ** (8 * k - 1) - 1) // 33)
+            assert (33 * m * m).bit_length() == 8 * k - 1
             for sa, sb in ((1, 1), (-1, -1), (1, -1)):
-                a = [sa * m] * _KRONECKER_MIN_LEN
-                b = [sb * m] * _KRONECKER_MIN_LEN
+                a, b = [sa * m] * 33, [sb * m] * 33
                 out = poly_mul_coeffs(a, b)
                 assert out == schoolbook_product(a, b)
-                assert max(map(abs, out)) == _KRONECKER_MIN_LEN * m * m
+                assert max(map(abs, out)) == 33 * m * m
 
     def test_squaring(self):
-        q = IntPolynomial([(-3) ** k + k for k in range(2 * _KRONECKER_MIN_LEN)])
+        q = IntPolynomial([(-3) ** k + k for k in range(66)])
         assert q * q == IntPolynomial(schoolbook_product(q.coeffs, q.coeffs))
         cs = q.coeffs
         assert poly_mul_coeffs(cs, cs) == schoolbook_product(cs, list(cs))
@@ -409,149 +398,118 @@ class TestIntPolynomial:
             poly_mod_reduce(p, IntPolynomial())
 
 
-def _wide_factor(length: int, bits: int, seed: int) -> list[int]:
-    """length coefficients of up to bits bits, of both signs, with a zero
-    at each end."""
-    rng = random.Random(seed)
-    cs = [rng.randrange(-2 ** bits, 2 ** bits) for _ in range(length - 2)]
-    return [0] + cs + [0]
+def _run_python(flags: list[str], code: str) -> subprocess.CompletedProcess:
+    """code in a fresh interpreter started with flags, importing cospow
+    from this checkout."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                          capture_output=True, text=True)
 
 
-@pytest.fixture
-def decimal_calls(monkeypatch):
-    """Counts the products poly_mul_coeffs takes in decimal."""
-    calls = []
-
-    def spy(a, b):
-        calls.append((len(a), len(b)))
-        return _decimal_product(a, b)
-
-    monkeypatch.setattr(exact, "_decimal_product", spy)
-    return calls
+def _q_coefficients(n: int) -> list[int]:
+    """The coefficients c_m of nested_minpoly's last iterate q in
+    w = 4x^2, read off the closed form: 2 f_n's x^{2m} coefficient / 4^m."""
+    return [exact_div(2 * c, 4 ** m, "q coefficient")
+            for m, c in enumerate(closed_minpoly(n).coeffs[::2])]
 
 
-class TestDecimalProduct:
-    """The base-10 Kronecker product, called directly and through
-    poly_mul_coeffs above its crossover."""
+def _q_at_minus_one(n: int) -> int:
+    """q(-1) by the nested iteration v -> v^2 - 2 from -3."""
+    v = -3
+    for _ in range(n - 2):
+        v = v * v - 2
+    return v
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.data())
-    def test_matches_schoolbook(self, data):
-        a, b = data.draw(_factors()), data.draw(_factors())
-        if a and b:
-            assert _decimal_product(a, b) == schoolbook_product(a, b)
-            assert _decimal_product(a, a) == schoolbook_product(a, a)
 
-    def test_slot_edge(self):
-        """9 constant coefficients times 9: the middle product coefficient
-        reaches the bound 9 |3| (10^j - 1)/27 = 10^j - 1, the largest
-        value a slot of j + 1 digits holds under 10^j."""
-        for j in range(3, 40, 3):
-            m = (10 ** j - 1) // 27
-            for sa, sb in ((1, 1), (-1, -1), (1, -1)):
-                a, b = [sa * 3] * 9, [sb * m] * 9
-                out = _decimal_product(a, b)
-                assert out == schoolbook_product(a, b)
-                assert max(map(abs, out)) == 10 ** j - 1
-            mixed = [(-1) ** k * m for k in range(9)]
-            assert (_decimal_product([3] * 9, mixed)
-                    == schoolbook_product([3] * 9, mixed))
+class TestPackedSquares:
+    """nested_minpoly squares q as one packed number q(-B): in bytes below
+    minpoly._DECIMAL_MIN_LEVEL and in decimal from it on."""
 
-    def test_slot_edge_above_crossover(self, decimal_calls):
-        """As test_slot_edge with 81 coefficients and the bound 10^747 - 1,
-        whose 748-digit slots pack the 81 into 60,588 digits."""
-        m = (10 ** 747 - 1) // 81
-        assert 748 * 81 >= _DECIMAL_MIN_DIGITS and 81 >= _DECIMAL_MIN_LEN
-        for sa, sb in ((1, 1), (-1, -1), (1, -1)):
-            a, b = [sa] * 81, [sb * m] * 81
-            out = poly_mul_coeffs(a, b)
-            assert out == _kronecker_product(a, b)
-            assert max(map(abs, out)) == 10 ** 747 - 1
-        assert len(decimal_calls) == 3
+    def test_levels_on_both_sides(self):
+        assert 3 < minpoly._DECIMAL_MIN_LEVEL <= 14
 
-    def test_above_crossover(self, decimal_calls):
-        """A square (a is b), a product of equal but distinct factors and
-        one of two different factors, each above the crossover."""
-        a = _wide_factor(130, 1600, 1)
-        b = list(a)
-        c = _wide_factor(200, 900, 2)
-        assert poly_mul_coeffs(a, a) == _kronecker_product(a, a)
-        assert poly_mul_coeffs(a, b) == _kronecker_product(a, b)
-        assert poly_mul_coeffs(a, c) == _kronecker_product(a, c)
-        assert len(decimal_calls) == 3
+    @pytest.mark.parametrize("n", range(3, 15))
+    def test_slot_sum_is_q_at_minus_one(self, n):
+        """q's coefficients alternate in sign, so their sizes sum to
+        |q(-1)|. B = 256^kb or 10^kd, the fewest bytes or digits above that
+        sum, exceeds every |c_m|, and the route nested_minpoly takes at n
+        reads them as its slots."""
+        cs = _q_coefficients(n)
+        bound = _q_at_minus_one(n)
+        assert bound > 0 and sum(map(abs, cs)) == bound
+        assert all(c * (-1) ** m > 0 for m, c in enumerate(cs))
+        if n < minpoly._DECIMAL_MIN_LEVEL:
+            slots, base = minpoly._byte_slots, 256
+            width = (bound.bit_length() + 7) // 8
+        else:
+            slots, base = minpoly._decimal_slots, 10
+            width = len(str(bound))
+        assert max(map(abs, cs)) <= bound < base ** width
+        assert base ** (width - 1) <= bound
+        assert slots(n - 2, bound) == list(map(abs, cs))
 
-    def test_below_crossover(self, decimal_calls):
-        """Few digits, or too few coefficients however wide, stay in
-        base 2."""
-        narrow = _wide_factor(200, 100, 3)
-        short = _wide_factor(_DECIMAL_MIN_LEN - 1, 6000, 4)
-        for x in (narrow, short):
-            assert poly_mul_coeffs(x, x) == schoolbook_product(x, x)
-        assert decimal_calls == []
+    @pytest.mark.parametrize("n", [6, 10, 11, 12])
+    def test_both_routes_near_the_switch(self, n):
+        cs = list(map(abs, _q_coefficients(n)))
+        bound = _q_at_minus_one(n)
+        assert minpoly._byte_slots(n - 2, bound) == cs
+        assert minpoly._decimal_slots(n - 2, bound) == cs
 
-    def test_digit_limit_keeps_base_two(self, decimal_calls):
-        """Slots of about 9,000 digits pass the default limit of 4,300 on
-        int-to-str conversion, so the product stays in base 2 instead of
-        raising ValueError."""
-        a = _wide_factor(_DECIMAL_MIN_LEN + 6, 15_000, 5)
-        old = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(4300)
-        try:
-            assert poly_mul_coeffs(a, a) == _kronecker_product(a, a)
-        finally:
-            sys.set_int_max_str_digits(old)
-        assert decimal_calls == []
+    @pytest.mark.parametrize("slots", ["_byte_slots", "_decimal_slots"])
+    def test_narrow_slots_fail_the_check(self, monkeypatch, slots):
+        """Slots one byte or digit narrower than the largest |c_m| carry
+        into each other, so their sum is not |q(-1)| and nested_minpoly
+        raises instead of returning a wrong polynomial."""
+        route = getattr(minpoly, slots)
+        base = 256 if slots == "_byte_slots" else 10
+        widest = max(map(abs, _q_coefficients(11)))
+        monkeypatch.setattr(minpoly, slots,
+                            lambda steps, bound: route(steps, widest // base))
+        monkeypatch.setattr(minpoly, "_DECIMAL_MIN_LEVEL",
+                            12 if slots == "_byte_slots" else 3)
+        with pytest.raises(ArithmeticError, match="slot overflow"):
+            nested_minpoly(11)
 
-    def test_digit_limit_read_at_each_call(self, monkeypatch, decimal_calls):
-        """A limit of 0, or no limit function (Python < 3.10.7), means no
-        limit; a lower limit keeps narrower slots in base 2."""
-        a = _wide_factor(130, 1600, 6)
-        want = _kronecker_product(a, a)
-        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 500)
-        assert poly_mul_coeffs(a, a) == want
-        assert decimal_calls == []
-        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
-        assert poly_mul_coeffs(a, a) == want
-        monkeypatch.delattr(sys, "get_int_max_str_digits")
-        assert poly_mul_coeffs(a, a) == want
-        assert len(decimal_calls) == 2
-
-    def test_hostile_thread_context(self, decimal_calls):
+    def test_hostile_thread_context(self):
         """A thread context of 5 digits with no traps neither rounds the
-        product nor is changed by it."""
-        a = _wide_factor(130, 1600, 7)
-        want = _kronecker_product(a, a)
+        decimal squares nor is changed by them."""
+        want = closed_minpoly(12)
         with decimal.localcontext() as hostile:
             hostile.prec = 5
             for signal in hostile.traps:
                 hostile.traps[signal] = False
             before = repr(hostile)
-            assert poly_mul_coeffs(a, a) == want
+            assert nested_minpoly(12) == want
             assert repr(decimal.getcontext()) == before
-        assert len(decimal_calls) == 1
 
     def test_survives_optimize(self):
-        """Exactness rests on trapped signals, not on asserts, so python -O
-        gives the same product."""
-        code = ("import random\n"
-                "from cospow import exact\n"
+        """Exactness rests on trapped signals and a raised check, not on
+        asserts, so python -O gives the same coefficients on both
+        routes."""
+        code = ("from cospow.minpoly import closed_minpoly, nested_minpoly\n"
                 "if __debug__:\n"
                 "    raise SystemExit(2)\n"
-                "rng = random.Random(8)\n"
-                "a = [rng.randrange(-2**1600, 2**1600) for _ in range(130)]\n"
-                "calls = []\n"
-                "route = exact._decimal_product\n"
-                "exact._decimal_product = lambda x, y: calls.append(1) "
-                "or route(x, y)\n"
-                "ok = exact.poly_mul_coeffs(a, a) == "
-                "exact._kronecker_product(a, a)\n"
-                "raise SystemExit(0 if ok and calls else 1)\n")
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                              capture_output=True, text=True)
+                "ok = all(nested_minpoly(n) == closed_minpoly(n)\n"
+                "         for n in (9, 10, 11, 12, 13))\n"
+                "raise SystemExit(0 if ok else 1)\n")
+        proc = _run_python(["-O"], code)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("limit", [640, 4300, 0])
+    def test_any_digit_limit(self, limit):
+        """The slots of n = 13 (857 digits) and 14 (1,713) pass the lowest
+        int-to-str limit Python accepts, 640, and are read in pieces under
+        it; 0 means no limit. Each level gives the same coefficients."""
+        code = ("import sys\n"
+                "from cospow.minpoly import closed_minpoly, nested_minpoly\n"
+                f"assert sys.get_int_max_str_digits() == {limit}\n"
+                "ok = all(nested_minpoly(n) == closed_minpoly(n)\n"
+                "         for n in (10, 13, 14))\n"
+                "raise SystemExit(0 if ok else 1)\n")
+        proc = _run_python(["-X", f"int_max_str_digits={limit}"], code)
         assert proc.returncode == 0, proc.stderr
 
 

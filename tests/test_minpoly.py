@@ -64,6 +64,12 @@ def test_nested_n14_digest():
         assert _hex_digest(f) == N14_DIGEST
 
 
+def test_nested_equals_closed_n15():
+    """n = 15, past the levels the CLI serves: 8,193 coefficients in w,
+    whose slots of 3,425 digits are read in pieces."""
+    assert nested_minpoly(15) == closed_minpoly(15)
+
+
 def test_nested_rejects_n2():
     with pytest.raises(ValueError):
         nested_minpoly(2)

@@ -29,12 +29,17 @@ from cospow.odd_power import matrix_gather, matrix_scatter
 # the per-cell str copy that cli._json's writer replaced; Basis.turn, the
 # turn table cayley_table now folds itself, and zeta's _weighted_csc_sum,
 # a second body of negative_power.weighted_csc_sum; ScaledMatrix.scale, an
-# mpf power of two that verify_numeric's exact shift replaced
+# mpf power of two that verify_numeric's exact shift replaced; the
+# Kronecker product tiers of poly_mul_coeffs and their constants, which
+# only nested_minpoly's squares reached (now one packed number in minpoly)
 REMOVED = {
     exact: ("make_matrix", "int_mat_transpose", "poly_x", "poly_compose",
             "pochhammer", "fold_odd_cos_index", "fold_even_cos_index",
             "DyadicAngle", "poly_mod_reduce", "_wrapped_binomial",
-            "DEFAULT_CONTEXT", "_ROTATION_MIN_LEN", "_rotated_trig"),
+            "DEFAULT_CONTEXT", "_ROTATION_MIN_LEN", "_rotated_trig",
+            "_kronecker_product", "_kronecker_pack", "_decimal_product",
+            "_decimal_slot_digits", "_slot_bound", "_KRONECKER_MIN_LEN",
+            "_DECIMAL_MIN_LEN", "_DECIMAL_MIN_DIGITS"),
     exact.Basis: ("phase", "turn", "_evaluate"),
     exact.ScaledMatrix: ("row", "scale"),
     odd_power: ("scatter_target", "perm_sign", "PermSign"),
@@ -102,21 +107,27 @@ def test_mpmath_stays_in_exact():
     for path in sorted(package.glob("*.py")):
         if path.name == "exact.py":
             continue
-        imported = []
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                imported += [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                imported.append(node.module)
-        assert not [m for m in imported if m.split(".")[0] == "mpmath"], \
-            path.name
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert "mpmath" not in _imported_modules(tree), path.name
+
+
+def _imported_modules(tree) -> list[str]:
+    """Top-level names of the modules a parsed source imports, an import
+    inside a function included; relative imports are left out."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            imported.append(node.module.split(".")[0])
+    return imported
 
 
 def test_decimal_context_stays_private():
     """No module of the package reads, sets or swaps the thread's decimal
-    context: the decimal product builds its own, so a caller's context
-    neither changes a result nor is changed by one. Reads each module's
-    source, so a call inside a function counts too."""
+    context: nested_minpoly's decimal squares build their own, so a
+    caller's context neither changes a result nor is changed by one. Reads
+    each module's source, so a call inside a function counts too."""
     package = Path(cospow.__file__).parent
     banned = {"getcontext", "setcontext", "localcontext"}
     for path in sorted(package.glob("*.py")):
@@ -127,6 +138,23 @@ def test_decimal_context_stays_private():
                 called.append(func.attr if isinstance(func, ast.Attribute)
                               else getattr(func, "id", None))
         assert not banned.intersection(called), path.name
+
+
+def test_no_digit_limit_and_decimal_in_minpoly():
+    """No module reads Python's int-to-str digit limit, so no result
+    depends on it, and only minpoly, whose nested squares run in decimal
+    from _DECIMAL_MIN_LEVEL on, imports decimal. Reads each module's
+    source, so a call or import inside a function counts too."""
+    package = Path(cospow.__file__).parent
+    importers = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if "decimal" in _imported_modules(tree):
+            importers.append(path.name)
+        read = [node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)]
+        assert "get_int_max_str_digits" not in read, path.name
+    assert importers == ["minpoly.py"]
 
 
 def test_modular_powers_have_two_homes():
