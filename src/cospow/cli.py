@@ -5,13 +5,12 @@ stdout or --out FILE; diagnostics go to stderr. Exit codes: 0 success,
 1 verification failure, 2 argument error. Integers are emitted as decimal
 strings so arbitrary-precision entries survive JSON parsers.
 
-The output is streamed: a matrix or Cayley table is written one row at a
-time, never built as one document, and each distinct int of a list of ints
-is turned into text once per output (a matrix's rows are signed
-permutations of its first row). Whatever can fail, a value JSON cannot
-carry or an --out file that cannot be opened, fails before the first byte
-is written. When the reader of stdout closes the pipe early, as
-`| head` does, the rest of the output is dropped, nothing is printed to
+The output is streamed: every list goes out one item at a time, a number
+or a matrix row, and each distinct number is turned into text once per
+output (a matrix's rows are signed permutations of its first row). What
+can fail, a value JSON cannot carry or an --out file that cannot be
+opened, fails before the first byte. When the reader of stdout closes the
+pipe early, as `| head` does, the rest is dropped, nothing is printed to
 stderr, and the command exits with its own code.
 """
 
@@ -20,12 +19,11 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import math
 import os
 import sys
-from fractions import Fraction
-from itertools import chain
 from typing import NamedTuple
 
 from .even_power import even_matrix
@@ -76,99 +74,82 @@ def _real_str(x, ctx: EvalContext) -> str:
 
 
 class _Text(dict):
-    """One output's decimal text of each int: str runs on the first lookup
-    of a value, and every later lookup reuses its text. Only exact ints are
-    looked up: a bool would meet the text of 1 or 0, and a Fraction, whose
-    hash runs in Python code, costs more to look up than to write. A dict
-    hit runs in C alone: for the 65,536 entries of matrix --n 10 --r 63
-    this took 3.6 ms, functools.cache(str) 6.4 ms (2-vCPU Xeon)."""
+    """One output's text of each number in its lists, made by str at a
+    value's first lookup and shared by equal ints and Fractions after. For
+    the 65,536 entries of matrix --n 10 --r 63 this took 3.6 ms,
+    functools.cache(str) 6.4 ms (2-vCPU Xeon)."""
 
     def __missing__(self, x):
         self[x] = s = str(x)
         return s
 
 
-def _cell(items, text):
-    """How each of items is written as a bare number: text, a _Text's
-    lookup, when every item is an int; str when every item is an int or a
-    Fraction ("p/q"); None when any item is something else."""
-    kinds = set(map(type, items))
-    if kinds <= {int}:
-        return text
-    return str if kinds <= {int, Fraction} else None
+_SCALAR, _DICT, _LIST, _ROWS = "scalar", "dict", "list", "rows"
 
 
-def _row_cell(value, text):
-    """_cell of every entry of value when value is a nonempty list of rows
-    (lists or tuples); None otherwise."""
-    if isinstance(value, (list, tuple)) and value \
-            and all(isinstance(row, (list, tuple)) for row in value):
-        return _cell(chain.from_iterable(value), text)
-    return None
-
-
-def _json_numbers(x, pad: str, cell) -> str:
-    """A nonempty list of ints and Fractions as _json writes it, each item
-    written by cell and quoted."""
-    inner = pad + "  "
-    return "[" + inner + '"' + ('",' + inner + '"').join(
-        map(cell, x)) + '"' + pad + "]"
-
-
-def _json(x, pad: str, text=str) -> str:
-    """json.dumps(x, indent=2, allow_nan=False), with every int (bool
-    aside) and Fraction written as its decimal string, "p/q" for a
-    Fraction. pad is the newline and indent x starts at; keys are strings.
-    A list of ints and Fractions, such as a matrix row, is joined in one
-    pass, and text writes each int of a list of ints alone."""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, Fraction)):
-        return f'"{x}"'
-    inner = pad + "  "
-    if isinstance(x, dict):
-        if not x:
-            return "{}"
-        return "{" + inner + ("," + inner).join(
-            f"{json.dumps(k)}: {_json(v, inner, text)}"
-            for k, v in x.items()) + pad + "}"
-    if isinstance(x, (list, tuple)):
-        if not x:
-            return "[]"
-        cell = _cell(x, text)
-        if cell:
-            return _json_numbers(x, pad, cell)
-        return "[" + inner + ("," + inner).join(
-            _json(v, inner, text) for v in x) + pad + "]"
-    return json.dumps(x, allow_nan=False)
-
-
-def _json_rows(rows, cell):
-    """The rows of a top-level list of rows, one piece each."""
-    lead = "\n    "
-    for row in rows:
-        yield lead + (_json_numbers(row, "\n    ", cell) if row else "[]")
-        lead = ",\n    "
-
-
-def _json_pieces(payload: dict, text):
-    """_json(payload, "\\n") and a newline, in pieces: one per value, and
-    one per row for a list of rows of ints and Fractions. Every other value
-    is written before this returns, so what can raise (json.dumps of a
-    NaN) raises before the first piece is taken."""
-    if not payload:
-        return iter(("{}\n",))
-    parts, lead = [], "{"
+def _walk(payload: dict, scalar) -> list:
+    """(key, shape, value) per payload item: a dict as (k, scalar(v))
+    pairs, a list of numbers (or an empty list) as a lazy iterator of their
+    texts from one _Text, a list of rows as an iterator of those, any other
+    value as scalar(value), which thus raises before the first write."""
+    text = _Text().__getitem__
+    items = []
     for key, value in payload.items():
-        head = f"{lead}\n  {json.dumps(key)}: "
-        lead = ","
-        cell = _row_cell(value, text)
-        if cell:
-            parts += [(head + "[",), _json_rows(value, cell), ("\n  ]",)]
+        if isinstance(value, dict):
+            value = _DICT, [(k, scalar(v)) for k, v in value.items()]
+        elif not isinstance(value, (list, tuple)):
+            value = _SCALAR, scalar(value)
+        elif value and isinstance(value[0], (list, tuple)):
+            value = _ROWS, map(functools.partial(map, text), value)
         else:
-            parts.append((head + _json(value, "\n  ", text),))
-    parts.append(("\n}\n",))
-    return chain.from_iterable(parts)
+            value = _LIST, map(text, value)
+        items.append((key, *value))
+    return items
+
+
+def _join(write, cells, head: str, sep: str, tail: str, empty: str):
+    """Write head, the strings of the iterator cells with sep between two,
+    and tail, one cell per write; or empty alone when cells has none."""
+    first = next(cells, None)
+    if first is None:
+        write(empty)
+    else:
+        write(head + first)
+        for cell in cells:
+            write(sep + cell)
+        write(tail)
+
+
+def _json_scalar(x) -> str:
+    """x as json.dumps writes it, an int (bool aside) or a Fraction as its
+    decimal string, "p/q" for a Fraction; a NaN raises ValueError."""
+    keep = x is None or isinstance(x, (bool, str, float))
+    return json.dumps(x if keep else str(x), allow_nan=False)
+
+
+def _json_row(row) -> str:
+    body = '",\n      "'.join(row)
+    return '[\n      "' + body + '"\n    ]' if body else "[]"
+
+
+def _write_json(items, fh) -> None:
+    """json.dumps(payload, indent=2) and a newline, each number written as
+    _json_scalar writes it, a row joined in one pass."""
+    write = fh.write
+    lead = "{"
+    for key, shape, value in items:
+        write(f"{lead}\n  {json.dumps(key)}: ")
+        lead = ","
+        if shape is _SCALAR:
+            write(value)
+            continue
+        if shape is _DICT:
+            value = (f"{json.dumps(k)}: {v}" for k, v in value)
+        else:
+            value = map(_json_row if shape is _ROWS else '"{}"'.format, value)
+        o, c = "{}" if shape is _DICT else "[]"
+        _join(write, value, f"{o}\n    ", ",\n    ", f"\n  {c}", o + c)
+    write("\n}\n" if lead == "," else "{}\n")
 
 
 def _flat_str(x) -> str:
@@ -177,80 +158,72 @@ def _flat_str(x) -> str:
     return "" if x is None else str(x)
 
 
-def _walk(payload: dict, text) -> list:
-    """The payload flattened once for the line formats, as a list of
-    (name, cells, rows): rows is None except for a nonempty list of rows,
-    which comes as a lazy iterator of cell iterables with no cells of its
-    own; a dict gives one "key.k" item per entry. Every cell is a
-    string."""
-    items = []
-    for key, value in payload.items():
-        if isinstance(value, dict):
-            items += [(f"{key}.{k}", [_flat_str(v)], None)
-                      for k, v in value.items()]
-        elif isinstance(value, (list, tuple)) and value \
-                and isinstance(value[0], (list, tuple)):
-            cell = _row_cell(value, text) or _flat_str
-            items.append((key, [], map(functools.partial(map, cell), value)))
-        elif isinstance(value, (list, tuple)):
-            cell = _cell(value, text) or _flat_str
-            items.append((key, list(map(cell, value)), None))
-        else:
-            items.append((key, [_flat_str(value)], None))
-    return items
+def _csv_record(cells) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()[:-1]
 
 
 def _write_csv(items, fh) -> None:
-    """Write _walk's items to fh with one csv.writer: the record
-    [name, *cells] of each item, then its rows, one write per line."""
-    writer = csv.writer(fh, lineterminator="\n")
-    for name, cells, rows in items:
-        writer.writerow([name, *cells])
-        writer.writerows(rows or ())
-
-
-def _render_tex(items):
-    """One comment line per item of _walk, a list of rows as a pmatrix;
-    no items leave one empty line."""
-    if not items:
-        yield "\n"
-    for name, cells, rows in items:
-        name = name.replace("_", r"\_")
-        if rows is None:
-            yield f"% {name}: {', '.join(cells)}\n"
+    """Records [name, value] per scalar and dict entry ("key.k"), [name,
+    *cells] per list, [name] and its rows per list of rows. csv quotes names
+    and scalars, and a lone empty name; a number's text needs no quoting."""
+    write = fh.write
+    for key, shape, value in items:
+        if shape is _DICT:
+            for k, v in value:
+                write(_csv_record([f"{key}.{k}", v]) + "\n")
+        elif shape is _SCALAR:
+            write(_csv_record([key, value]) + "\n")
         else:
-            yield f"% {name}\n\\begin{{pmatrix}}\n"
-            for row in rows:
-                yield "  " + " & ".join(row) + " \\\\\n"
-            yield "\\end{pmatrix}\n"
+            alone = _csv_record([key]) + "\n"
+            if shape is _ROWS:
+                _join(write, map(",".join, value), alone, "\n", "\n", alone)
+            else:
+                _join(write, value, _csv_record([key, ""]), ",", "\n", alone)
+
+
+def _write_tex(items, fh) -> None:
+    """A comment line per scalar, list and dict entry, names escaped, and a
+    pmatrix per list of rows; a payload of no line leaves an empty line."""
+    write = fh.write
+    if all(shape is _DICT and not value for _, shape, value in items):
+        write("\n")
+    for key, shape, value in items:
+        name = key.replace("_", r"\_")
+        if shape is _DICT:
+            for k, v in value:
+                write("% " + f"{key}.{k}".replace("_", r"\_") + f": {v}\n")
+        elif shape is _SCALAR:
+            write(f"% {name}: {value}\n")
+        elif shape is _ROWS:
+            begin = f"% {name}\n\\begin{{pmatrix}}\n"
+            _join(write, map(" & ".join, value), begin + "  ", " \\\\\n  ",
+                  " \\\\\n\\end{pmatrix}\n", begin + "\\end{pmatrix}\n")
+        else:
+            _join(write, value, f"% {name}: ", ", ", "\n", f"% {name}: \n")
 
 
 def _emit(payload: dict, args) -> None:
-    """Write payload, a dict, in --format to --out or stdout, a piece at
-    a time: a list of rows one row at a time, every other value whole.
-    Each int of a list of ints is turned into text once per output.
-    Everything that can raise runs before the first byte: the pieces other
-    than rows are made and the --out file is opened first. When the reader
-    of stdout closes the pipe early, the rest is dropped and the command
-    ends with its own exit code, as it does after a single write the pipe
-    refused."""
-    text = _Text().__getitem__
-    if args.format == "csv":
-        write = functools.partial(_write_csv, _walk(payload, text))
-    else:
-        pieces = _json_pieces(payload, text) if args.format == "json" \
-            else _render_tex(_walk(payload, text))
-        write = lambda fh: fh.writelines(pieces)
+    """Write payload, a flat dict, in --format to --out or stdout from one
+    _walk, every list one item at a time. _walk renders what can raise and
+    the --out file is opened before the first byte. When the reader of
+    stdout closes the pipe early, the rest is dropped and the command ends
+    with its own exit code, as after a single write the pipe refused."""
+    scalar, write = {"json": (_json_scalar, _write_json),
+                     "csv": (_flat_str, _write_csv),
+                     "tex": (_flat_str, _write_tex)}[args.format]
+    items = _walk(payload, scalar)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                write(fh)
+                write(items, fh)
         except OSError as exc:
             raise ArgumentProblem(
                 f"cannot write {args.out}: {exc.strerror}") from None
         return
     try:
-        write(sys.stdout)
+        write(items, sys.stdout)
         sys.stdout.flush()
     except BrokenPipeError:
         # stdout now points at devnull, so the interpreter's last flush of
@@ -301,7 +274,7 @@ _PRECISION = Served(64, 2048, "--precision is served up to {hi} bits")
 SERVED = {
     # largest level `minpoly` serves: at n = 15 the closed coefficients pass
     # Python's 4300-digit limit on int-to-str conversion. On a 2-vCPU Xeon
-    # `minpoly --n 14 --form both` took 1.0-1.1 s wall and 69 MB (n = 13:
+    # `minpoly --n 14 --form both` took 1.0-1.3 s wall and 44 MB (n = 13:
     # 0.3-0.4 s), below the 2.7-5.0 s that `verify --n 12 --r 4095`, the
     # heaviest request `verify` serves, took at 256 bits
     "minpoly": {"n": Served(_MATRIX_N.lo, 14)},
@@ -410,7 +383,9 @@ def cmd_verify(args) -> int:
     _check("verify", n=args.n, r=abs(args.r))
     m = _build_matrix(args.r, args.n, args.basis)
     if args.inject_error:
-        first = (m.entries[0][0] + 1, *m.entries[0][1:])
+        # one unit of the value; an entry's unit, 2^-log2_denom, can pass
+        bump = 1 << max(m.log2_denom, 0)
+        first = (m.entries[0][0] + bump, *m.entries[0][1:])
         m = ScaledMatrix((first, *m.entries[1:]), m.log2_denom, m.basis)
     residual = verify_numeric(m, args.r, ctx)
     ok = residual < ctx.tolerance

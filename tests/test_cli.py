@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cospow import cli, exact
 from cospow.exact import EvalContext
@@ -117,6 +117,25 @@ class TestVerify:
         assert doc["ok"] is False
         assert doc["injected_error"] is True
         assert float(doc["residual"]) > 1e-3
+
+    @pytest.mark.parametrize("argv", [
+        "--n 4 --r 129", "--n 4 --r 65 --precision 64",
+        "--n 12 --r 4095 --precision 64", "--n 4 --r 129 --basis sin",
+        "--n 9 --r 4095 --basis sin --precision 64",
+        "--n 3 --r 130 --precision 128", "--n 8 --r -5 --basis sin",
+        "--n 11 --r -3", "--n 5 --r -1 --basis sin --precision 64",
+    ])
+    def test_injected_error_fails_where_the_matrix_passes(self, capsys,
+                                                         argv):
+        """--inject-error moves the value, not the entry, by one unit, so a
+        matrix that passes fails once corrupted at any served r and
+        precision. One unit of entry [0][0] is 2^-log2_denom of the value:
+        the first three requests passed with it."""
+        argv = ["verify", *argv.split()]
+        code, doc, _ = run_json(capsys, *argv)
+        assert (code, doc["ok"]) == (0, True)
+        code, doc, _ = run_json(capsys, *argv, "--inject-error")
+        assert (code, doc["ok"], doc["injected_error"]) == (1, False, True)
 
     def test_bad_precision(self, capsys):
         code, _, err = run(capsys, "verify", "--n", "4", "--r", "7",
@@ -469,22 +488,23 @@ def _jsonable(x):
     return x
 
 
+# the four shapes of a payload value: a scalar, a list of numbers, a list
+# of rows of numbers and a dict of scalars; lists and rows may be empty
 _CELLS = st.integers(-10**40, 10**40) | st.fractions()
 _SCALARS = (_CELLS | st.booleans() | st.none() | st.text()
-            | st.floats(allow_nan=False, allow_infinity=False)
-            | st.lists(_CELLS, max_size=5)
-            | st.lists(st.tuples(_CELLS, _CELLS), max_size=3))
-_PAYLOADS = st.recursive(
-    _SCALARS, lambda inner: st.lists(inner, max_size=4)
-    | st.tuples(inner, inner) | st.dictionaries(st.text(), inner, max_size=4),
-    max_leaves=12)
+            | st.floats(allow_nan=False, allow_infinity=False))
+_VALUES = (_SCALARS | st.lists(_CELLS, max_size=5)
+           | st.lists(st.lists(_CELLS, max_size=3)
+                      | st.tuples(_CELLS, _CELLS), min_size=1, max_size=3)
+           | st.dictionaries(st.text(), _SCALARS, max_size=4))
+_PAYLOADS = st.dictionaries(st.text(), _VALUES, max_size=4)
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.dictionaries(st.text(), _PAYLOADS, max_size=4))
+@given(_PAYLOADS)
 def test_json_writer_matches_dumps(payload):
-    assert cli._json(payload, "\n") == json.dumps(
-        _jsonable(payload), indent=2, allow_nan=False)
+    assert _emitted(payload, "json") == json.dumps(
+        _jsonable(payload), indent=2, allow_nan=False) + "\n"
 
 
 def _cells_reference(payload):
@@ -529,13 +549,6 @@ def _tex_reference(payload) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _whole_or_error(render, *args):
-    try:
-        return render(*args)
-    except TypeError:
-        return TypeError
-
-
 def _emitted(payload, fmt):
     args = cli.build_parser().parse_args(["group", "--n", "3",
                                           "--format", fmt])
@@ -554,15 +567,15 @@ _REFERENCES = {
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.dictionaries(st.text(), _PAYLOADS, max_size=4),
-       st.sampled_from(sorted(_REFERENCES)))
+@given(_PAYLOADS, st.sampled_from(sorted(_REFERENCES)))
+@example({"": [1, 2]}, "csv")
+@example({"": []}, "csv")
 def test_streamed_writer_matches_whole_documents(payload, fmt):
-    """_emit, piece by piece and with one text per int, writes the bytes
-    the whole-document routes build: CSV quoting of names and cells, rows
-    of ints, of Fractions and of anything else, and payloads that give no
-    line at all. A row that is not a list fails in both."""
-    assert _whole_or_error(_emitted, payload, fmt) \
-        == _whole_or_error(_REFERENCES[fmt], payload)
+    """_emit, item by item and with one text per number, writes the bytes
+    the whole-document routes build: CSV quoting of names and scalars, an
+    empty name before a list, rows of ints and of Fractions, and payloads
+    that give no line at all."""
+    assert _emitted(payload, fmt) == _REFERENCES[fmt](payload)
 
 
 class TestFormatsAndOutput:
@@ -918,19 +931,31 @@ class TestStreamedOutput:
                         reason="ru_maxrss is in kB on Linux")
     def test_group_n12_peak_memory(self):
         """The largest Cayley table, 13.6 MB of JSON, is written row by
-        row below 60 MB (67 MB when the whole text was built first). A
-        wrapper runs the command as its only child, so RUSAGE_CHILDREN
-        sees that run alone."""
-        wrapper = ("import resource, subprocess, sys\n"
-                   "subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, "
-                   "check=True)\n"
-                   "print(resource.getrusage("
-                   "resource.RUSAGE_CHILDREN).ru_maxrss)")
-        proc = subprocess.run(
-            [sys.executable, "-c", wrapper, sys.executable, "-m",
-             "cospow.cli", "group", "--n", "12"],
-            env=_cli_env(), capture_output=True, text=True, check=True)
-        assert int(proc.stdout) / 1024 < 60
+        row below 60 MB (67 MB when the whole text was built first)."""
+        assert _peak_mb("group", "--n", "12") < 60
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="ru_maxrss is in kB on Linux")
+    def test_minpoly_n14_peak_memory(self):
+        """The largest minpoly request, two lists of 8,193 coefficients and
+        20 MB of JSON, is written one coefficient at a time below 55 MB
+        (69 MB when each list was built as one string)."""
+        assert _peak_mb("minpoly", "--n", "14", "--form", "both") < 55
+
+
+def _peak_mb(*argv) -> float:
+    """Peak RSS in MB of `cospow ARGV` with stdout discarded. A wrapper
+    runs the command as its only child, so RUSAGE_CHILDREN sees that run
+    alone."""
+    wrapper = ("import resource, subprocess, sys\n"
+               "subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, "
+               "check=True)\n"
+               "print(resource.getrusage("
+               "resource.RUSAGE_CHILDREN).ru_maxrss)")
+    proc = subprocess.run(
+        [sys.executable, "-c", wrapper, sys.executable, "-m", "cospow.cli",
+         *argv], env=_cli_env(), capture_output=True, text=True, check=True)
+    return int(proc.stdout) / 1024
 
 
 # one argv per distinct error line, recorded before the served ranges moved

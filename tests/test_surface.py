@@ -31,7 +31,9 @@ from cospow.odd_power import matrix_gather, matrix_scatter
 # a second body of negative_power.weighted_csc_sum; ScaledMatrix.scale, an
 # mpf power of two that verify_numeric's exact shift replaced; the
 # Kronecker product tiers of poly_mul_coeffs and their constants, which
-# only nested_minpoly's squares reached (now one packed number in minpoly)
+# only nested_minpoly's squares reached (now one packed number in minpoly);
+# cli's nested-JSON writer and its per-cell type checks, which one walk of
+# the flat payload replaced
 REMOVED = {
     exact: ("make_matrix", "int_mat_transpose", "poly_x", "poly_compose",
             "pochhammer", "fold_odd_cos_index", "fold_even_cos_index",
@@ -50,7 +52,8 @@ REMOVED = {
                      "_weight7"),
     zeta: ("csc3_weight", "csc5_weight", "monic_two_cos_poly",
            "_weighted_csc_sum"),
-    cli: ("_jsonable",),
+    cli: ("_jsonable", "_json", "_json_numbers", "_json_rows",
+          "_json_pieces", "_cell", "_row_cell", "_render_tex"),
     series: ("sec_power_series", "csc_power_series",
              "csc_power_cos2_series", "jordan_bounds_check", "STOP_RUN"),
 }
@@ -155,6 +158,30 @@ def test_no_digit_limit_and_decimal_in_minpoly():
                 if isinstance(node, ast.Attribute)]
         assert "get_int_max_str_digits" not in read, path.name
     assert importers == ["minpoly.py"]
+
+
+def test_no_unused_module_imports():
+    """Every name a module imports at its top level is read in that module
+    or listed in its __all__, so a deletion leaves no import behind (no
+    linter runs on the package). Reads each module's source; __future__
+    imports are left out."""
+    package = Path(cospow.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, exported = set(), set()
+        for node in tree.body:
+            if isinstance(node, ast.Import) or isinstance(
+                    node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name.split(".")[0]
+                             for alias in node.names}
+            elif isinstance(node, ast.Assign) and any(
+                    getattr(target, "id", None) == "__all__"
+                    for target in node.targets):
+                exported = set(ast.literal_eval(node.value))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        assert imported <= read | exported, (path.name,
+                                             imported - read - exported)
 
 
 def test_modular_powers_have_two_homes():
