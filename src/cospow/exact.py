@@ -10,18 +10,15 @@ caller has a short factor: the nested minimal polynomial squares its
 long iterates as one packed number in minpoly); and EvalContext, an
 arbitrary-precision evaluation environment wrapping the mpmath context
 of its precision, one context per precision, shared by every EvalContext
-at it and written by none after it is built: it keeps each level table
-Basis.values builds in it (the tables are never shared), does the
-numeric oracle's row sums on plain ints that round exactly as mpmath
-does, and runs the oracle's scalar sums on mpmath's raw number tuples
-(libmp), each step the libmp routine the mpf operator calls, at the same
-precision and nearest rounding. A level table is one fixed-point walk of
-complex unit steps over its angles, each value corrected to mpmath's
-rounded argument and rounded where a Ziv rounding test, with a bound on
-mpmath's own error derived from its code (_libmp_trig_error), proves
-mpmath rounds it the same way; the rest take mpmath's cosine or sine at
-that argument, so every table is bit for bit mpmath's. This is the only
-module that imports mpmath.
+at it and written by none after it is built: it builds and keeps each
+level table (dyadic_trig, never shared), bit for bit mpmath's by one
+fixed-point walk and a Ziv rounding test that hands mpmath the values it
+cannot settle; reads an mpf back as an exact rational (to_fraction,
+refusing +-inf and NaN); does the numeric oracle's row sums on plain ints
+that round exactly as mpmath does; and runs the oracle's scalar sums on
+mpmath's raw number tuples (libmp), each step the libmp routine the mpf
+operator calls, at the same precision and nearest rounding. This is the
+only module that imports mpmath or reads an mpf's layout.
 
 Conventions used throughout the package:
   * "mod" always means the least nonnegative residue and "floor" always
@@ -189,15 +186,8 @@ class Basis:
         """Numeric values of all dim basis elements, in column order:
         g(t*pi/2^n), g the basis function, t = 2k+1 for column k on the
         odd bases and t = 2k on the even one, whose constant column is
-        cos 0 = 1. The table is built on the first call in ctx and kept
-        there, so each element is evaluated once per context and later
-        calls return the same tuple."""
-        table = ctx._tables.get(self)
-        if table is None:
-            odd = self.kind != "even_cos"
-            table = ctx._tables[self] = ctx.dyadic_trig(
-                self.kind == "odd_sin", range(odd, 2 * self.dim, 2), self.n)
-        return table
+        cos 0 = 1: ctx.dyadic_trig(self), built once per context."""
+        return ctx.dyadic_trig(self)
 
 
 def odd_cos_basis(n: int) -> Basis:
@@ -477,20 +467,17 @@ class EvalContext:
     Wraps the mpmath context of its precision, shared by every
     EvalContext at that precision: its prec is set once, when it is
     built, and nothing writes it after. Precision is fixed at
-    construction, and the instance keeps each level table it builds
-    (Basis.values), which dies with it. tolerance is
-    2^(-precision_bits/2).
+    construction. tolerance is 2^(-precision_bits/2).
 
-    The oracle's sums over the level tables (power_sum, quotient_sum,
-    max_residual, row_sums) run on mpmath's raw (sign, man, exp, bc)
-    tuples rather than on mpf objects: each step is the libmp routine the
-    mpf operator would call, at the working precision with nearest
-    rounding, so every result is bit for bit the one the mpf loop its
-    docstring names gives, without the object layer around each step.
-    The tables themselves (dyadic_trig) are bit for bit mpmath's cosine
-    or sine per angle, but are built by one fixed-point walk
-    (_dyadic_walk), which keeps a value only where a rounding test proves
-    it equal and hands the rest to mpmath.
+    The instance keeps each level table it builds, which dies with it:
+    dyadic_trig builds a basis's whole table on first use, bit for bit
+    mpmath's per angle, and nothing else reads or writes the store.
+    to_real rounds a number to the working precision and to_fraction
+    reads one back exactly. The oracle's sums over the tables (power_sum,
+    quotient_sum, max_residual, row_sums) run on mpmath's raw (sign, man,
+    exp, bc) tuples, each step the libmp routine the mpf operator would
+    call at the working precision with nearest rounding, so every result
+    is bit for bit the one the mpf loop its docstring names gives.
     """
 
     __slots__ = ("precision_bits", "tolerance", "_mp", "_tables")
@@ -540,6 +527,19 @@ class EvalContext:
                                from_int(x.denominator, prec, rnd), prec, rnd)
             x = x.numerator
         return from_int(x, prec, rnd)
+
+    def to_fraction(self, x) -> Fraction:
+        """x exactly, _round_exact's inverse: an int or Fraction as it is,
+        else to_real(x) (a float or an mpf of this context unchanged) read
+        off its raw tuple. +-inf and NaN, there a zero mantissa with a
+        nonzero exponent, raise ValueError."""
+        if isinstance(x, (int, Fraction)):
+            return Fraction(x)
+        sign, man, exp, _ = self.to_real(x)._mpf_
+        if not man and exp:
+            raise ValueError(f"to_fraction requires a finite number, not {x}")
+        man = -man if sign else man
+        return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
     def mpc(self, re=0, im=0):
         return self._mp.mpc(re, im)
@@ -637,13 +637,13 @@ class EvalContext:
                     am, ae = pm, pe
             yield am, ae
 
-    def dyadic_trig(self, sine: bool, ts: Iterable[int], n: int) -> tuple:
-        """g(t*pi/2^n) for each int t in ts, g = sin if sine else cos, the
-        t all of one parity and in [0, 2^(n-1)), n >= 2 (ValueError
-        otherwise): bit for bit g(ctx.pi * t / 2**n). pi is rounded once
-        per call; the product with t rounds as mpf * int does, and the
-        division by 2^n is exact, an exponent shift: mpmath's argument is
-        x_t = round(round(pi) t)/2^n.
+    def dyadic_trig(self, basis: Basis) -> tuple:
+        """basis.values(self): g(t*pi/2^n), t = 2k+1 (odd bases) or 2k
+        (even basis) for column k, g = sin on odd_sin and cos otherwise,
+        built whole on the first call and kept in this context. Each value
+        is bit for bit g(ctx.pi * t / 2**n). pi is rounded once per table;
+        the product with t rounds as mpf * int does, and the division by
+        2^n is exact, an exponent shift: x_t = round(round(pi) t)/2^n.
 
         One fixed-point walk (_dyadic_walk), F = prec + 2n + 8, gives
         cos and sin of theta_t = t pi/2^n for m = min(t, 2^(n-1) - t),
@@ -664,13 +664,12 @@ class EvalContext:
         basis's cos 0 = 1 always, mpmath's g is called at x_t. The test is
         integer comparisons only, so it holds under python -O.
         """
+        if (table := self._tables.get(basis)) is not None:
+            return table
         prec, rnd = self.precision_bits, round_nearest
-        ts = list(ts)
+        sine, n = basis.kind == "odd_sin", basis.n
+        odd = basis.kind != "even_cos"
         quarter = 1 << (n - 1)
-        odd = ts[0] & 1 if ts else 0
-        if any(t & 1 != odd or not 0 <= t < quarter for t in ts):
-            raise ValueError(
-                f"dyadic_trig takes t of one parity in [0, 2^{n - 1})")
         F = prec + 2 * n + 8
         Pi = pi_fixed(F)
         walk = _dyadic_walk(odd, n, F, Pi)
@@ -683,7 +682,7 @@ class EvalContext:
         make = self._mp.make_mpf
         errors = {}
         out = []
-        for t in ts:
+        for t in range(odd, quarter, 2):
             # x_t = p 2^xe: pm t rounded to nearest, ties to even, as
             # mpf_mul_int rounds it (row_sums' rule, inline for speed)
             p = pm * t
@@ -719,7 +718,8 @@ class EvalContext:
                                      q.bit_length() - tz)))
                     continue
             out.append(make(g(from_man_exp(p, xe), prec, rnd)))
-        return tuple(out)
+        table = self._tables[basis] = tuple(out)
+        return table
 
     def power_sum(self, values: Iterable, exponent, shift: int = 0):
         """sum_k (2^shift v_k)^exponent over positive mpfs v_k of this

@@ -35,14 +35,6 @@ class SeriesResult:
     converged: bool
 
 
-def as_fraction(x, ctx: EvalContext) -> Fraction:
-    """x exactly: ints, floats and mpfs are all dyadic rationals."""
-    if isinstance(x, (int, float, Fraction)):
-        return Fraction(x)
-    man, exp = ctx.to_real(x).man_exp
-    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-
-
 def tail_is_negligible(term, q_num: int, q_den: int, rounding, lower,
                        tol_num: int, tol_den: int) -> bool:
     """The certified stop, exact in integers or Fractions. If no later term
@@ -73,9 +65,9 @@ def sum_until_negligible(first, base, ratio, settled: int, ctx: EvalContext,
         raise ValueError("max_terms must be >= 1")
     # tail + rounding <= tol (|S| - tail - rounding) is the test against
     # |S| at tolerance tol/(1+tol)
-    tol_num, tol_den = as_fraction(ctx.tolerance, ctx).as_integer_ratio()
+    tol_num, tol_den = ctx.to_fraction(ctx.tolerance).as_integer_ratio()
     tol_den += tol_num
-    b = as_fraction(ctx.fabs(base), ctx)
+    b = ctx.to_fraction(ctx.fabs(base))
     base_up = -(-(b.numerator << RATIO_BITS) // b.denominator)
     unit = Fraction(1, 2 ** (ctx.precision_bits - 8))
     coef = ctx.one
@@ -89,10 +81,10 @@ def sum_until_negligible(first, base, ratio, settled: int, ctx: EvalContext,
         if ends or used > settled:
             num, den = abs(rho).as_integer_ratio()
             converged = tail_is_negligible(
-                as_fraction(ctx.fabs(term), ctx),
+                ctx.to_fraction(ctx.fabs(term)),
                 0 if ends else base_up * max(num, den), den << RATIO_BITS,
-                used * unit * as_fraction(size, ctx),
-                as_fraction(ctx.fabs(total), ctx), tol_num, tol_den)
+                used * unit * ctx.to_fraction(size),
+                ctx.to_fraction(ctx.fabs(total)), tol_num, tol_den)
             if converged or ends:
                 break
         coef *= ctx.to_real(rho)
@@ -143,7 +135,7 @@ def _tangent_series(r, theta, step: int, ctx: EvalContext, max_terms: int):
     if not ctx.fabs(c) > ctx.fabs(s):
         raise ValueError("series requires |cos t| > |sin t|")
     tan = s / c
-    rq = as_fraction(r, ctx)
+    rq = ctx.to_fraction(r)
 
     def ratio(j):
         k = 2 * j + step
@@ -221,10 +213,11 @@ def csc_power_cos2_series_result(r, theta, ctx: EvalContext,
     needed. The coefficient ratio (r/2+j)/(j+1) is monotone in size toward
     1 once j > -r/2, so the terms shrink geometrically with ratio |cos 2t|.
     """
+    theta = ctx.to_real(theta)
     if not (0 < theta < ctx.pi / 2):
         raise ValueError("csc_power_cos2_series_result requires 0 < t < pi/2")
+    half = ctx.to_fraction(r) / 2
     front = ctx.power(ctx.two, ctx.to_real(r) / 2)
-    half = as_fraction(r, ctx) / 2
     res = sum_until_negligible(
         ctx.one, ctx.cos(2 * theta), lambda j: (half + j) / (j + 1),
         max(0, math.floor(-half) + 1), ctx, max_terms=max_terms)

@@ -37,8 +37,7 @@ from .even_power import integer_power_average
 from .exact import EvalContext, exact_div, odd_sin_basis
 from .minpoly import _average_stream, _level_recurrence, _newton_windows
 from .negative_power import odd_csc_weights, weighted_csc_sum
-from .series import (RATIO_BITS, SeriesResult, as_fraction,
-                     tail_is_negligible)
+from .series import RATIO_BITS, SeriesResult, tail_is_negligible
 
 # 30 significant digits each
 ZETA3 = "1.20205690315959428539973816151"
@@ -272,7 +271,7 @@ def _level_series(a: Fraction, n: int, max_terms: int,
     vv = v * v
     prec = ctx.precision_bits
     bits = prec + 2 * max_terms.bit_length() + 8
-    tol_num, tol_den = as_fraction(ctx.tolerance, ctx).as_integer_ratio()
+    tol_num, tol_den = ctx.to_fraction(ctx.tolerance).as_integer_ratio()
     r_num = _tail_ratio_above(n)
     # q >= r and gap <= den (2^RATIO_BITS - r_num), so the stop needs
     # upper tol_den r_num <= total tol_num (2^RATIO_BITS - r_num), upper =
@@ -319,16 +318,26 @@ def _level_series(a: Fraction, n: int, max_terms: int,
     return SeriesResult(value, used, converged)
 
 
+def _exact_s(s, n: int, route: str, ctx: EvalContext) -> Fraction:
+    """s exactly, or ValueError naming route unless finite s > 1, n >= 3."""
+    try:
+        sq = ctx.to_fraction(s)
+    except ValueError:
+        raise ValueError(f"{route} requires finite s > 1") from None
+    if not sq > 1:
+        raise ValueError(f"{route} requires s > 1")
+    if n < 3:
+        raise ValueError(f"{route} requires n >= 3")
+    return sq
+
+
 def zeta_sine_sum(s, n: int, ctx: EvalContext) -> ZetaApproxResult:
     """(2^s pi^s/(2^s-1)) sum_{i=1}^{2^{n-2}} (2^n sin((2i-1)pi/2^n))^{-s}.
 
     Converges to zeta(s) as n grows; exact pi^2/6 at s = 2 for every n.
-    Requires real s > 1 and n >= 3.
+    Requires finite real s > 1 and n >= 3.
     """
-    if not s > 1:
-        raise ValueError("zeta_sine_sum requires s > 1")
-    if n < 3:
-        raise ValueError("zeta_sine_sum requires n >= 3")
+    _exact_s(s, n, "zeta_sine_sum", ctx)
     tot = ctx.power_sum(odd_sin_basis(n).values(ctx), -s, n)
     p2s = ctx.power(ctx.two, s)
     value = p2s * ctx.power(ctx.pi, s) / (p2s - 1) * tot
@@ -348,14 +357,11 @@ def zeta_binomial_series(s, n: int, max_terms: int,
     cos^2(pi/2^{n-1}), which approaches 1 for large n, so the number of
     terms grows like 2^{2n}. Status "ok" means the certified tail bound
     of _level_series held within max_terms; otherwise "terms-exhausted"
-    after exactly max_terms terms. Requires real s > 1, n >= 3,
+    after exactly max_terms terms. Requires finite real s > 1, n >= 3,
     max_terms >= 1.
     """
-    if not s > 1:
-        raise ValueError("zeta_binomial_series requires s > 1")
-    if n < 3:
-        raise ValueError("zeta_binomial_series requires n >= 3")
-    res = _level_series(as_fraction(s, ctx) / 2, n, max_terms, ctx)
+    res = _level_series(_exact_s(s, n, "zeta_binomial_series", ctx) / 2,
+                        n, max_terms, ctx)
     s2 = ctx.to_real(s) / 2
     p2s = ctx.power(ctx.two, s)
     pref = ctx.power(ctx.two, 3 * s2 - n * ctx.to_real(s) + n - 3) \

@@ -9,8 +9,7 @@ from mpmath.libmp import (mpf_cos, mpf_mul_int, mpf_pi, mpf_shift, mpf_sin,
 
 from cospow.exact import IntPolynomial, odd_cos_basis, odd_sin_basis
 from cospow.minpoly import _average_stream
-from cospow.series import (RATIO_BITS, SeriesResult, as_fraction,
-                           tail_is_negligible)
+from cospow.series import RATIO_BITS, SeriesResult, tail_is_negligible
 from cospow.zeta import _tail_ratio_above
 
 
@@ -92,7 +91,7 @@ def exact_level_series(a: Fraction, n: int, max_terms: int, ctx):
     vv = v * v
     prec = ctx.precision_bits
     bits = prec + 2 * max_terms.bit_length() + 8
-    tol_num, tol_den = as_fraction(ctx.tolerance, ctx).as_integer_ratio()
+    tol_num, tol_den = ctx.to_fraction(ctx.tolerance).as_integer_ratio()
     r_num = _tail_ratio_above(n)
     coef, coef_err = 1 << bits, 0
     total = rounding = used = 0

@@ -557,6 +557,31 @@ class TestEvalContext:
                 assert got == mpf_div(from_int(k, prec, round_nearest), fone,
                                       prec, round_nearest), k
 
+    @pytest.mark.parametrize("prec", [64, 256])
+    def test_to_fraction_reads_exactly(self, prec):
+        """to_fraction is _round_exact's inverse: an int, a Fraction or a
+        float comes back as it is, an mpf as the dyadic rational it holds,
+        sign included, also where float() would overflow (2^2000) or
+        underflow (2^-2000)."""
+        c = EvalContext(prec)
+        for x in (0, 7, -7, 2**prec + 1, Fraction(-3, 8), Fraction(1, 3),
+                  0.1, -2.5, 1e300):
+            got = c.to_fraction(x)
+            assert type(got) is Fraction and got == Fraction(x), x
+        for k in (0, 1, -5, 2**2000, -(2**2000), Fraction(1, 2**2000),
+                  Fraction(-3, 2**70), 3**(prec // 2)):
+            assert c.to_fraction(c.to_real(k)) == k, k
+        third = c.to_real(Fraction(1, 3))
+        assert c.to_real(c.to_fraction(third)) == third
+        assert c.to_fraction(c.tolerance) == Fraction(1, 2**(prec // 2))
+
+    @pytest.mark.parametrize("x", ["inf", "-inf", "nan"])
+    def test_to_fraction_refuses_non_finite(self, x):
+        c = EvalContext(128)
+        for value in (float(x), c.to_real(x), x):
+            with pytest.raises(ValueError):
+                c.to_fraction(value)
+
 
 def _own_values(ctx):
     """pi, tolerance, a level table and a verify residual of ctx, as raw
@@ -593,23 +618,26 @@ class TestSharedContext:
 
     def test_tables_stay_per_context(self, monkeypatch):
         """A new context at the same precision builds its own table, the
-        same bits as the first's."""
+        same bits as the first's. Builds are counted at _dyadic_walk,
+        which runs once per table built; dyadic_trig itself also answers
+        from the context's store."""
         builds = []
-        real = EvalContext.dyadic_trig
+        real = exact._dyadic_walk
 
-        def counting(self, sine, ts, n):
-            builds.append(self)
-            return real(self, sine, ts, n)
+        def counting(*args):
+            builds.append(args)
+            return real(*args)
 
-        monkeypatch.setattr(EvalContext, "dyadic_trig", counting)
+        monkeypatch.setattr(exact, "_dyadic_walk", counting)
         b = odd_cos_basis(8)
         first, second = EvalContext(256), EvalContext(256)
         assert first._mp is second._mp
         table = b.values(first)
         assert b.values(first) is table
-        assert builds == [first]
+        assert first.dyadic_trig(b) is table
+        assert len(builds) == 1
         other = b.values(second)
-        assert builds == [first, second]
+        assert len(builds) == 2
         assert other is not table
         assert [v._mpf_ for v in other] == [v._mpf_ for v in table]
 

@@ -112,20 +112,17 @@ def test_even_basis_constant_and_one_angle(prec, monkeypatch):
 
 @pytest.mark.parametrize("prec", (64, 256))
 def test_walk_contract(prec):
-    """dyadic_trig takes any list of t of one parity in [0, 2^(n-1)),
-    whole table or not, and gives the per-angle route's values; a t of the
-    other parity or out of that range would read the wrong walk entry, so
-    such a list raises ValueError."""
+    """dyadic_trig takes a basis and gives its whole table, the
+    per-angle route's values, kept in the context: Basis.values returns
+    the same tuple, and a second call builds nothing."""
     ctx = EvalContext(prec)
-    for sine in (False, True):
-        for ts in ([5], [255, 1, 129, 3], list(range(1, 14, 2)),
-                   [0], [2, 254, 128, 0], []):
-            assert _bits(ctx.dyadic_trig(sine, ts, 9)) == _bits(
-                mpf_dyadic_trig(ctx, sine, ts, 9)), (sine, ts)
-        for ts in ([1, 2], [2, 1], [0, 3, 5], [1, 256], [257],
-                   [-1, 1], [-2], [256]):
-            with pytest.raises(ValueError):
-                ctx.dyadic_trig(sine, ts, 9)
+    for kind in KINDS:
+        b = Basis(kind, 9)
+        table = ctx.dyadic_trig(b)
+        got, want = _table(kind, 9, ctx)
+        assert _bits(table) == got == want, kind
+        assert b.values(ctx) is table
+        assert ctx.dyadic_trig(Basis(kind, 9)) is table
 
 
 @pytest.mark.parametrize("prec", (64, 401, 2048))

@@ -20,7 +20,7 @@ from cospow.negative_power import (
     odd_csc_weights,
     reciprocal_first_row,
 )
-from cospow import cli
+from cospow import cli, exact
 from cospow.exact import (
     EvalContext,
     exact_div,
@@ -336,19 +336,19 @@ def test_first_row_sum_identity(ctx):
         first_row_sum_identity(-7, 4, ctx)
 
 
-def _count_sines(monkeypatch) -> list:
-    """The angles t of every sine g(t pi/2^n) that EvalContext.dyadic_trig,
-    the one route to a level table's values, evaluates from now on."""
+def _count_angles(monkeypatch) -> list:
+    """The angles t of every level table built from now on: t = odd,
+    odd + 2, ... below 2^(n-1) for each exact._dyadic_walk, which runs
+    once per table built. A table kept in its context is not built again,
+    so it adds nothing."""
     calls = []
-    trig = EvalContext.dyadic_trig
+    walk = exact._dyadic_walk
 
-    def counting(self, sine, ts, n):
-        ts = list(ts)
-        if sine:
-            calls.extend(ts)
-        return trig(self, sine, ts, n)
+    def counting(odd, n, F, Pi):
+        calls.extend(range(odd, 1 << (n - 1), 2))
+        return walk(odd, n, F, Pi)
 
-    monkeypatch.setattr(EvalContext, "dyadic_trig", counting)
+    monkeypatch.setattr(exact, "_dyadic_walk", counting)
     return calls
 
 
@@ -416,7 +416,7 @@ class TestPowerSums:
         sines, built on first use; a context at another precision builds
         its own; and each result is bit for bit the one a fresh context
         per call gives."""
-        calls = _count_sines(monkeypatch)
+        calls = _count_angles(monkeypatch)
         routes = [
             lambda c: zeta_sine_sum(3, 6, c).value,
             lambda c: zeta3_weighted(6, c).value,
@@ -439,7 +439,7 @@ class TestPowerSums:
 
     @pytest.mark.parametrize("s", [4, 7])
     def test_sums_request_builds_one_sine_table(self, monkeypatch, s):
-        calls = _count_sines(monkeypatch)
+        calls = _count_angles(monkeypatch)
         assert cli.main(["sums", "--s", str(s), "--n", "5",
                          "--out", os.devnull]) == 0
         assert len(calls) == 8

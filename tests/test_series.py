@@ -1,5 +1,6 @@
 """Series routes: finite multiples, generalized exponents, progression sums."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -237,6 +238,54 @@ class TestCscCos2Route:
             numeric = (f_plus - f_minus) / (2 * h)
             analytic = -3 * ctx.cos(theta) * ctx.power(ctx.sin(theta), -4)
             assert ctx.fabs(numeric - analytic) < ctx.power(ctx.two, -20)
+
+    @pytest.mark.parametrize("prec", (128, 256))
+    def test_fraction_angle(self, prec):
+        """A Fraction angle gives the bits of its to_real, as it does on
+        the sibling routes."""
+        ctx = EvalContext(prec)
+        for r, t in ((3, Fraction(1, 2)), (Fraction(-5, 2), Fraction(6, 5)),
+                     (1.5, Fraction(7, 10))):
+            got = csc_power_cos2_series_result(r, t, ctx)
+            assert got == csc_power_cos2_series_result(
+                r, ctx.to_real(t), ctx), (r, t)
+            assert got.converged
+
+
+def test_mpf_exponent_keeps_its_sign():
+    """An mpf exponent is read exactly, sign included, so it gives the
+    bits of the same exponent as a Fraction or int."""
+    ctx = EvalContext(128)
+    for r in (Fraction(-3, 2), Fraction(-5, 2), -3, Fraction(1, 2)):
+        for route, t in ((sec_power_series_result, Fraction(1, 4)),
+                         (csc_power_series_result, Fraction(7, 5)),
+                         (csc_power_cos2_series_result, Fraction(1, 2))):
+            theta = ctx.to_real(t)
+            assert route(ctx.to_real(r), theta, ctx) == route(r, theta, ctx), (
+                route.__name__, r)
+
+
+# a non-finite exponent or base was read as 0, and the result (NaN, +inf
+# or a finite number) reported converged
+NON_FINITE_CALLS = {
+    "sec_power": lambda x, ctx: sec_power_series_result(x, 0.25, ctx),
+    "csc_power": lambda x, ctx: csc_power_series_result(x, 1.3, ctx),
+    "csc_power_cos2": lambda x, ctx: csc_power_cos2_series_result(x, 0.5,
+                                                                  ctx),
+    "generalized_cos": lambda x, ctx: generalized_cos_series(x, 0.25, ctx),
+    "sum_until_negligible": lambda x, ctx: sum_until_negligible(
+        ctx.one, x, lambda j: Fraction(1), 0, ctx),
+}
+
+
+@pytest.mark.parametrize("as_mpf", (False, True), ids=("float", "mpf"))
+@pytest.mark.parametrize("x", (math.inf, -math.inf, math.nan), ids=str)
+@pytest.mark.parametrize("call", NON_FINITE_CALLS.values(),
+                         ids=list(NON_FINITE_CALLS))
+def test_non_finite_input_raises(call, x, as_mpf):
+    ctx = EvalContext(128)
+    with pytest.raises(ValueError):
+        call(ctx.to_real(x) if as_mpf else x, ctx)
 
 
 # the grid of tests/test_golden.py; csc^r at t needs |sin t| > |cos t|

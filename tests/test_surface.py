@@ -33,7 +33,8 @@ from cospow.odd_power import matrix_gather, matrix_scatter
 # Kronecker product tiers of poly_mul_coeffs and their constants, which
 # only nested_minpoly's squares reached (now one packed number in minpoly);
 # cli's nested-JSON writer and its per-cell type checks, which one walk of
-# the flat payload replaced
+# the flat payload replaced; series.as_fraction and zeta's import of it,
+# which EvalContext.to_fraction replaced
 REMOVED = {
     exact: ("make_matrix", "int_mat_transpose", "poly_x", "poly_compose",
             "pochhammer", "fold_odd_cos_index", "fold_even_cos_index",
@@ -51,11 +52,12 @@ REMOVED = {
                      "_row1_neg5_doubled", "_weight3", "_weight5",
                      "_weight7"),
     zeta: ("csc3_weight", "csc5_weight", "monic_two_cos_poly",
-           "_weighted_csc_sum"),
+           "_weighted_csc_sum", "as_fraction"),
     cli: ("_jsonable", "_json", "_json_numbers", "_json_rows",
           "_json_pieces", "_cell", "_row_cell", "_render_tex"),
     series: ("sec_power_series", "csc_power_series",
-             "csc_power_cos2_series", "jordan_bounds_check", "STOP_RUN"),
+             "csc_power_cos2_series", "jordan_bounds_check", "STOP_RUN",
+             "as_fraction"),
 }
 
 
@@ -102,16 +104,22 @@ def test_fold_and_sign_rules_stay_in_exact():
 
 
 def test_mpmath_stays_in_exact():
-    """Only exact imports mpmath: every other module of the package reaches
+    """Only exact imports mpmath or reads an mpf's layout (the attributes
+    _mpf_, _mpc_ and man_exp): every other module of the package reaches
     the numbers through EvalContext, so the libmp arithmetic behind the
-    tables and the oracle's sums has one home. Reads each module's source,
-    so an import inside a function counts too."""
+    tables and the oracle's sums, and the exact reading of an mpf
+    (to_fraction), have one home. Reads each module's source, so an
+    import or a read inside a function counts too."""
     package = Path(cospow.__file__).parent
+    layout = {"_mpf_", "_mpc_", "man_exp"}
     for path in sorted(package.glob("*.py")):
         if path.name == "exact.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         assert "mpmath" not in _imported_modules(tree), path.name
+        read = [(node.attr, node.lineno) for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr in layout]
+        assert not read, (path.name, read)
 
 
 def _imported_modules(tree) -> list[str]:

@@ -180,6 +180,33 @@ class TestBinomialSeries:
             zeta_binomial_series(2, 2, 100, ctx)
 
 
+@pytest.mark.parametrize("as_mpf", (False, True), ids=("float", "mpf"))
+@pytest.mark.parametrize("s", (math.inf, -math.inf, math.nan), ids=str)
+@pytest.mark.parametrize("route, call", [
+    ("zeta_sine_sum", lambda s, ctx: zeta_sine_sum(s, 3, ctx)),
+    ("zeta_binomial_series",
+     lambda s, ctx: zeta_binomial_series(s, 3, 10, ctx)),
+], ids=("sine_sum", "binomial"))
+def test_non_finite_s_rejected(route, call, s, as_mpf):
+    """The CLI's rule: a non-finite s raises ValueError. At s = +inf the
+    sine sum gave NaN with status ok, and the binomial series NaN with
+    status ok (mpf s) or OverflowError (float s)."""
+    ctx = EvalContext(128)
+    with pytest.raises(ValueError, match=f"^{route} requires finite s > 1$"):
+        call(ctx.to_real(s) if as_mpf else s, ctx)
+
+
+@pytest.mark.parametrize("s", (1, 0.5, -3, Fraction(1, 2)))
+def test_finite_s_at_most_one_keeps_its_message(s):
+    ctx = EvalContext(128)
+    for route, call in (("zeta_sine_sum", zeta_sine_sum),
+                        ("zeta_binomial_series",
+                         lambda s, n, c: zeta_binomial_series(s, n, 10, c))):
+        for value in (s, ctx.to_real(s)):
+            with pytest.raises(ValueError, match=f"^{route} requires s > 1$"):
+                call(value, 3, ctx)
+
+
 PRECISIONS = (128, 256)
 LEVELS = (3, 4, 5, 6)
 
