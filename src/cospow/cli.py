@@ -363,7 +363,7 @@ def cmd_minpoly(args) -> int:
     if args.form == "both":
         payload["equal"] = payload["closed"] == payload["nested"]
     _emit(payload, args)
-    return 0
+    return 0 if payload.get("equal", True) else 1
 
 
 def cmd_matrix(args) -> int:

@@ -164,17 +164,6 @@ def generalized_sin_series(r, theta, ctx: EvalContext,
     return replace(res, value=ctx.power(c, r) * res.value)
 
 
-def generalized_multiple_angle(r, theta, terms: int, ctx: EvalContext):
-    """(sin(r t), cos(r t)) by the generalized binomial series, real r.
-
-    terms caps each series' length; the certified stop may end it
-    earlier. Requires |cos t| > |sin t|.
-    """
-    sin_res = generalized_sin_series(r, theta, ctx, max_terms=terms)
-    cos_res = generalized_cos_series(r, theta, ctx, max_terms=terms)
-    return sin_res.value, cos_res.value
-
-
 def sec_power_series_result(r, theta, ctx: EvalContext, divisor: str = "cos",
                             max_terms: int = 100000) -> SeriesResult:
     """sec^r t as a tangent series over cos(r t) or over sin(r t).

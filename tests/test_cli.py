@@ -42,6 +42,22 @@ class TestMinpoly:
         assert doc["closed"][16] == "32768"
         assert doc["closed"][2] == "-128"
 
+    def test_forms_that_differ_exit_1(self, capsys, monkeypatch):
+        """A nested form that differs from the closed one fails the
+        command with exit 1; the output is what an agreeing run prints,
+        with the differing coefficient and "equal": false."""
+        code, agreed, _ = run(capsys, "minpoly", "--n", "3", "--form", "both")
+        assert code == 0
+        right = cli.nested_minpoly(3).coeffs
+        wrong = exact.IntPolynomial((*right[:-1], right[-1] + 1))
+        monkeypatch.setattr(cli, "nested_minpoly", lambda n: wrong)
+        code, out, err = run(capsys, "minpoly", "--n", "3", "--form", "both")
+        assert code == 1
+        assert err == ""
+        assert out == agreed.replace('"8"\n  ],\n  "equal": true',
+                                     '"9"\n  ],\n  "equal": false')
+        assert out != agreed
+
     def test_closed_only_n2(self, capsys):
         code, doc, _ = run_json(capsys, "minpoly", "--n", "2")
         assert code == 0

@@ -10,7 +10,6 @@ from cospow.series import (
     csc_power_cos2_series_result,
     csc_power_series_result,
     generalized_cos_series,
-    generalized_multiple_angle,
     generalized_sin_series,
     jordan_bounds,
     multiple_angle,
@@ -108,15 +107,31 @@ class TestGeneralizedSeries:
         theta = ctx.to_real(Fraction(3, 10))
         for r in (1, 3, 6):
             s_fin, c_fin = multiple_angle(r, theta, ctx)
-            s_ser, c_ser = generalized_multiple_angle(r, theta, 4000, ctx)
-            assert ctx.close(s_ser, s_fin)
-            assert ctx.close(c_ser, c_fin)
+            s_ser = generalized_sin_series(r, theta, ctx, max_terms=4000)
+            c_ser = generalized_cos_series(r, theta, ctx, max_terms=4000)
+            assert s_ser.converged and c_ser.converged
+            assert ctx.close(s_ser.value, s_fin)
+            assert ctx.close(c_ser.value, c_fin)
 
     def test_half_exponent(self, ctx):
         theta = ctx.to_real(Fraction(3, 10))
-        s, c = generalized_multiple_angle(Fraction(1, 2), theta, 4000, ctx)
-        assert ctx.fabs(s - ctx.sin(theta / 2)) < ctx.power(ctx.two, -80)
-        assert ctx.fabs(c - ctx.cos(theta / 2)) < ctx.power(ctx.two, -80)
+        s = generalized_sin_series(Fraction(1, 2), theta, ctx, max_terms=4000)
+        c = generalized_cos_series(Fraction(1, 2), theta, ctx, max_terms=4000)
+        assert s.converged and c.converged
+        bound = ctx.power(ctx.two, -80)
+        assert ctx.fabs(s.value - ctx.sin(theta / 2)) < bound
+        assert ctx.fabs(c.value - ctx.cos(theta / 2)) < bound
+
+    def test_truncated_series_reports_unconverged(self):
+        """Three terms of the r = 1/2 series at t = 0.7 miss sin(0.35) in
+        the third digit (0.345788... against 0.342898...), and the result
+        says so."""
+        ctx = EvalContext(128)
+        theta = ctx.to_real(Fraction(7, 10))
+        res = generalized_sin_series(Fraction(1, 2), theta, ctx, max_terms=3)
+        assert res.terms_used == 3
+        assert not res.converged
+        assert ctx.fabs(res.value - ctx.sin(theta / 2)) > ctx.power(10, -3)
 
     def test_negative_exponent(self, ctx):
         theta = ctx.to_real(Fraction(3, 10))

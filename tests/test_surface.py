@@ -2,7 +2,11 @@
 
 import ast
 import importlib.util
+import inspect
+import pkgutil
 import sys
+import types
+import typing
 from pathlib import Path
 
 import pytest
@@ -34,7 +38,8 @@ from cospow.odd_power import matrix_gather, matrix_scatter
 # only nested_minpoly's squares reached (now one packed number in minpoly);
 # cli's nested-JSON writer and its per-cell type checks, which one walk of
 # the flat payload replaced; series.as_fraction and zeta's import of it,
-# which EvalContext.to_fraction replaced
+# which EvalContext.to_fraction replaced; series.generalized_multiple_angle,
+# which dropped both series' converged flags
 REMOVED = {
     exact: ("make_matrix", "int_mat_transpose", "poly_x", "poly_compose",
             "pochhammer", "fold_odd_cos_index", "fold_even_cos_index",
@@ -57,21 +62,45 @@ REMOVED = {
           "_json_pieces", "_cell", "_row_cell", "_render_tex"),
     series: ("sec_power_series", "csc_power_series",
              "csc_power_cos2_series", "jordan_bounds_check", "STOP_RUN",
-             "as_fraction"),
+             "as_fraction", "generalized_multiple_angle"),
 }
 
 
-def test_every_exported_name_resolves():
-    assert len(set(cospow.__all__)) == len(cospow.__all__)
-    for name in cospow.__all__:
-        assert getattr(cospow, name) is not None, name
+def test_term_budgets_are_certified():
+    """Every public function that takes a term budget (terms or
+    max_terms) returns a result with a converged or status field, so a
+    series cut short by its budget says so."""
+    budgeted = []
+    for info in pkgutil.iter_modules(cospow.__path__):
+        module = importlib.import_module(f"cospow.{info.name}")
+        for name, func in vars(module).items():
+            if (name.startswith("_") or not inspect.isfunction(func)
+                    or func.__module__ != module.__name__):
+                continue
+            params = inspect.signature(func).parameters
+            if "terms" not in params and "max_terms" not in params:
+                continue
+            budgeted.append(f"{module.__name__}.{name}")
+            returned = typing.get_type_hints(func).get("return")
+            fields = typing.get_type_hints(returned) if returned else {}
+            assert {"converged", "status"} & set(fields), budgeted[-1]
+    assert len(budgeted) >= 9, budgeted
+
+
+def test_package_binds_only_modules():
+    """The package re-exports nothing: besides dunders and __version__,
+    every name it binds is one of its own submodules, so each function
+    and class is reached through the one module that defines it."""
+    for name, value in vars(cospow).items():
+        if name.startswith("__"):
+            continue
+        assert isinstance(value, types.ModuleType), name
+        assert value.__name__ == f"cospow.{name}", name
 
 
 def test_removed_wrappers_are_gone():
     for module, names in REMOVED.items():
         for name in names:
-            assert name not in cospow.__all__, name
-            assert not hasattr(cospow, name), name
             assert not hasattr(module, name), (module.__name__, name)
     for name in ("eval_exact", "eval_real", "eval_complex"):
         assert not hasattr(exact.IntPolynomial, name), name
