@@ -252,8 +252,8 @@ _MATRIX_N = Served(2, 12, "matrices are served for n <= {hi}")
 # the even basis, the reciprocal matrices, the nested form, the group, zeta
 # and sums start a level up. zeta: the sine sums take 2^{n-2} terms, and
 # each binomial-series term a Newton step over 2^{n-3} integers. Largest
-# level `sums` serves: s = 8 at n = 12 takes 0.2 s as a whole process on a
-# 2-vCPU Xeon
+# level `sums` serves: s = 8 at n = 12 takes 0.12 s as a whole process on
+# a 2-vCPU Xeon, most of it interpreter start and imports
 _LEVELS = Served(3, _MATRIX_N.hi)
 # largest |r| `matrix` and `verify` serve: a first row costs r/2 steps of
 # r-bit binomials, and entries carry up to r bits. At 4096 `verify --n 12`
@@ -264,10 +264,10 @@ _POWERS = Served(1, 4096, "matrices are served for |r| <= {hi}")
 # largest --precision `verify`, `zeta` and `sums` serve. On a 2-vCPU Xeon the
 # heaviest admitted request, verify --n 12 --r 4095, took 5.0 s at 256 bits
 # and 15.7 s at 2048 in one run each (2.7-4.9 s and 13-23 s in others),
-# and its oracle 40 s at 4096; sums and zeta at n = 12 took under 0.5 s
-# at 2048 and 18 s at 16384. At 2^20 bits even
-# verify --n 3 --r 1 did not finish in 40 s. EvalContext turns away fewer
-# than 64 bits
+# and its oracle 40 s at 4096; sums and zeta at n = 12 took under 0.2 s
+# as whole processes at 2048, and 1.3-2.0 s in-process at 16384. At 2^20
+# bits even verify --n 3 --r 1 did not finish in 40 s. EvalContext turns
+# away fewer than 64 bits
 _PRECISION = Served(64, 2048, "--precision is served up to {hi} bits")
 # per command, each checked value's served range or, as a plain number, a
 # bound that code compares with several arguments

@@ -14,11 +14,15 @@ at it and written by none after it is built: it builds and keeps each
 level table (dyadic_trig, never shared), bit for bit mpmath's by one
 fixed-point walk and a Ziv rounding test that hands mpmath the values it
 cannot settle; reads an mpf back as an exact rational (to_fraction,
-refusing +-inf and NaN); does the numeric oracle's row sums on plain ints
-that round exactly as mpmath does; and runs the oracle's scalar sums on
-mpmath's raw number tuples (libmp), each step the libmp routine the mpf
-operator calls, at the same precision and nearest rounding. This is the
-only module that imports mpmath or reads an mpf's layout.
+refusing +-inf and NaN); and runs the numeric oracle's row sums and its
+scalar sums (power sums, weighted sums, verify's residuals) on plain
+ints, each step rounded exactly as the libmp routine the mpf operator
+calls rounds it, at the same precision and nearest rounding: the scalar
+steps are three helpers (_nearest, _quotient, _power) and a sum that
+rounds by the first. The power repeats the branches of mpmath 1.3.0's
+mpf_pow_int, as _libmp_trig_error's bound is derived from its trig code,
+so the package pins mpmath 1.3. This is the only module that imports
+mpmath or reads an mpf's layout.
 
 Conventions used throughout the package:
   * "mod" always means the least nonnegative residue and "floor" always
@@ -37,10 +41,9 @@ from operator import index
 from typing import Iterable, Sequence
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_abs, mpf_add,
-                          mpf_cos, mpf_cos_sin, mpf_div, mpf_lt, mpf_pi,
-                          mpf_pow, mpf_pow_int, mpf_shift, mpf_sin,
-                          mpf_sub, pi_fixed, round_nearest, to_fixed)
+from mpmath.libmp import (from_man_exp, fzero, mpf_add, mpf_cos, mpf_cos_sin,
+                          mpf_div, mpf_pi, mpf_pow, mpf_shift, mpf_sin,
+                          pi_fixed, round_nearest, to_fixed)
 from mpmath.libmp.libelefun import COS_SIN_CACHE_PREC
 
 
@@ -455,6 +458,124 @@ def _dyadic_walk(odd: int, n: int, F: int, Pi: int) -> list:
     return walk
 
 
+# The oracle's scalar arithmetic on plain ints. A pair (m, e) is the
+# number m 2^e, m signed; every step below gives the pair of the value
+# the libmp routine it names gives, at prec bits with nearest rounding
+# (round_nearest), so a sum packed into an mpf at its end is bit for bit
+# the libmp loop's.
+
+def _nearest(m: int, e: int, prec: int) -> tuple[int, int]:
+    """m 2^e rounded to prec bits, to nearest with ties to even, as libmp's
+    normalize rounds it; the result's |m| is at most 2^prec.
+
+    Rounding shifts out sh = bits(m) - prec bits: t = m >> (sh - 1) keeps
+    the half bit, and the floor t >> 1 goes up by one when the bits
+    shifted out exceed half, or equal it and the floor is odd. Python's >>
+    floors negative m too, and the rule is symmetric in sign.
+    """
+    sh = m.bit_length() - prec
+    if sh <= 0:
+        return m, e
+    t = m >> (sh - 1)
+    if t & 1 and (t & 2 or t << (sh - 1) != m):
+        return (t >> 1) + 1, e + sh
+    return t >> 1, e + sh
+
+
+def _sum(am: int, ae: int, bm: int, be: int, prec: int) -> tuple[int, int]:
+    """am 2^ae + bm 2^be, each |m| at most 2^prec, rounded by _nearest: as
+    mpf_add rounds it. When a, the operand with the higher exponent, is
+    nonzero and the other is below 2^(ae - prec - 4), under a sixteenth
+    of a's last place at prec bits, the other cannot move the rounded
+    sum, which is a itself: the shift that would align them is never
+    made."""
+    if ae < be:
+        am, ae, bm, be = bm, be, am, ae
+    d = ae - be
+    if am and d > prec + 4 + bm.bit_length():
+        return am, ae
+    return _nearest((am << d) + bm, be, prec)
+
+
+def _quotient(am: int, ae: int, bm: int, be: int,
+              prec: int) -> tuple[int, int]:
+    """(am 2^ae) / (bm 2^be), bm nonzero, rounded by _nearest: as mpf_div
+    rounds it. The floored quotient q of am 2^k by bm keeps at least
+    prec + 3 bits and 2q + 1 stands for a nonzero remainder (a sticky
+    bit): both lie strictly between 2q and 2q + 2, where no rounding
+    boundary at prec bits falls. bm = 0 raises ZeroDivisionError."""
+    if bm < 0:
+        am, bm = -am, -bm
+    k = prec + 3 + bm.bit_length() - am.bit_length()
+    if k < 0:
+        k = 0
+    q, rem = divmod(am << k, bm)
+    return _nearest(2 * q + (rem != 0), ae - be - k - 1, prec)
+
+
+def _power(m: int, e: int, n: int, prec: int) -> tuple[int, int]:
+    """(m 2^e)^n for the odd mantissa m (signed) and exponent e of a
+    normalized mpf, as mpmath 1.3.0's mpf_pow_int gives it, branch by
+    branch (its bc is bits(m)):
+
+      * n < 0: 1 over the power -n at prec + 5 bits, one _quotient; at
+        n = -1, 1 over the value itself;
+      * n <= 2 or bc n < 1000: the exact power, rounded once (so is a
+        power of two, |m| = 1, on every branch);
+      * otherwise binary powering that truncates the running power and
+        the running square to wp = prec + 4 bits(n) + 4 bits whenever
+        either grows past wp, then one rounding.
+
+    Only the last branch is not the correctly rounded power, so the pairs
+    of a truncated step must be mpmath's own: that is why m is the
+    normalized mantissa.
+    """
+    if n < 0:
+        if n != -1:
+            m, e = _power(m, e, -n, prec + 5)
+        return _quotient(1, 0, m, e, prec)
+    if n <= 2 or m.bit_length() * n < 1000:
+        return _nearest(m ** n, e * n, prec)
+    negative = m < 0 and n & 1
+    m = abs(m)
+    wp = prec + 4 * n.bit_length() + 4
+    pm, pe = 1, 0
+    while True:
+        if n & 1:
+            pm *= m
+            pe += e
+            sh = pm.bit_length() - wp
+            if sh > 0:
+                pm >>= sh
+                pe += sh
+            n -= 1
+            if not n:
+                break
+        m *= m
+        e += e
+        sh = m.bit_length() - wp
+        if sh > 0:
+            m >>= sh
+            e += sh
+        n >>= 1
+    return _nearest(-pm if negative else pm, pe, prec)
+
+
+def _exact_pair(x, prec: int) -> tuple[int, int]:
+    """An int or Fraction as a pair rounded to prec bits by _nearest, as
+    from_int rounds an int: a Fraction is the _quotient of its rounded
+    numerator and denominator, as mpf_div gives it, which for every
+    Fraction whose numerator and denominator fit the precision is its one
+    rounding. An integral Fraction is rounded as its numerator: the
+    quotient by a denominator of 1 would only round the same pair again."""
+    if isinstance(x, Fraction):
+        if x.denominator != 1:
+            return _quotient(*_nearest(x.numerator, 0, prec),
+                             *_nearest(x.denominator, 0, prec), prec)
+        x = x.numerator
+    return _nearest(x, 0, prec)
+
+
 # (mpmath context, tolerance) per precision, built on first use: every
 # EvalContext at that precision shares them, and nothing writes the
 # context's prec after it is set here
@@ -474,10 +595,10 @@ class EvalContext:
     mpmath's per angle, and nothing else reads or writes the store.
     to_real rounds a number to the working precision and to_fraction
     reads one back exactly. The oracle's sums over the tables (power_sum,
-    quotient_sum, max_residual, row_sums) run on mpmath's raw (sign, man,
-    exp, bc) tuples, each step the libmp routine the mpf operator would
-    call at the working precision with nearest rounding, so every result
-    is bit for bit the one the mpf loop its docstring names gives.
+    quotient_sum, max_residual, row_sums) run on plain ints, each step
+    rounded as the libmp routine the mpf operator would call at the
+    working precision with nearest rounding, so every result is bit for
+    bit the one the mpf loop its docstring names gives.
     """
 
     __slots__ = ("precision_bits", "tolerance", "_mp", "_tables")
@@ -515,18 +636,8 @@ class EvalContext:
 
     def _round_exact(self, x) -> tuple:
         """An int or Fraction as a libmp tuple rounded to the working
-        precision, nearest: a Fraction is the rounded quotient of its
-        rounded numerator and denominator, which for every Fraction whose
-        numerator and denominator fit the precision is its one rounding.
-        An integral Fraction is rounded as its numerator: the quotient by
-        a denominator of 1 would only normalize the same tuple again."""
-        prec, rnd = self.precision_bits, round_nearest
-        if isinstance(x, Fraction):
-            if x.denominator != 1:
-                return mpf_div(from_int(x.numerator, prec, rnd),
-                               from_int(x.denominator, prec, rnd), prec, rnd)
-            x = x.numerator
-        return from_int(x, prec, rnd)
+        precision, nearest: _exact_pair's pair."""
+        return from_man_exp(*_exact_pair(x, self.precision_bits))
 
     def to_fraction(self, x) -> Fraction:
         """x exactly, _round_exact's inverse: an int or Fraction as it is,
@@ -597,14 +708,11 @@ class EvalContext:
             yield mpf((am, ae))
 
     def _row_pairs(self, rows: Iterable[Sequence[int]], values: Sequence):
-        """row_sums' sums as pairs (m, e), the sum m 2^e, |m| < 2^prec.
+        """row_sums' sums as pairs (m, e), the sum m 2^e, |m| <= 2^prec.
 
-        Rounding m 2^e to prec bits shifts out sh = bits(m) - prec bits:
-        t = m >> (sh - 1) keeps the half bit, and the floor t >> 1 goes up
-        by one when the bits shifted out exceed half, or equal it and the
-        floor is odd. Python's >> floors negative m too, and the rule is
-        symmetric in sign. A row is read twice, once to pick its nonzero
-        entries, so it is a sequence, not an iterator.
+        Each product and partial sum is rounded by _nearest's rule, inline
+        for speed. A row is read twice, once to pick its nonzero entries,
+        so it is a sequence, not an iterator.
         """
         prec = self.precision_bits
         table = []
@@ -684,7 +792,7 @@ class EvalContext:
         out = []
         for t in range(odd, quarter, 2):
             # x_t = p 2^xe: pm t rounded to nearest, ties to even, as
-            # mpf_mul_int rounds it (row_sums' rule, inline for speed)
+            # mpf_mul_int rounds it (_nearest's rule, inline for speed)
             p = pm * t
             sh = p.bit_length() - prec
             if sh > 0:
@@ -726,43 +834,75 @@ class EvalContext:
         context: bit for bit the loop `tot += ctx.power(2**shift * v,
         exponent)` from zero, and for an int exponent and no shift the
         loop `tot += v ** exponent`, which reaches the same libmp power.
-        The exponent is converted once, as ctx.power converts it."""
+        The exponent is converted once, as ctx.power converts it.
+
+        An integral exponent n, as mpf_pow reads it, runs on plain ints:
+        each power a _power, each partial sum a _sum. A fractional one, or
+        a value with a zero mantissa (0, +-inf, NaN), sends the whole sum
+        through mpf_pow and mpf_add, which give the mpf loop's result or
+        its exception."""
         prec, rnd = self.precision_bits, round_nearest
         e = self._mp.convert(exponent)._mpf_
-        tot = fzero
-        for v in values:
-            power = mpf_pow(mpf_shift(v._mpf_, shift), e, prec, rnd)
-            tot = mpf_add(tot, power, prec, rnd)
-        return self._mp.make_mpf(tot)
+        tsign, tman, texp, _ = e
+        raw = [v._mpf_ for v in values]
+        if texp < 0 or not all(man for _, man, _, _ in raw):
+            tot = fzero
+            for v in raw:
+                power = mpf_pow(mpf_shift(v, shift), e, prec, rnd)
+                tot = mpf_add(tot, power, prec, rnd)
+            return self._mp.make_mpf(tot)
+        n = -(tman << texp) if tsign else tman << texp
+        am = ae = 0
+        for sign, man, exp, _ in raw:
+            pm, pe = _power(-man if sign else man, exp + shift, n, prec)
+            am, ae = _sum(am, ae, pm, pe, prec)
+        return self._mp.make_mpf(from_man_exp(am, ae))
 
     def quotient_sum(self, weights: Iterable, values: Iterable):
         """sum_k w_k / v_k over int or Fraction weights and nonzero mpfs
         of this context: bit for bit the loop `tot += ctx.to_real(w) / v`
-        from zero, each weight rounded by the same _round_exact."""
+        from zero, each weight rounded by the same _round_exact.
+
+        On plain ints: each quotient a _quotient, each partial sum a _sum.
+        A value with a zero mantissa (0, +-inf, NaN) sends the whole sum
+        through mpf_div and mpf_add, which give the mpf loop's result or
+        its exception."""
         prec, rnd = self.precision_bits, round_nearest
-        tot = fzero
-        for w, v in zip(weights, values):
-            quotient = mpf_div(self._round_exact(w), v._mpf_, prec, rnd)
-            tot = mpf_add(tot, quotient, prec, rnd)
-        return self._mp.make_mpf(tot)
+        raw = [v._mpf_ for v in values]
+        if not all(man for _, man, _, _ in raw):
+            tot = fzero
+            for w, v in zip(weights, raw):
+                quotient = mpf_div(self._round_exact(w), v, prec, rnd)
+                tot = mpf_add(tot, quotient, prec, rnd)
+            return self._mp.make_mpf(tot)
+        am = ae = 0
+        for w, (sign, man, exp, _) in zip(weights, raw):
+            qm, qe = _quotient(*_exact_pair(w, prec), -man if sign else man,
+                               exp, prec)
+            am, ae = _sum(am, ae, qm, qe, prec)
+        return self._mp.make_mpf(from_man_exp(am, ae))
 
     def max_residual(self, rows: Iterable[Sequence[int]], values: Sequence,
                      lhs: Iterable, r: int, log2_denom: int):
         """max_i |g_i^r - 2^-log2_denom sum_k rows[i][k] values[k]|, g_i
-        the i-th mpf of lhs: bit for bit the loop `worst = max(worst,
-        ctx.fabs(ctx.power(g, r) - scale * rhs))` from zero, scale =
-        2^-log2_denom and rhs from row_sums. rhs is read as row_sums'
-        pair (m, e), whose m fits the precision, so the scaled rhs is the
-        exact from_man_exp(m, e - log2_denom), an exponent shift."""
-        prec, rnd = self.precision_bits, round_nearest
-        worst = fzero
+        the i-th mpf of lhs, each finite: bit for bit the loop `worst =
+        max(worst, ctx.fabs(ctx.power(g, r) - scale * rhs))` from zero,
+        scale = 2^-log2_denom and rhs from row_sums. rhs is read as
+        row_sums' pair (m, e), so the scaled rhs is the exact pair
+        (m, e - log2_denom), an exponent shift. On plain ints: g^r is a
+        _power, the gap a _sum, and a gap replaces the running maximum
+        when its rounded difference with it, which has the sign of the
+        exact one, is positive."""
+        prec = self.precision_bits
+        wm = we = 0
         for (am, ae), g in zip(self._row_pairs(rows, values), lhs):
-            gap = mpf_abs(mpf_sub(mpf_pow_int(g._mpf_, r, prec, rnd),
-                                  from_man_exp(am, ae - log2_denom),
-                                  prec, rnd), prec, rnd)
-            if mpf_lt(worst, gap):
-                worst = gap
-        return self._mp.make_mpf(worst)
+            sign, man, exp, _ = g._mpf_
+            gm, ge = _power(-man if sign else man, exp, r, prec)
+            gm, ge = _sum(gm, ge, -am, ae - log2_denom, prec)
+            gm = abs(gm)
+            if _sum(gm, ge, -wm, we, prec)[0] > 0:
+                wm, we = gm, ge
+        return self._mp.make_mpf(from_man_exp(wm, we))
 
     def close(self, x, y, tol=None) -> bool:
         t = self.tolerance if tol is None else self.to_real(tol)

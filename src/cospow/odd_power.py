@@ -266,9 +266,9 @@ def verify_numeric(m: ScaledMatrix, r: int, ctx: EvalContext):
     The basis is evaluated once per context. For the odd bases g((2i-1)pi/2^n)
     is basis element i-1, so the left side reads the same table; only the
     even basis needs a second one, of odd-angle cosines. The residuals
-    come from EvalContext.max_residual: row sums on ints, rounded step by
-    step exactly as the mpf loop `rhs += entry * v` rounds them, and the
-    rest on mpmath's raw tuples, rounded as the mpf operators round.
+    come from EvalContext.max_residual: row sums, powers, gaps and their
+    maximum on ints, rounded step by step exactly as the mpf loop
+    `rhs += entry * v` and the mpf operators after it round them.
     """
     vals = m.basis.values(ctx)
     if m.basis.kind == "even_cos":

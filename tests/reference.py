@@ -173,21 +173,42 @@ def mpf_dyadic_trig(ctx, sine: bool, ts, n: int) -> tuple:
 
 
 # The oracle's loops on mpf objects, as the package ran them before
-# EvalContext moved them onto mpmath's raw tuples; the package's results
-# must equal them bit for bit.
+# EvalContext moved them onto plain ints; the package's results must
+# equal them bit for bit.
 
 def mpf_max_residual(m, r: int, ctx):
     """odd_power.verify_numeric as the mpf loop over EvalContext.row_sums."""
-    scale = ctx.power(ctx.two, -m.log2_denom)
     vals = m.basis.values(ctx)
     if m.basis.kind == "even_cos":
         g_vals = odd_cos_basis(m.basis.n).values(ctx)
     else:
         g_vals = vals
+    return mpf_row_residual(m.entries, vals, g_vals, r, m.log2_denom, ctx)
+
+
+def mpf_row_residual(rows, values, lhs, r: int, log2_denom: int, ctx):
+    """EvalContext.max_residual as the mpf loop over EvalContext.row_sums."""
+    scale = ctx.power(ctx.two, -log2_denom)
     worst = ctx.zero
-    for rhs, g in zip(ctx.row_sums(m.entries, vals), g_vals):
+    for rhs, g in zip(ctx.row_sums(rows, values), lhs):
         worst = max(worst, ctx.fabs(ctx.power(g, r) - scale * rhs))
     return worst
+
+
+def mpf_power_sum(values, exponent, shift: int, ctx):
+    """EvalContext.power_sum as the mpf loop, shift >= 0."""
+    tot = ctx.zero
+    for v in values:
+        tot += ctx.power(2**shift * v, exponent)
+    return tot
+
+
+def mpf_quotient_sum(weights, values, ctx):
+    """EvalContext.quotient_sum as the mpf loop."""
+    tot = ctx.zero
+    for w, v in zip(weights, values):
+        tot += ctx.to_real(w) / v
+    return tot
 
 
 def mpf_direct_csc_power_sum(s: int, n: int, ctx):
@@ -200,10 +221,7 @@ def mpf_direct_csc_power_sum(s: int, n: int, ctx):
 
 def mpf_weighted_csc_sum(weights, n: int, ctx):
     """negative_power.weighted_csc_sum as the mpf loop."""
-    tot = ctx.zero
-    for w, sin in zip(weights, odd_sin_basis(n).values(ctx)):
-        tot += ctx.to_real(w) / sin
-    return tot
+    return mpf_quotient_sum(weights, odd_sin_basis(n).values(ctx), ctx)
 
 
 def mpf_zeta_sine_sum(s, n: int, ctx):
